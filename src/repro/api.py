@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.analytic.bimodal import BimodalSpec
 from repro.core.abns import Abns, ProbabilisticAbns
-from repro.core.base import BatchThresholdDecider, ThresholdDecider
+from repro.core.base import ThresholdDecider
 from repro.core.counting import AdaptiveSplittingCounter
 from repro.core.exponential import ExponentialIncrease
 from repro.core.interval import IntervalQuery
@@ -62,7 +62,7 @@ from repro.group_testing.population import Population
 from repro.group_testing.vectorized import (
     BatchDecision,
     QueryBatch,
-    UnsupportedBatch,
+    dispatch_batch,
 )
 
 #: Defaults for the ``reliable=`` string shortcuts; pass a configured
@@ -513,13 +513,14 @@ def threshold_query_batch(
     ``vectorized`` flags) and no fault plan is active, the cell executes
     on the vectorized kernel; otherwise every run takes the scalar path
     over the *same* streams, so the two paths are interchangeable
-    bit for bit.
+    bit for bit (:func:`~repro.group_testing.vectorized.dispatch_batch`
+    makes the choice).
 
     Args:
         population_size: Number of participant nodes ``n``.
         x: True positive count of every run's population.
         threshold: The threshold ``t``.
-        runs: Number of Monte-Carlo trials.
+        runs: Number of Monte-Carlo trials (``>= 1``).
         algorithm: Registry name (see :func:`make_algorithm`).
         collision_model: ``"1+"``, ``"2+"`` or ``"k+"``.
         seed: Root seed of the spawn tree.
@@ -533,13 +534,16 @@ def threshold_query_batch(
         The per-run decisions and query counts as a
         :class:`~repro.group_testing.vectorized.BatchDecision`.
 
+    Raises:
+        ValueError: If ``runs`` is below 1.
+
     Example:
         >>> out = threshold_query_batch(64, 20, 8, runs=16, seed=1)
         >>> bool(out.decisions.all())
         True
     """
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     plan = fault_plan if fault_plan is not None else FaultPlan.none()
     spec, _, _ = _resolve(algorithm)
     algo = make_algorithm(
@@ -552,32 +556,24 @@ def threshold_query_batch(
             f"algorithm {algorithm!r} is not a threshold decider; use its "
             "dedicated interface instead"
         )
-    hook = plan.detection_hook(None)
     model_spec = ModelSpec(
-        kind=collision_model, max_queries=max_queries, detection_failure=hook
+        kind=collision_model,
+        max_queries=max_queries,
+        detection_failure=plan.detection_hook(None),
     )
+
+    def faulted_model(
+        population: Population, rng: np.random.Generator
+    ) -> QueryModel:
+        return plan.wrap_model(model_spec(population, rng))
+
     batch = QueryBatch.spawned(
         seed=seed,
         n=population_size,
         x=x,
         threshold=threshold,
         runs=runs,
-        model=model_spec,
+        model=model_spec if plan.vectorizable else faulted_model,
     )
-    if plan.vectorizable and isinstance(algo, BatchThresholdDecider):
-        try:
-            return algo.decide_batch(batch)
-        except UnsupportedBatch:
-            pass
-    decisions = np.zeros(runs, dtype=bool)
-    queries = np.zeros(runs, dtype=np.int64)
-    exact = True
-    for run in range(runs):
-        pop_rng, model_rng, bins_rng = batch.streams(run)
-        population = Population.from_count(population_size, x, pop_rng)
-        model = plan.wrap_model(model_spec(population, model_rng))
-        result = algo.decide(model, threshold, bins_rng)
-        decisions[run] = result.decision
-        queries[run] = result.queries
-        exact = result.exact
-    return BatchDecision(decisions=decisions, queries=queries, exact=exact)
+    decision, _ = dispatch_batch(algo, batch, vectorize=plan.vectorizable)
+    return decision

@@ -88,8 +88,8 @@ class BatchThresholdDecider(Protocol):
     the same verdict and query count.  Implementations raise
     :class:`~repro.group_testing.vectorized.UnsupportedBatch` for any
     configuration they cannot reproduce exactly (detection-failure hooks,
-    non-random partitioning, ...), and callers -- the sweep engine's
-    dispatcher, :func:`repro.api.threshold_query_batch` -- fall back to
+    non-random partitioning, ...), and the one caller,
+    :func:`~repro.group_testing.vectorized.dispatch_batch`, falls back to
     the scalar path.
 
     Implemented by the algorithms whose bin policy is a pure function of

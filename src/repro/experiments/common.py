@@ -42,13 +42,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import BatchThresholdDecider, ThresholdDecider
-from repro.core.result import ThresholdResult
+from repro.core.base import ThresholdDecider
 from repro.experiments import resilience
 from repro.experiments.resilience import ShardExecutionError, ShardOutcome
-from repro.group_testing.model import ModelSpec, QueryModel
+from repro.group_testing.model import ModelFactory
 from repro.group_testing.population import Population
-from repro.group_testing.vectorized import QueryBatch, UnsupportedBatch
+from repro.group_testing.vectorized import QueryBatch, dispatch_batch
 from repro.obs import MetricsSnapshot, get_registry
 from repro.sim.rng import RngRegistry
 from repro.viz.ascii import ascii_chart, render_table
@@ -101,10 +100,6 @@ def vectorized_dispatch() -> bool:
 #: An algorithm factory: given the true ``x`` of the sweep cell (only the
 #: oracle uses it), return a fresh :class:`ThresholdDecider`.
 AlgorithmFactory = Callable[[int], ThresholdDecider]
-
-#: A model factory: given the cell's population and a seeded generator,
-#: return the query model the algorithm will face.
-ModelFactory = Callable[[Population, np.random.Generator], QueryModel]
 
 #: A MAC-baseline factory: no arguments, returns a decider whose
 #: ``decide`` takes the population directly.
@@ -313,55 +308,9 @@ class _SweepCellTask:
     #: vectorized kernel (ships with the task: worker processes cannot
     #: see the submitting process's engine configuration).  The scalar
     #: fallback fires automatically when the algorithm, model or fault
-    #: configuration is not batch-capable.
+    #: configuration is not batch-capable (see
+    #: :func:`repro.group_testing.vectorized.dispatch_batch`).
     vectorize: bool = False
-
-
-def _run_cell_vectorized(task: _SweepCellTask) -> Optional[List[float]]:
-    """Try to execute one shard on the vectorized kernel.
-
-    Returns the shard's costs, or ``None`` when the shard must take the
-    scalar path: the model factory is not a declarative
-    :class:`ModelSpec` (e.g. a fault-plan closure), the algorithm is not
-    a :class:`BatchThresholdDecider`, or the kernel itself declines the
-    configuration (detection-failure hooks, non-random partitioning).
-    Fallbacks are counted on ``sweep.vectorized_fallback`` so parity jobs
-    can assert which path ran.  Exactness checking mirrors the scalar
-    loop: ground truth for a ``from_count`` population is ``x >= t``.
-    """
-    if not isinstance(task.model_factory, ModelSpec):
-        _S_VEC_FALLBACK.inc()
-        return None
-    algo = task.factory(task.x)
-    if not isinstance(algo, BatchThresholdDecider):
-        _S_VEC_FALLBACK.inc()
-        return None
-    batch = QueryBatch.for_cell(
-        seed=task.seed,
-        label=task.label,
-        x=task.x,
-        n=task.n,
-        threshold=task.threshold,
-        run_lo=task.run_lo,
-        run_hi=task.run_hi,
-        model=task.model_factory,
-    )
-    try:
-        out = algo.decide_batch(batch)
-    except UnsupportedBatch:
-        _S_VEC_FALLBACK.inc()
-        return None
-    if task.check_exactness and out.exact:
-        truth = task.x >= task.threshold
-        bad = np.flatnonzero(out.decisions != truth)
-        if bad.size:
-            raise AssertionError(
-                f"{task.label}: wrong answer at x={task.x}, "
-                f"t={task.threshold}, run={task.run_lo + int(bad[0])}: got "
-                f"{bool(out.decisions[bad[0]])}, truth {truth}"
-            )
-    _S_VEC_SHARDS.inc()
-    return [float(q) for q in out.queries]
 
 
 def _run_sweep_cell(
@@ -391,34 +340,45 @@ def _run_sweep_cell(
     shard_start = (
         time.perf_counter() if metrics.enabled else 0.0  # tcast-lint: disable=TCL002 -- harness profiling (shard wall time), never simulated time
     )
-    costs: Optional[List[float]] = None
-    if task.vectorize and not task.baseline:
-        costs = _run_cell_vectorized(task)
-    if costs is None:
+    if task.baseline:
         root = RngRegistry(task.seed)
         costs = []
         for run in range(task.run_lo, task.run_hi):
             reg = root.fork(f"{task.label}/x{task.x}/r{run}")
             pop = Population.from_count(task.n, task.x, reg.stream("pop"))
-            if task.baseline:
-                baseline = task.factory()
-                result: ThresholdResult = baseline.decide(
-                    pop, task.threshold, reg.stream("mac")
-                )
-            else:
-                assert task.model_factory is not None
-                model = task.model_factory(pop, reg.stream("model"))
-                algo = task.factory(task.x)
-                result = algo.decide(model, task.threshold, reg.stream("bins"))
-                if task.check_exactness and result.exact:
-                    truth = pop.truth(task.threshold)
-                    if result.decision != truth:
-                        raise AssertionError(
-                            f"{task.label}: wrong answer at x={task.x}, "
-                            f"t={task.threshold}, run={run}: got "
-                            f"{result.decision}, truth {truth}"
-                        )
+            result = task.factory().decide(pop, task.threshold, reg.stream("mac"))
             costs.append(float(result.queries))
+    else:
+        assert task.model_factory is not None
+        batch = QueryBatch.for_cell(
+            seed=task.seed,
+            label=task.label,
+            x=task.x,
+            n=task.n,
+            threshold=task.threshold,
+            run_lo=task.run_lo,
+            run_hi=task.run_hi,
+            model=task.model_factory,
+        )
+        out, path = dispatch_batch(
+            task.factory(task.x), batch, vectorize=task.vectorize
+        )
+        # Parity jobs read which path ran from these two counters.
+        if path == "kernel":
+            _S_VEC_SHARDS.inc()
+        elif path == "fallback":
+            _S_VEC_FALLBACK.inc()
+        if task.check_exactness and out.exact:
+            # A from_count population's ground truth is x >= t.
+            truth = task.x >= task.threshold
+            bad = np.flatnonzero(out.decisions != truth)
+            if bad.size:
+                raise AssertionError(
+                    f"{task.label}: wrong answer at x={task.x}, "
+                    f"t={task.threshold}, run={task.run_lo + int(bad[0])}: "
+                    f"got {bool(out.decisions[bad[0]])}, truth {truth}"
+                )
+        costs = [float(q) for q in out.queries]
     if metrics.enabled:
         elapsed = time.perf_counter() - shard_start  # tcast-lint: disable=TCL002 -- harness profiling (shard wall time), never simulated time
         _S_SHARD_SECONDS.observe(elapsed)

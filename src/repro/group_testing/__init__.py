@@ -34,6 +34,7 @@ from repro.group_testing.vectorized import (
     BatchDecision,
     QueryBatch,
     UnsupportedBatch,
+    dispatch_batch,
     run_lockstep,
     run_probes,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "QueryModel",
     "TwoPlusModel",
     "UnsupportedBatch",
+    "dispatch_batch",
     "partition_deterministic",
     "partition_random",
     "run_lockstep",

@@ -23,17 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.group_testing.population import Population
 from repro.obs import get_registry
-
-#: Minimum total membership of a round before :meth:`_BaseModel.begin_round`
-#: prefetches counts vectorized; below it the numpy call overhead beats the
-#: per-bin set-membership loops it replaces.
-_PREFETCH_MIN_MEMBERS = 64
 
 #: Instruments created once at import so the per-query path pays no name
 #: lookup; every call is inert until the registry is enabled (--metrics).
@@ -120,6 +115,12 @@ class QueryModel(Protocol):
         ...
 
 
+#: A model factory: given a run's population and a seeded generator,
+#: return the query model the algorithm will face.  :class:`ModelSpec` is
+#: the picklable, kernel-replayable implementation.
+ModelFactory = Callable[[Population, np.random.Generator], QueryModel]
+
+
 def default_capture_probability(k: int) -> float:
     """Default capture model: ``P(capture | k simultaneous replies) = 1/k``.
 
@@ -136,17 +137,10 @@ def default_capture_probability(k: int) -> float:
 class _BaseModel:
     """Shared cost-ledger plumbing for the abstract models.
 
-    Beyond the ledger this base carries the two vectorized batch-trial
-    paths (the hottest loops of every sweep):
-
-    * :meth:`begin_round` prefetches all of a round's per-bin positive
-      counts in one numpy pass over the concatenated membership; the
-      subsequent :meth:`query` calls consume the cache in order.  Cost
-      charging, early termination and every RNG draw stay exactly where
-      they were, so results are bit-identical to the unprimed path.
-    * :meth:`query_batch` answers a whole batch of bins at once (used by
-      the non-adaptive probabilistic scheme, whose probe set is fixed up
-      front).
+    :meth:`query` answers one bin; :meth:`query_batch` answers a batch of
+    bins in order (the non-adaptive probabilistic scheme's probe set,
+    which is fixed up front).  Both go through the same per-bin verdict
+    path.
     """
 
     #: Whether the subclass's observation logic needs the positive member
@@ -166,10 +160,6 @@ class _BaseModel:
         self._queries = 0
         self._max_queries = max_queries
         self._detection_failure = detection_failure
-        self._round_bins: Optional[List[Sequence[int]]] = None
-        self._round_counts: Optional[np.ndarray] = None
-        self._round_pos: Optional[List[np.ndarray]] = None
-        self._round_next = 0
 
     @property
     def population(self) -> Population:
@@ -223,100 +213,38 @@ class _BaseModel:
             raise ValueError(f"detection-failure hook returned {miss}")
         return bool(self._rng.random() >= miss)
 
-    # ------------------------------------------------------------------
-    # Vectorized batch-trial paths
-    # ------------------------------------------------------------------
-
-    def begin_round(self, bins: Sequence[Sequence[int]]) -> None:
-        """Prefetch the round's per-bin positive counts in one numpy pass.
-
-        Called by the round executor before the per-bin queries (the same
-        hook the packet-level substrate uses for its round announcement).
-        Purely a performance seam: no cost is charged and no randomness is
-        consumed here, so a primed round is bit-identical to an unprimed
-        one.  Holding references to the bin lists keeps their ids unique
-        for the in-order identity match in :meth:`_take_counted`.
-        """
-        self._round_bins = None
-        self._round_pos = None
-        self._round_next = 0
-        if not bins or sum(len(b) for b in bins) < _PREFETCH_MIN_MEMBERS:
-            return
-        counts, pos = self._population.scan_bins(
-            bins, want_positives=self._wants_positive_members
-        )
-        self._round_bins = list(bins)
-        self._round_counts = counts
-        self._round_pos = pos
-
-    def _take_counted(
-        self, members: Sequence[int]
-    ) -> Optional[Tuple[int, Optional[np.ndarray]]]:
-        """Pop the prefetched ``(count, positives)`` entry for ``members``.
-
-        Matches strictly in round order and by object identity, so
-        re-queries (retry policies) and out-of-round probes fall back to
-        direct counting with no risk of stale data.
-        """
-        cached = self._round_bins
-        i = self._round_next
-        if cached is None or i >= len(cached) or cached[i] is not members:
-            return None
-        self._round_next = i + 1
-        assert self._round_counts is not None
-        pos = self._round_pos[i] if self._round_pos is not None else None
-        return int(self._round_counts[i]), pos
-
     def query(self, members: Sequence[int]) -> BinObservation:
         """Query one bin; charges one cost unit.
 
         This is the single scalar verdict path shared by every model (and
         mirrored by :mod:`repro.group_testing.vectorized`): charge, count
-        positives (from the round prefetch when available), then hand the
-        count -- and, for capture-capable models, the positive member ids
-        in membership order -- to the subclass's :meth:`_observe`.
+        positives, then hand the count -- and, for capture-capable
+        models, the positive member ids in membership order -- to the
+        subclass's :meth:`_observe`.
         """
+        return self._answer(members)
+
+    def query_batch(
+        self, bins: Sequence[Sequence[int]]
+    ) -> List[BinObservation]:
+        """Query a batch of bins in order; charges one cost unit per bin.
+
+        The result, RNG consumption included, is identical to looping
+        over :meth:`query`.
+        """
+        return [self._answer(members) for members in bins]
+
+    def _answer(self, members: Sequence[int]) -> BinObservation:
+        """The verdict path behind :meth:`query` and :meth:`query_batch`."""
         self._charge()
-        cached = self._take_counted(members)
         pos: Optional[Sequence[int]]
-        if cached is not None:
-            npos, pos = cached
-        elif self._wants_positive_members:
+        if self._wants_positive_members:
             pos = [m for m in members if self._population.is_positive(m)]
             npos = len(pos)
         else:
             pos = None
             npos = self._population.count_positives(members)
         return self._record(members, self._observe(members, npos, pos))
-
-    def query_batch(
-        self, bins: Sequence[Sequence[int]]
-    ) -> List[BinObservation]:
-        """Query a batch of bins; charges one cost unit per bin.
-
-        The per-bin positive counts are evaluated in a single vectorized
-        pass; observations (and any detection/capture draws) are then
-        produced bin-by-bin in order, so the result -- including the RNG
-        stream consumption -- is identical to looping over
-        :meth:`query`.
-        """
-        counts, pos = self._population.scan_bins(
-            bins, want_positives=self._wants_positive_members
-        )
-        out: List[BinObservation] = []
-        for i, members in enumerate(bins):
-            self._charge()
-            out.append(
-                self._record(
-                    members,
-                    self._observe(
-                        members,
-                        int(counts[i]),
-                        pos[i] if pos is not None else None,
-                    ),
-                )
-            )
-        return out
 
     def _observe(
         self,

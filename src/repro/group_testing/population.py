@@ -8,9 +8,8 @@ values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -59,70 +58,6 @@ class Population:
         """Number of positive nodes among ``members``."""
         pos = self.positives
         return sum(1 for m in members if m in pos)
-
-    @property
-    def positive_mask(self) -> np.ndarray:
-        """Read-only boolean mask over node ids (``mask[i]`` = positive).
-
-        Computed lazily on first access and cached; the dataclass is
-        frozen, so the mask can never go stale.
-        """
-        mask = self.__dict__.get("_positive_mask")
-        if mask is None:
-            mask = np.zeros(self.size, dtype=bool)
-            if self.positives:
-                mask[np.fromiter(self.positives, dtype=np.int64)] = True
-            mask.setflags(write=False)
-            object.__setattr__(self, "_positive_mask", mask)
-        return mask
-
-    def scan_bins(
-        self,
-        bins: Sequence[Sequence[int]],
-        *,
-        want_positives: bool = False,
-    ) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
-        """Vectorized per-bin positive counts over a whole batch of bins.
-
-        One numpy pass over the concatenated membership replaces the
-        per-bin Python membership loops -- the hot path of every sweep
-        trial (see :meth:`repro.group_testing.model._BaseModel.begin_round`).
-
-        Args:
-            bins: Ragged batch of member-id sequences (may include empty
-                bins).
-            want_positives: Also return, per bin, the positive member ids
-                in membership order (needed by the 2+ capture draw).
-
-        Returns:
-            ``(counts, positives)`` where ``counts[i]`` is the positive
-            count of ``bins[i]`` and ``positives`` is either ``None`` or a
-            list of per-bin ``int64`` arrays.
-        """
-        n_bins = len(bins)
-        if n_bins == 0:
-            return np.zeros(0, dtype=np.int64), [] if want_positives else None
-        lengths = np.fromiter(
-            (len(b) for b in bins), dtype=np.int64, count=n_bins
-        )
-        total = int(lengths.sum())
-        if total == 0:
-            counts = np.zeros(n_bins, dtype=np.int64)
-            pos: Optional[List[np.ndarray]] = None
-            if want_positives:
-                pos = [np.empty(0, dtype=np.int64) for _ in range(n_bins)]
-            return counts, pos
-        flat = np.fromiter(
-            itertools.chain.from_iterable(bins), dtype=np.int64, count=total
-        )
-        hits = self.positive_mask[flat]
-        ends = np.cumsum(lengths)
-        hit_cum = np.concatenate(([0], np.cumsum(hits, dtype=np.int64)))
-        counts = hit_cum[ends] - hit_cum[ends - lengths]
-        if not want_positives:
-            return counts, None
-        positives = np.split(flat[hits], np.cumsum(counts)[:-1])
-        return counts, positives
 
     def truth(self, threshold: int) -> bool:
         """Ground-truth answer to the threshold query ``x >= t``."""

@@ -27,27 +27,45 @@ The contract has three parts:
   reconcile exactly with scalar runs.
 
 Anything the kernel cannot reproduce bit-exactly -- detection-failure
-hooks (fault plans), non-random partitioning, adaptive bin policies --
-raises :class:`UnsupportedBatch`, and callers fall back to the scalar
-path.
+hooks (fault plans), model factories that are not a :class:`ModelSpec`,
+non-random partitioning, adaptive bin policies -- raises
+:class:`UnsupportedBatch`.  :func:`dispatch_batch` is the one place that
+chooses between the kernel and the per-run scalar loop; the sweep
+engine, :func:`repro.api.threshold_query_batch` and the query service
+all call it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Literal,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.group_testing.model import (
+    ModelFactory,
     ModelSpec,
     QueryBudgetExceeded,
     default_capture_probability,
 )
+from repro.group_testing.population import Population
 from repro.obs import HistogramSnapshot, MetricsSnapshot, get_registry
 from repro.sim import fastseed
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:
+    from repro.core.base import ThresholdDecider
 
 _OBS = get_registry()
 
@@ -69,6 +87,12 @@ RunStreams = Tuple[np.random.Generator, np.random.Generator, np.random.Generator
 #: Pure bin-count schedule: round index -> requested bin count.
 Schedule = Callable[[int], int]
 
+#: How :func:`dispatch_batch` answered a batch: on the kernel; on the
+#: scalar loop because the caller did not allow the kernel; or on the
+#: scalar loop although it did (no ``decide_batch``, or the kernel
+#: declined).
+BatchPath = Literal["kernel", "scalar", "fallback"]
+
 
 class UnsupportedBatch(Exception):
     """The kernel cannot reproduce this cell bit-exactly; use the scalar path."""
@@ -84,8 +108,9 @@ class QueryBatch:
         threshold: The queried threshold ``t``.
         run_lo: First run index (inclusive).
         run_hi: Last run index (exclusive).
-        model: Declarative model configuration (the picklable spec the
-            sweep engine already ships to workers).
+        model: Builds each run's query model from its population and
+            model stream.  The kernel replays only a declarative
+            :class:`ModelSpec` and declines any other factory.
         streams: Callable mapping an absolute run index to that run's
             ``(pop, model, bins)`` generators.  The kernel consumes these
             exactly as the scalar path would.
@@ -103,7 +128,7 @@ class QueryBatch:
     threshold: int
     run_lo: int
     run_hi: int
-    model: ModelSpec
+    model: ModelFactory
     streams: Callable[[int], RunStreams]
     seed_info: Optional[Tuple[int, str]] = field(default=None)
 
@@ -123,15 +148,14 @@ class QueryBatch:
         threshold: int,
         run_lo: int,
         run_hi: int,
-        model: ModelSpec,
+        model: ModelFactory,
     ) -> "QueryBatch":
         """A batch over the sweep engine's per-run registry streams.
 
         Run ``r`` gets the generators
         ``RngRegistry(seed).fork(f"{label}/x{x}/r{r}")`` derives for the
-        names ``"pop"``/``"model"``/``"bins"`` -- the exact streams
-        :func:`repro.experiments.common._run_sweep_cell` hands the scalar
-        path.
+        names ``"pop"``/``"model"``/``"bins"`` -- the stream layout of
+        every sweep cell, on the kernel and the scalar path alike.
         """
         root = RngRegistry(seed)
 
@@ -159,7 +183,7 @@ class QueryBatch:
         x: int,
         threshold: int,
         runs: int,
-        model: ModelSpec,
+        model: ModelFactory,
     ) -> "QueryBatch":
         """A batch over ``Generator.spawn``-derived per-run streams.
 
@@ -200,6 +224,58 @@ class BatchDecision:
     decisions: np.ndarray
     queries: np.ndarray
     exact: bool
+
+
+def dispatch_batch(
+    decider: "ThresholdDecider", batch: QueryBatch, *, vectorize: bool
+) -> Tuple[BatchDecision, BatchPath]:
+    """Answer every run of ``batch`` on the kernel or the scalar oracle.
+
+    The one place that chooses between the two.  With ``vectorize`` set
+    and a decider that has ``decide_batch``, the kernel answers the whole
+    batch or declines it with :class:`UnsupportedBatch`.  Otherwise, and
+    after a decline, each run is decided on the scalar path over the same
+    ``batch.streams(run)`` triple: a ``from_count`` population on the pop
+    stream, ``batch.model`` on the model stream, ``decide`` on the bins
+    stream.  Both paths give the same decisions, query counts and
+    ``exact`` whichever stream layout the batch uses.
+
+    Returns:
+        The decision and the :data:`BatchPath` taken.  The scalar loop's
+        ``exact`` holds only if every run was exact.
+
+    Raises:
+        Whatever the kernel or a scalar run raises, unchanged.  A failed
+        scalar run's exception carries the run's absolute index as
+        ``failed_run``, so a caller batching the runs of several owners
+        can name the one that failed.
+    """
+    path: BatchPath = "scalar"
+    if vectorize:
+        path = "fallback"
+        decide_batch = getattr(decider, "decide_batch", None)
+        if decide_batch is not None:
+            try:
+                return decide_batch(batch), "kernel"
+            except UnsupportedBatch:
+                pass
+    decisions = np.zeros(batch.runs, dtype=bool)
+    queries = np.zeros(batch.runs, dtype=np.int64)
+    exact = True
+    for i, run in enumerate(range(batch.run_lo, batch.run_hi)):
+        try:
+            pop_rng, model_rng, bins_rng = batch.streams(run)
+            population = Population.from_count(batch.n, batch.x, pop_rng)
+            result = decider.decide(
+                batch.model(population, model_rng), batch.threshold, bins_rng
+            )
+        except Exception as exc:
+            setattr(exc, "failed_run", run)
+            raise
+        decisions[i] = result.decision
+        queries[i] = result.queries
+        exact = exact and result.exact
+    return BatchDecision(decisions=decisions, queries=queries, exact=exact), path
 
 
 class _CellTally:
@@ -307,10 +383,11 @@ class _CellTally:
         )
 
 
-def _draw_positive_mask(
+def _draw_population(
     n: int, x: int, pop_rng: np.random.Generator
 ) -> np.ndarray:
-    """The population draw, exactly as :meth:`Population.from_count` makes it."""
+    """The population draw as a positive mask, exactly as
+    :meth:`Population.from_count` makes it."""
     mask = np.zeros(n, dtype=bool)
     if x:
         mask[pop_rng.choice(n, size=x, replace=False)] = True
@@ -365,23 +442,35 @@ def _fast_states(
     }
 
 
-def _validate_lockstep(batch: QueryBatch, partition_strategy: str) -> int:
-    """Common feasibility checks; returns the evidence resolution ``k``."""
+def _model_spec(batch: QueryBatch) -> ModelSpec:
+    """The batch's declarative model; any other factory is not replayable."""
+    if not isinstance(batch.model, ModelSpec):
+        raise UnsupportedBatch(
+            f"model factory {type(batch.model).__name__} is not a ModelSpec"
+        )
+    return batch.model
+
+
+def _validate_lockstep(
+    batch: QueryBatch, partition_strategy: str
+) -> Tuple[ModelSpec, int]:
+    """Common feasibility checks; returns the model spec and the evidence
+    resolution ``k``."""
     if partition_strategy != "random":
         raise UnsupportedBatch(
             f"partition strategy {partition_strategy!r} is not vectorized"
         )
-    spec = batch.model
+    spec = _model_spec(batch)
     if spec.detection_failure is not None:
         raise UnsupportedBatch("detection-failure hooks are not vectorized")
     if spec.kind == "1+":
-        return 1
+        return spec, 1
     if spec.kind == "k+":
         if spec.k < 1:
             raise ValueError(f"k must be >= 1, got {spec.k}")
-        return spec.k
+        return spec, spec.k
     if spec.kind == "2+":
-        return 1  # capture path ignores k
+        return spec, 1  # capture path ignores k
     raise UnsupportedBatch(f"model kind {spec.kind!r} is not vectorized")
 
 
@@ -408,14 +497,14 @@ def run_lockstep(
         The per-run decisions and query counts (``exact=True``).
 
     Raises:
-        UnsupportedBatch: If the model or partitioning cannot be
+        UnsupportedBatch: If the model factory is not a
+            :class:`ModelSpec`, or the model or partitioning cannot be
             reproduced bit-exactly.
         ValueError: If the threshold is negative (mirroring ``decide``).
     """
-    k = _validate_lockstep(batch, partition_strategy)
+    spec, k = _validate_lockstep(batch, partition_strategy)
     if batch.threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {batch.threshold}")
-    spec = batch.model
     tally = _CellTally() if _OBS.enabled else None
     decisions = np.zeros(batch.runs, dtype=bool)
     queries = np.zeros(batch.runs, dtype=np.int64)
@@ -435,7 +524,7 @@ def run_lockstep(
                 bins_rng = _POOL.load(2, *states["bins"][i])
             else:
                 pop_rng, model_rng, bins_rng = batch.streams(batch.run_lo + i)
-            mask = _draw_positive_mask(batch.n, batch.x, pop_rng)
+            mask = _draw_population(batch.n, batch.x, pop_rng)
             decisions[i], queries[i] = _run_one_capture(
                 batch.n, batch.threshold, mask, model_rng, bins_rng,
                 schedule, p_cap, spec.max_queries, algorithm, tally,
@@ -804,9 +893,10 @@ def run_probes(
 
     Raises:
         UnsupportedBatch: For capture-model (2+) probes or
-            detection-failure hooks, which draw on the model stream.
+            detection-failure hooks, which draw on the model stream, and
+            for model factories that are not a :class:`ModelSpec`.
     """
-    spec = batch.model
+    spec = _model_spec(batch)
     if spec.detection_failure is not None:
         raise UnsupportedBatch("detection-failure hooks are not vectorized")
     if spec.kind not in ("1+", "k+"):
@@ -837,7 +927,7 @@ def run_probes(
             bins_rng = _POOL.load(1, *states["bins"][i])
         else:
             pop_rng, _model_rng, bins_rng = batch.streams(batch.run_lo + i)
-        mask = _draw_positive_mask(batch.n, batch.x, pop_rng)
+        mask = _draw_population(batch.n, batch.x, pop_rng)
         if batch.n == 0 or inclusion == 0.0:
             # sample_bins short-circuits without a draw: all probes empty.
             sizes = np.zeros(repeats, dtype=np.int64)

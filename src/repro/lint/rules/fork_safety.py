@@ -11,7 +11,7 @@ from repro.lint.engine import Finding, LintContext, Rule
 #: Functions whose bodies execute inside worker processes.  Everything
 #: reachable from one of these (intra-module call graph) inherits the
 #: constraint.  ``farm/worker.py`` is worker-side in its entirety.
-_ENTRY_NAMES = {"_run_cell_vectorized", "_run_sweep_cell", "_serve"}
+_ENTRY_NAMES = {"dispatch_batch", "_run_sweep_cell", "_serve"}
 
 #: In-place mutation methods of the builtin collections (+ deque).
 _MUTATORS = {
@@ -77,8 +77,9 @@ class ForkUnsafeGlobal(Rule):
     depends on the execution backend, which is exactly what the
     serial/parallel identity gate forbids.  The rule builds the
     module's call graph, closes over the worker entry points
-    (``_run_sweep_cell``, ``_run_cell_vectorized``, ``FarmWorker._serve``,
-    and every function in ``farm/worker.py``), and inside that region
+    (``_run_sweep_cell``, the kernel-or-scalar ``dispatch_batch``,
+    ``FarmWorker._serve``, and every function in ``farm/worker.py``), and
+    inside that region
     flags ``global`` rebindings, subscript/attribute stores and mutator
     method calls on module-level collections, and :mod:`repro.obs`
     registry rewrites (``set_enabled``/``reset``/``clear``/``merge``).

@@ -5,20 +5,19 @@ agreeing on :attr:`~repro.serve.request.QueryRequest.coalesce_key`
 (population shape, threshold, algorithm, collision model, reliability).
 :func:`execute_group` answers all of them at once:
 
-* **Vectorized path** -- when the algorithm is batch-capable and no
-  reliability wrapper is requested, the group's trials are concatenated
-  into one :class:`~repro.group_testing.vectorized.QueryBatch` and
-  executed on the PR-7 kernel in a single call.  Each request keeps its
-  *own* ``seed``-rooted spawn tree (the exact stream layout of
+* The group's trials are concatenated into one
+  :class:`~repro.group_testing.vectorized.QueryBatch`.  Each request
+  keeps its *own* ``seed``-rooted spawn tree (the exact stream layout of
   :func:`repro.api.threshold_query_batch`), so run ``r`` of request
   ``q`` consumes the same generators whether ``q`` rides alone, with
   nine strangers, or on the scalar path -- coalescing is invisible in
   the answers, bit for bit.
-* **Scalar path** -- reliable sessions, scalar-only algorithms, and any
-  batch the kernel declines (:class:`UnsupportedBatch`) fall back to a
-  per-run loop identical to :func:`repro.api.threshold_query_batch`'s,
-  with :func:`repro.api.make_algorithm` applying the reliability layer
-  as server-side degradation.
+* :func:`~repro.group_testing.vectorized.dispatch_batch` answers the
+  batch in one call: on the vectorized kernel when the request is
+  vectorizable and the kernel accepts it, otherwise on the per-run
+  scalar loop :func:`repro.api.threshold_query_batch` also runs, with
+  :func:`repro.api.make_algorithm` applying any reliability layer as
+  server-side degradation.
 
 The module is synchronous and thread-safe (no shared mutable state):
 the scheduler calls it from worker threads via an executor.
@@ -31,14 +30,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.api import make_algorithm
-from repro.core.base import BatchThresholdDecider, ThresholdDecider
 from repro.group_testing.model import ModelSpec
-from repro.group_testing.population import Population
 from repro.group_testing.vectorized import (
     BatchDecision,
     QueryBatch,
     RunStreams,
-    UnsupportedBatch,
+    dispatch_batch,
 )
 from repro.obs import get_registry
 from repro.serve.errors import QueryExecutionError
@@ -88,9 +85,13 @@ class _ConcatStreams:
             total += batch.runs
         self.total = total
 
+    def owner(self, run: int) -> int:
+        """Index of the request that owns group-global run ``run``."""
+        return bisect.bisect_right(self._offsets, run) - 1
+
     def __call__(self, run: int) -> RunStreams:
         """The ``(pop, model, bins)`` triple of group-global run ``run``."""
-        idx = bisect.bisect_right(self._offsets, run) - 1
+        idx = self.owner(run)
         return self._batches[idx].streams(run - self._offsets[idx])
 
 
@@ -112,7 +113,7 @@ def _spawned_batch(request: QueryRequest) -> QueryBatch:
 
 
 def _split(
-    requests: Sequence[QueryRequest], decision: BatchDecision
+    requests: Sequence[QueryRequest], decision: BatchDecision, *, batched: bool
 ) -> List[QueryOutcome]:
     """Slice a concatenated :class:`BatchDecision` back per request."""
     outcomes: List[QueryOutcome] = []
@@ -126,58 +127,11 @@ def _split(
                 ),
                 queries=tuple(int(q) for q in decision.queries[offset:stop]),
                 exact=decision.exact,
-                batched=True,
+                batched=batched,
             )
         )
         offset = stop
     return outcomes
-
-
-def _run_scalar(request: QueryRequest) -> QueryOutcome:
-    """One request on the scalar path (reliability layer included).
-
-    Mirrors :func:`repro.api.threshold_query_batch`'s fallback loop over
-    the same spawned streams, so scalar answers match vectorized ones
-    bit for bit for batch-capable configurations.
-
-    Raises:
-        QueryExecutionError: Wrapping any unexpected failure, with
-            :attr:`~repro.serve.errors.QueryExecutionError.request_id`
-            naming this request -- a coalesced sibling must never
-            inherit an anonymous error.
-    """
-    try:
-        return _run_scalar_inner(request)
-    except Exception as exc:
-        raise QueryExecutionError(
-            f"scalar execution of request {request.id!r} failed: {exc!r}",
-            request_id=request.id,
-        ) from exc
-
-
-def _run_scalar_inner(request: QueryRequest) -> QueryOutcome:
-    """The unwrapped scalar loop behind :func:`_run_scalar`."""
-    algo = make_algorithm(request.algorithm, reliable=request.reliable)
-    assert isinstance(algo, ThresholdDecider)
-    batch = _spawned_batch(request)
-    model_spec = batch.model
-    decisions: List[bool] = []
-    queries: List[int] = []
-    exact = True
-    for run in range(request.runs):
-        pop_rng, model_rng, bins_rng = batch.streams(run)
-        population = Population.from_count(request.n, request.x, pop_rng)
-        model = model_spec(population, model_rng)
-        result = algo.decide(model, request.threshold, bins_rng)
-        decisions.append(bool(result.decision))
-        queries.append(int(result.queries))
-        exact = result.exact
-    return QueryOutcome(
-        decisions=tuple(decisions),
-        queries=tuple(queries),
-        exact=exact,
-        batched=False,
-    )
 
 
 def execute_group(
@@ -208,33 +162,34 @@ def execute_group(
     total_runs = sum(request.runs for request in requests)
     _BATCHES.inc()
     _BATCH_RUNS.observe(float(total_runs))
-    if vectorize and lead.vectorizable:
-        algo = make_algorithm(lead.algorithm)
-        if isinstance(algo, BatchThresholdDecider):
-            streams = _ConcatStreams([_spawned_batch(r) for r in requests])
-            combined = QueryBatch(
-                n=lead.n,
-                x=lead.x,
-                threshold=lead.threshold,
-                run_lo=0,
-                run_hi=streams.total,
-                model=_model_spec(lead),
-                streams=streams,
-            )
-            try:
-                decision = algo.decide_batch(combined)
-            except UnsupportedBatch:
-                _SCALAR_FALLBACKS.inc()
-            except Exception as exc:
-                # A vectorized batch fails as a unit; blame the lead
-                # (the request whose claim formed the group) so the
-                # error still carries a concrete request id.
-                raise QueryExecutionError(
-                    f"vectorized execution of a {len(requests)}-request "
-                    f"group led by {lead.id!r} failed: {exc!r}",
-                    request_id=lead.id,
-                ) from exc
-            else:
-                _BATCHED_REQUESTS.inc(len(requests))
-                return _split(requests, decision)
-    return [_run_scalar(request) for request in requests]
+    streams = _ConcatStreams([_spawned_batch(r) for r in requests])
+    combined = QueryBatch(
+        n=lead.n,
+        x=lead.x,
+        threshold=lead.threshold,
+        run_lo=0,
+        run_hi=streams.total,
+        model=_model_spec(lead),
+        streams=streams,
+    )
+    try:
+        algo = make_algorithm(lead.algorithm, reliable=lead.reliable)
+        decision, path = dispatch_batch(
+            algo, combined, vectorize=vectorize and lead.vectorizable
+        )
+    except Exception as exc:
+        # A scalar run names its own request; anything else -- the kernel
+        # fails the group as a unit, or the decider cannot be built --
+        # blames the lead, the request whose claim formed the group.
+        run = getattr(exc, "failed_run", None)
+        culprit = lead if run is None else requests[streams.owner(run)]
+        raise QueryExecutionError(
+            f"execution of request {culprit.id!r} in a "
+            f"{len(requests)}-request group failed: {exc!r}",
+            request_id=culprit.id,
+        ) from exc
+    if path == "kernel":
+        _BATCHED_REQUESTS.inc(len(requests))
+    elif path == "fallback":
+        _SCALAR_FALLBACKS.inc()
+    return _split(requests, decision, batched=path == "kernel")

@@ -1,9 +1,8 @@
-"""Vectorized batch paths must match their serial counterparts exactly.
+"""Batch paths must match their serial counterparts exactly.
 
-The sweep-throughput work added three batch fast paths -- ``sample_bins``,
-``Population.scan_bins`` and ``QueryModel.query_batch`` (plus the
-``begin_round`` prefetch) -- each documented as bit-identical to the
-one-at-a-time code it accelerates.  These tests pin that equivalence.
+``sample_bins`` and ``QueryModel.query_batch`` are each documented as
+bit-identical to the one-at-a-time code they stand for.  These tests pin
+that equivalence.
 """
 
 from __future__ import annotations
@@ -60,34 +59,6 @@ class TestSampleBins:
             sample_bins([1], 0.5, -1, np.random.default_rng(0))
 
 
-class TestScanBins:
-    def test_counts_match_count_positives(self):
-        pop = _pop()
-        rng = np.random.default_rng(9)
-        bins = [
-            rng.choice(64, size=size, replace=False).tolist()
-            for size in (0, 1, 5, 20, 64)
-        ]
-        counts, positives = pop.scan_bins(bins)
-        assert positives is None
-        assert counts.tolist() == [pop.count_positives(b) for b in bins]
-
-    def test_positive_members_match_serial_filter(self):
-        pop = _pop()
-        rng = np.random.default_rng(11)
-        bins = [rng.choice(64, size=12, replace=False).tolist() for _ in range(6)]
-        counts, positives = pop.scan_bins(bins, want_positives=True)
-        for members, count, pos in zip(bins, counts, positives):
-            expected = [m for m in members if pop.is_positive(m)]
-            assert sorted(pos.tolist()) == sorted(expected)
-            assert count == len(expected)
-
-    def test_empty_bin_list(self):
-        counts, positives = _pop().scan_bins([])
-        assert counts.tolist() == []
-        assert positives is None
-
-
 class TestQueryBatch:
     @pytest.mark.parametrize("make_model", MODELS, ids=MODEL_IDS)
     def test_matches_serial_queries(self, make_model):
@@ -102,22 +73,6 @@ class TestQueryBatch:
 
         assert batched == serial
         assert batch_model.queries_used == serial_model.queries_used
-
-    @pytest.mark.parametrize("make_model", MODELS, ids=MODEL_IDS)
-    def test_prefetch_round_matches_serial(self, make_model):
-        """begin_round + per-bin query == plain per-bin query."""
-        pop = _pop()
-        rng = np.random.default_rng(22)
-        bins = [rng.choice(64, size=80 % 65, replace=False).tolist() for _ in range(4)]
-
-        plain_model = make_model(pop, np.random.default_rng(44))
-        plain = [plain_model.query(b) for b in bins]
-        prefetch_model = make_model(pop, np.random.default_rng(44))
-        prefetch_model.begin_round(bins)
-        prefetched = [prefetch_model.query(b) for b in bins]
-
-        assert prefetched == plain
-        assert prefetch_model.queries_used == plain_model.queries_used
 
     def test_budget_exhaustion_matches_serial(self):
         pop = _pop()

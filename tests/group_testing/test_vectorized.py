@@ -4,10 +4,14 @@ The vectorized path must be indistinguishable from the scalar oracle:
 identical verdicts and query counts for every run, identical RNG stream
 consumption (the next draw after a cell matches), identical ``model.*``
 metrics totals, and a guaranteed scalar fallback whenever a fault plan
-or an unsupported configuration is in play.
+or an unsupported configuration is in play.  ``dispatch_batch`` is the
+single place that makes that choice; its tests pin the path it reports
+and the answers of every path.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from repro.group_testing import (
     QueryBatch,
     QueryBudgetExceeded,
     UnsupportedBatch,
+    dispatch_batch,
     run_lockstep,
 )
 from repro.obs import get_registry
@@ -170,6 +175,77 @@ class TestStreamConsumption:
                 ), f"run {run}: stream consumed a different number of draws"
 
 
+def _dispatch_batch(kind: str, layout: str, faulted: bool) -> QueryBatch:
+    """A batch in either stream layout, optionally under a fault plan
+    (a drop hook on the spec plus an observation-level model wrapper)."""
+    plan = (
+        FaultPlan([VerdictFlip(p_drop=0.2, p_fake=0.1)], seed=4)
+        if faulted
+        else FaultPlan.none()
+    )
+    spec = ModelSpec(
+        kind=kind, max_queries=80 * N, k=3,
+        detection_failure=plan.detection_hook(None),
+    )
+
+    def model(pop, rng):
+        return plan.wrap_model(spec(pop, rng))
+
+    factory = spec if plan.vectorizable else model
+    if layout == "for_cell":
+        return QueryBatch.for_cell(
+            seed=SEED, label="dispatch", x=7, n=N, threshold=T,
+            run_lo=2, run_hi=2 + RUNS, model=factory,
+        )
+    return QueryBatch.spawned(
+        seed=SEED, n=N, x=7, threshold=T, runs=RUNS, model=factory
+    )
+
+
+class TestDispatch:
+    """dispatch_batch: one kernel-or-scalar choice, the same answers."""
+
+    @pytest.mark.parametrize("layout", ["for_cell", "spawned"])
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("name", DECIDER_NAMES)
+    def test_paths_agree(self, name, kind, faulted, layout):
+        decider = algorithm_factory(name)(7)
+        scalar, scalar_path = dispatch_batch(
+            decider, _dispatch_batch(kind, layout, faulted), vectorize=False
+        )
+        allowed, allowed_path = dispatch_batch(
+            decider, _dispatch_batch(kind, layout, faulted), vectorize=True
+        )
+        kernel_replays = (
+            name in VECTORIZED_NAMES
+            and not faulted
+            and not (name == "prob-threshold" and kind == "2+")
+        )
+        assert scalar_path == "scalar"
+        assert allowed_path == ("kernel" if kernel_replays else "fallback")
+        assert (allowed.decisions == scalar.decisions).all()
+        assert (allowed.queries == scalar.queries).all()
+        assert allowed.exact == scalar.exact
+        assert scalar.decisions.shape == (RUNS,)
+
+    def test_scalar_failure_names_its_run(self):
+        batch = _dispatch_batch("1+", "for_cell", faulted=False)
+        calls = []
+
+        def failing_model(pop, rng):
+            calls.append(pop)
+            if len(calls) == 3:
+                raise RuntimeError("model construction failed")
+            return batch.model(pop, rng)
+
+        with pytest.raises(RuntimeError) as info:
+            dispatch_batch(
+                TwoTBins(), replace(batch, model=failing_model), vectorize=True
+            )
+        assert info.value.failed_run == batch.run_lo + 2
+
+
 class TestBatchFacade:
     """threshold_query_batch: spawn streams, dispatch, fallback."""
 
@@ -237,6 +313,13 @@ class TestBatchFacade:
     def test_negative_runs_rejected(self):
         with pytest.raises(ValueError, match="runs"):
             threshold_query_batch(8, 2, 1, runs=-1)
+        # Zero runs would report ``exact`` by whichever path ran.
+        for collision_model in ("1+", "2+"):
+            with pytest.raises(ValueError, match="runs must be >= 1"):
+                threshold_query_batch(
+                    32, 16, 4, runs=0, algorithm="prob-threshold",
+                    collision_model=collision_model,
+                )
 
     def test_vectorizable_property(self):
         assert FaultPlan.none().vectorizable

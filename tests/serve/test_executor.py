@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.serve.errors import QueryExecutionError
 from repro.serve.executor import execute_group
 from repro.serve.request import QueryRequest
 
@@ -23,28 +24,34 @@ def _request(rid: str, *, seed: int, runs: int = 3, **overrides) -> QueryRequest
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("algorithm", ["2tbins", "exponential"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["2tbins", "exponential", "abns", "prob-abns", "2tbins+krepeat"],
+    )
     @pytest.mark.parametrize("collision_model", ["1+", "2+"])
     def test_coalesced_equals_solo_equals_scalar(
         self, algorithm, collision_model
     ):
         """The acceptance-criterion identity: batch composition never
         changes a request's answers, and the vectorized kernel matches
-        per-query scalar execution under fixed seeds."""
+        per-query scalar execution under fixed seeds.  Scalar-only
+        configurations coalesce too, onto one scalar loop."""
+        name, _, reliable = algorithm.partition("+")
         requests = [
             _request(
                 f"q{i}",
                 seed=100 + i,
                 runs=2 + i,
-                algorithm=algorithm,
+                algorithm=name,
                 collision_model=collision_model,
+                reliable=reliable or None,
             )
             for i in range(4)
         ]
         coalesced = execute_group(requests)
         solo = [execute_group([r])[0] for r in requests]
         scalar = [execute_group([r], vectorize=False)[0] for r in requests]
-        assert all(o.batched for o in coalesced)
+        assert all(o.batched == requests[0].vectorizable for o in coalesced)
         assert not any(o.batched for o in scalar)
         for got, alone, oracle in zip(coalesced, solo, scalar):
             assert got.decisions == alone.decisions == oracle.decisions
@@ -98,6 +105,41 @@ class TestScalarDegradation:
         [outcome] = execute_group([request])
         assert not outcome.batched
         assert outcome.exact
+
+
+class TestFailureBlame:
+    def test_scalar_failure_names_the_failing_runs_request(self, monkeypatch):
+        from repro.core.abns import Abns
+
+        original = Abns.decide
+        calls = []
+
+        def fail_third_run(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("scalar run failed")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Abns, "decide", fail_third_run)
+        requests = [
+            _request(f"q{i}", seed=i, runs=2, algorithm="abns") for i in range(3)
+        ]
+        with pytest.raises(QueryExecutionError) as info:
+            execute_group(requests)
+        # Runs 0-1 belong to q0, run 2 (the third) to q1.
+        assert info.value.request_id == "q1"
+
+    def test_kernel_failure_blames_the_lead(self, monkeypatch):
+        from repro.core import TwoTBins
+
+        def broken(self, batch):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(TwoTBins, "decide_batch", broken)
+        requests = [_request(f"q{i}", seed=i, runs=2) for i in range(3)]
+        with pytest.raises(QueryExecutionError) as info:
+            execute_group(requests)
+        assert info.value.request_id == "q0"
 
 
 class TestGroupValidation:
