@@ -20,11 +20,13 @@ summary:
    the estimated disabled-path overhead exceeds 2% -- the "near-zero
    disabled cost" contract of :mod:`repro.obs`.
 5. **Supervision** -- runs fig01 under an active
-   :class:`~repro.experiments.resilience.RunContext` (journalling +
-   supervised pool, the crash-safe CLI path) and plain, checks the CSVs
-   are byte-identical, and **fails** if the measured journal-write cost
-   (the ``resilience.journal_write`` timer: CRC framing, flush, fsync)
-   exceeds 2% of the supervised run's wall time on this fault-free path.
+   :class:`~repro.experiments.resilience.RunContext` with a journal (the
+   crash-safe CLI path) and without one (the engine's journal-less
+   context: the same supervised pool, nothing journalled), checks the
+   CSVs are byte-identical, and **fails** if the measured journal-write
+   cost (the ``resilience.journal_write`` timer: CRC framing, flush,
+   fsync) exceeds 2% of the journalled run's wall time on this
+   fault-free path.
 6. **Farm** -- runs fig01 through a real
    :class:`~repro.farm.FarmCoordinator` with subprocess workers (the
    ``--backend farm`` path: spool, leases, content-addressed store),
@@ -245,15 +247,16 @@ def bench_metrics(runs: int, jobs: int) -> dict:
 
 
 def bench_supervision(runs: int, jobs: int) -> dict:
-    """Fault-free supervised run vs plain run: identical bytes, bounded cost.
+    """Fault-free journalled run vs journal-less run: identical bytes,
+    bounded cost.
 
-    The crash-safe path adds journalling (CRC framing + flush + fsync
-    per shard) and the supervised submit/poll loop on top of the plain
-    pool.  The gate is measured, not A/B-timed (wall-clock deltas at
-    this scale are noise): the ``resilience.journal_write`` timer records
-    exactly the seconds the supervised run spent on durable journal
-    appends, and that total must stay under
-    :data:`SUPERVISION_OVERHEAD_BUDGET` of the supervised wall time.
+    Both legs run on the supervised pool; the ``plain`` leg installs no
+    context, so the engine builds a journal-less one.  The journalled
+    leg adds CRC framing + flush + fsync per shard.  The gate is
+    measured, not A/B-timed (wall-clock deltas at this scale are noise):
+    the ``resilience.journal_write`` timer records exactly the seconds
+    the journalled run spent on durable journal appends, and that total
+    must stay under :data:`SUPERVISION_OVERHEAD_BUDGET` of its wall time.
     """
     plain_result, plain_s = _time(lambda: run_fig01(runs=runs, jobs=jobs))
     registry = get_registry()

@@ -5,7 +5,7 @@ Examples::
     tcast-experiments list
     tcast-experiments run fig01 --runs 1000 --jobs 4
     tcast-experiments run all --runs 200 --out results/ --no-cache
-    tcast-experiments run fig09 --runs 1000 --jobs 4 --resume
+    tcast-experiments run fig01 --runs 1000 --jobs 4 --resume
     tcast-experiments cache info
     tcast-experiments cache clear
     tcast-experiments journal info
@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--no-journal",
         action="store_true",
-        help="disable shard journalling and worker supervision",
+        help="disable shard journalling (workers stay supervised; an "
+        "interrupted run cannot be resumed)",
     )
     run_p.add_argument(
         "--backend",
@@ -265,7 +266,7 @@ def _run_one(
         kwargs["runs"] = runs
     if seed is not None:
         kwargs["seed"] = seed
-    ctx: Optional[resilience.RunContext] = None
+    ctx = resilience.RunContext()
     farm = None
     if journal_dir is not None:
         params = dict(kwargs)
@@ -289,7 +290,7 @@ def _run_one(
                     else "]"
                 )
             )
-        ctx = resilience.RunContext(journal=journal, resumed=resume)
+        ctx.journal = journal
         if backend == "farm":
             from repro.experiments.common import resolve_jobs
             from repro.farm import FarmCoordinator
@@ -307,11 +308,7 @@ def _run_one(
     started = time.perf_counter()  # tcast-lint: disable=TCL002 -- wall-clock banner for the operator, not simulation time
     with (
         farm if farm is not None else contextlib.nullcontext()
-    ), (
-        resilience.activate(ctx)
-        if ctx is not None
-        else contextlib.nullcontext()
-    ):
+    ), resilience.activate(ctx):
         if farm is not None and resume and farm.resumed_shards:
             print(
                 f"[{exp_id}: farm store seeded with "
@@ -324,24 +321,26 @@ def _run_one(
     print(result.report())
     source = "cache" if from_cache else "computed"
     print(f"[{exp_id} completed in {elapsed:.1f}s ({source})]")
-    degraded: List[str] = []
-    if ctx is not None:
-        assert ctx.journal is not None
-        if ctx.degraded:
-            degraded = list(ctx.degraded)
-            print(
-                f"[{exp_id} DEGRADED: {len(degraded)} quarantined shard(s); "
-                f"result NOT cached; journal kept at {ctx.journal.path}]"
-            )
-            for item in degraded:
-                print(f"  quarantined: {item}")
-            if farm is not None:
-                print(f"  [farm spool kept at {farm.spool.root}]")
-        else:
-            # A fully successful run has nothing to resume.
-            ctx.journal.discard()
-            if farm is not None:
-                farm.discard()
+    degraded = list(ctx.degraded)
+    if degraded:
+        kept = (
+            f"journal kept at {ctx.journal.path}"
+            if ctx.journal is not None
+            else "no journal"
+        )
+        print(
+            f"[{exp_id} DEGRADED: {len(degraded)} quarantined shard(s); "
+            f"result NOT cached; {kept}]"
+        )
+        for item in degraded:
+            print(f"  quarantined: {item}")
+        if farm is not None:
+            print(f"  [farm spool kept at {farm.spool.root}]")
+    elif ctx.journal is not None:
+        # A fully successful run has nothing to resume.
+        ctx.journal.discard()
+        if farm is not None:
+            farm.discard()
     print()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -19,12 +19,14 @@ serial ones.  Factories must be picklable for the parallel path (use
 :class:`repro.group_testing.model.ModelSpec` instead of closures);
 unpicklable factories degrade to serial execution with a warning.
 
-When a :class:`repro.experiments.resilience.RunContext` is active (the
-CLI installs one), execution becomes crash-safe: completed shards are
-journalled for ``--resume``, already-journalled shards are skipped with
-bit-identical stitching, and the parallel path runs under worker
-supervision (crash/hang detection, bounded requeue, quarantine) instead
-of a bare ``Executor.map``.  See DESIGN.md "Resilient execution".
+Every batch runs under a :class:`repro.experiments.resilience.RunContext`:
+the one the CLI installs, or a journal-less one the engine builds for
+the call.  The parallel path is always the supervised pool of
+:func:`repro.experiments.resilience.run_supervised` (crash/hang
+detection, bounded requeue, quarantine).  With a journal, completed
+shards are recorded for ``--resume`` and already-journalled shards are
+skipped with bit-identical stitching.  See DESIGN.md "Resilient
+execution".
 """
 
 from __future__ import annotations
@@ -36,15 +38,14 @@ import pickle
 import time
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import ThresholdDecider
 from repro.experiments import resilience
-from repro.experiments.resilience import ShardExecutionError, ShardOutcome
+from repro.experiments.resilience import ShardOutcome
 from repro.group_testing.model import ModelFactory
 from repro.group_testing.population import Population
 from repro.group_testing.vectorized import QueryBatch, dispatch_batch
@@ -74,7 +75,6 @@ _S_QUEUE_DEPTH = _OBS.histogram(
 )
 _S_SHARD_TIMER = _OBS.timer("sweep.shard_compute")
 _S_PICKLE_TIMER = _OBS.timer("sweep.pickle_check")
-_S_SUBMIT_TIMER = _OBS.timer("sweep.submit")
 _S_DRAIN_TIMER = _OBS.timer("sweep.drain")
 _S_VEC_SHARDS = _OBS.counter("sweep.vectorized_shards")
 _S_VEC_FALLBACK = _OBS.counter("sweep.vectorized_fallback")
@@ -246,28 +246,12 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-#: Process-pool cache, one executor per worker count; workers are reused
-#: across curves and experiments within a process.
-_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
-
-
-def _get_executor(jobs: int) -> ProcessPoolExecutor:
-    ex = _EXECUTORS.get(jobs)
-    if ex is None:
-        ex = ProcessPoolExecutor(max_workers=jobs)
-        _EXECUTORS[jobs] = ex
-    return ex
-
-
 def shutdown_executors() -> None:
     """Tear down all cached worker pools (test/interpreter hygiene).
 
-    Reaps both the plain executor cache and the supervised pools owned
-    by :mod:`repro.experiments.resilience`.
+    The pools live in :mod:`repro.experiments.resilience`, one per
+    worker count.
     """
-    while _EXECUTORS:
-        _, ex = _EXECUTORS.popitem()
-        ex.shutdown(wait=True, cancel_futures=True)
     resilience.shutdown_pools()
 
 
@@ -506,192 +490,111 @@ class SweepEngine:
     def _run_tasks(
         self, tasks: List[_SweepCellTask]
     ) -> List[Optional[List[float]]]:
-        """Execute shards serially or on the process pool (in order).
+        """Execute shards in-process, on the supervised pool or on the farm.
 
-        On the parallel path each worker returns a
-        :class:`~repro.obs.MetricsSnapshot` alongside its costs (when
-        metrics are enabled); the snapshots are summed into this
-        process's registry so the merged totals equal a serial run's.
+        Every batch runs under a
+        :class:`~repro.experiments.resilience.RunContext`: the installed
+        one, or a journal-less one built for this call.  Shards already
+        in the run journal are skipped (their recorded costs slot in,
+        bit-identical by construction).  The rest report through one
+        pair of callbacks, which merge worker metrics snapshots into
+        this process's registry, journal completions and mark
+        quarantined shards degraded; serial, pool and farm differ only
+        in the call that runs the pending shards.
 
-        With an active :class:`~repro.experiments.resilience.RunContext`
-        the execution is crash-safe: shards already present in the run
-        journal are skipped (their recorded costs slot in, bit-identical
-        by construction), completed shards are journalled durably, and
-        the parallel path runs supervised.  A shard quarantined by the
-        supervisor yields ``None`` in the returned list; :meth:`_sweep`
-        degrades explicitly instead of dying.
+        A quarantined shard yields ``None`` in the returned list and
+        :meth:`_sweep` degrades explicitly.  Nobody reads the degraded
+        report of an engine-built context, so there the batch raises
+        once it finishes instead of returning ``nan`` cells.
         """
-        ctx = resilience.current_context()
+        installed = resilience.current_context()
+        ctx = installed if installed is not None else resilience.RunContext()
         results: List[Optional[List[float]]] = [None] * len(tasks)
-        if ctx is not None and ctx.journal is not None:
-            pending = []
-            for i, task in enumerate(tasks):
-                recorded = ctx.lookup_shard(task)
-                if recorded is not None:
-                    results[i] = recorded
-                else:
-                    pending.append(i)
-        else:
-            pending = list(range(len(tasks)))
+        pending = []
+        for i, task in enumerate(tasks):
+            recorded = ctx.lookup_shard(task)
+            if recorded is not None:
+                results[i] = recorded
+            else:
+                pending.append(i)
         if not pending:
             return results
-        if ctx is not None and ctx.farm is not None:
-            # Farm backend: shards execute in independent worker
-            # processes coordinated through the spool directory; even a
-            # single pending shard goes through the farm so the
-            # crash/resume story is uniform.
-            reg = get_registry()
-            if reg.enabled:
-                tasks = [replace(t, snapshot_metrics=True) for t in tasks]
-            _S_FARM_BATCHES.inc()
-            self._run_farm(tasks, pending, results, ctx, reg)
-            return results
-        if self._jobs <= 1 or len(pending) <= 1:
-            _S_SERIAL_BATCHES.inc()
-            return self._run_serial(tasks, pending, results, ctx)
-        try:
-            with _S_PICKLE_TIMER.time():
-                pickle.dumps(tasks[pending[0]])
-        except Exception:
-            warnings.warn(
-                "sweep factories are not picklable; running serially "
-                "(use repro.api.algorithm_factory / ModelSpec for the "
-                "parallel backend)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            _S_FALLBACK_SERIAL.inc()
-            return self._run_serial(tasks, pending, results, ctx)
         reg = get_registry()
-        _S_PARALLEL_BATCHES.inc()
-        _S_QUEUE_DEPTH.observe(max(0, len(pending) - self._jobs))
-        if reg.enabled:
+
+        def on_complete(
+            idx: int, task: _SweepCellTask, outcome: ShardOutcome
+        ) -> None:
+            assert outcome.costs is not None
+            if outcome.snapshot is not None:
+                reg.absorb(outcome.snapshot)
+            results[idx] = outcome.costs
+            ctx.record_shard(task, outcome.costs)
+
+        def on_quarantine(
+            idx: int, task: _SweepCellTask, reason: str
+        ) -> None:
+            label, x, lo, hi = resilience.shard_coords(task)
+            _LOG.error(
+                "quarantined shard %r x=%d runs [%d,%d): %s",
+                label, x, lo, hi, reason,
+            )
+            ctx.mark_degraded(task, reason)
+
+        # Farm backend: even a single pending shard goes through the farm
+        # so the crash/resume story is uniform.
+        serial = ctx.farm is None and (self._jobs <= 1 or len(pending) <= 1)
+        if serial:
+            _S_SERIAL_BATCHES.inc()
+        elif ctx.farm is None:
+            try:
+                with _S_PICKLE_TIMER.time():
+                    pickle.dumps(tasks[pending[0]])
+            except Exception:
+                warnings.warn(
+                    "sweep factories are not picklable; running serially "
+                    "(use repro.api.algorithm_factory / ModelSpec for the "
+                    "parallel backend)",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                _S_FALLBACK_SERIAL.inc()
+                serial = True
+        if not serial and reg.enabled:
             # Workers cannot write this registry; ask each shard for an
             # isolated snapshot to merge back (exact integer sums).
             tasks = [replace(t, snapshot_metrics=True) for t in tasks]
-        if ctx is not None:
-            self._run_supervised(tasks, pending, results, ctx, reg)
-            return results
-        executor = _get_executor(self._jobs)
-        with _S_SUBMIT_TIMER.time():
-            # Executor.map submits (and pickles) every shard eagerly;
-            # the drain below is dominated by worker compute time.
-            batch = executor.map(
-                _run_sweep_cell_guarded, [tasks[i] for i in pending]
-            )
-        with _S_DRAIN_TIMER.time():
-            outcomes = list(batch)
-        for i, outcome in zip(pending, outcomes):
-            if outcome.error_type is not None:
-                label, x, lo, hi = resilience.shard_coords(tasks[i])
-                raise ShardExecutionError(
-                    label, x, lo, hi,
-                    outcome.error_type,
-                    outcome.remote_traceback or "<no traceback captured>",
+        items = [(i, tasks[i]) for i in pending]
+        if serial:
+            for idx, task in items:
+                costs, _ = _run_sweep_cell(task)
+                on_complete(idx, task, ShardOutcome(costs=costs))
+        elif ctx.farm is not None:
+            _S_FARM_BATCHES.inc()
+            with _S_DRAIN_TIMER.time():
+                ctx.farm.execute(
+                    items,
+                    fn=_run_sweep_cell_guarded,
+                    on_complete=on_complete,
+                    on_quarantine=on_quarantine,
                 )
-            if outcome.snapshot is not None:
-                reg.absorb(outcome.snapshot)
-            results[i] = outcome.costs
+        else:
+            _S_PARALLEL_BATCHES.inc()
+            _S_QUEUE_DEPTH.observe(max(0, len(pending) - self._jobs))
+            with _S_DRAIN_TIMER.time():
+                resilience.run_supervised(
+                    _run_sweep_cell_guarded,
+                    items,
+                    jobs=self._jobs,
+                    context=ctx,
+                    on_complete=on_complete,
+                    on_quarantine=on_quarantine,
+                )
+        if installed is None and ctx.degraded:
+            raise RuntimeError(
+                f"{len(ctx.degraded)} sweep shard(s) quarantined after "
+                "repeated worker failures: " + "; ".join(ctx.degraded)
+            )
         return results
-
-    def _run_serial(
-        self,
-        tasks: List[_SweepCellTask],
-        pending: List[int],
-        results: List[Optional[List[float]]],
-        ctx: Optional[resilience.RunContext],
-    ) -> List[Optional[List[float]]]:
-        """In-process execution of the still-pending shards (in order)."""
-        for i in pending:
-            costs, _ = _run_sweep_cell(tasks[i])
-            results[i] = costs
-            if ctx is not None:
-                ctx.record_shard(tasks[i], costs)
-        return results
-
-    def _run_supervised(
-        self,
-        tasks: List[_SweepCellTask],
-        pending: List[int],
-        results: List[Optional[List[float]]],
-        ctx: resilience.RunContext,
-        reg,
-    ) -> None:
-        """Supervised parallel execution: journal, requeue, quarantine."""
-
-        def on_complete(
-            idx: int, task: _SweepCellTask, outcome: ShardOutcome
-        ) -> None:
-            assert outcome.costs is not None
-            if outcome.snapshot is not None:
-                reg.absorb(outcome.snapshot)
-            results[idx] = outcome.costs
-            ctx.record_shard(task, outcome.costs)
-
-        def on_quarantine(
-            idx: int, task: _SweepCellTask, reason: str
-        ) -> None:
-            label, x, lo, hi = resilience.shard_coords(task)
-            _LOG.error(
-                "quarantined shard %r x=%d runs [%d,%d): %s",
-                label, x, lo, hi, reason,
-            )
-            ctx.mark_degraded(task, reason)
-            results[idx] = None
-
-        with _S_DRAIN_TIMER.time():
-            resilience.run_supervised(
-                _run_sweep_cell_guarded,
-                [(i, tasks[i]) for i in pending],
-                jobs=self._jobs,
-                context=ctx,
-                on_complete=on_complete,
-                on_quarantine=on_quarantine,
-            )
-
-    def _run_farm(
-        self,
-        tasks: List[_SweepCellTask],
-        pending: List[int],
-        results: List[Optional[List[float]]],
-        ctx: resilience.RunContext,
-        reg,
-    ) -> None:
-        """Farm execution: spool shards, collect leased completions.
-
-        Identical callback contract to :meth:`_run_supervised` -- the
-        coordinator journals completions in collection order and marks
-        quarantined shards degraded -- so ``--backend farm`` inherits
-        the local backend's crash/resume/degradation semantics wholesale.
-        """
-
-        def on_complete(
-            idx: int, task: _SweepCellTask, outcome: ShardOutcome
-        ) -> None:
-            assert outcome.costs is not None
-            if outcome.snapshot is not None:
-                reg.absorb(outcome.snapshot)
-            results[idx] = outcome.costs
-            ctx.record_shard(task, outcome.costs)
-
-        def on_quarantine(
-            idx: int, task: _SweepCellTask, reason: str
-        ) -> None:
-            label, x, lo, hi = resilience.shard_coords(task)
-            _LOG.error(
-                "quarantined shard %r x=%d runs [%d,%d): %s",
-                label, x, lo, hi, reason,
-            )
-            ctx.mark_degraded(task, reason)
-            results[idx] = None
-
-        with _S_DRAIN_TIMER.time():
-            ctx.farm.execute(
-                [(i, tasks[i]) for i in pending],
-                fn=_run_sweep_cell_guarded,
-                on_complete=on_complete,
-                on_quarantine=on_quarantine,
-            )
 
     def _sweep(
         self,

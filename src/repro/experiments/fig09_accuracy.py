@@ -24,12 +24,8 @@ import numpy as np
 
 from repro.analytic.bimodal import BimodalSpec
 from repro.core.probabilistic import ProbabilisticThreshold
-from repro.experiments.common import (
-    ExperimentResult,
-    Series,
-    _get_executor,
-    resolve_jobs,
-)
+from repro.experiments import resilience
+from repro.experiments.common import ExperimentResult, Series, resolve_jobs
 from repro.group_testing.model import OnePlusModel
 from repro.sim.rng import derive_seed
 from repro.workloads.bimodal import BimodalWorkload
@@ -112,7 +108,9 @@ def run(
     ]
     n_jobs = resolve_jobs(jobs)
     if n_jobs > 1 and len(tasks) > 1:
-        accuracies = list(_get_executor(n_jobs).map(_accuracy_cell, tasks))
+        accuracies = list(
+            resilience._get_pool(n_jobs).map(_accuracy_cell, tasks)
+        )
     else:
         accuracies = [_accuracy_cell(task) for task in tasks]
     series: List[Series] = []

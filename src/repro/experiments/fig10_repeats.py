@@ -17,12 +17,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analytic.bimodal import BimodalSpec, analyze_separation
-from repro.experiments.common import (
-    ExperimentResult,
-    Series,
-    _get_executor,
-    resolve_jobs,
-)
+from repro.experiments import resilience
+from repro.experiments.common import ExperimentResult, Series, resolve_jobs
 from repro.experiments.fig09_accuracy import measure_accuracy
 from repro.sim.rng import derive_seed
 
@@ -102,7 +98,7 @@ def run(
         n_jobs = resolve_jobs(jobs)
         if n_jobs > 1 and len(tasks) > 1:
             measured_ys = list(
-                _get_executor(n_jobs).map(_min_repeats_cell, tasks)
+                resilience._get_pool(n_jobs).map(_min_repeats_cell, tasks)
             )
         else:
             measured_ys = [_min_repeats_cell(task) for task in tasks]

@@ -48,8 +48,10 @@ The supervision state machine::
 Activation is context-based: the CLI (or a test) builds a
 :class:`RunContext` and enters :func:`activate`; the sweep engine in
 :mod:`repro.experiments.common` picks it up via :func:`current_context`.
-Library callers that never activate a context get the original
-unsupervised fast path, so the fault-free overhead is zero by default.
+Callers that never activate a context are supervised all the same: the
+engine builds a journal-less context for each batch, and raises once the
+batch finishes if a shard was quarantined, since no caller reads that
+context's degraded report.
 """
 
 from __future__ import annotations
@@ -617,13 +619,12 @@ class RunContext:
     """Everything resilient execution needs for one experiment run.
 
     Built by the CLI (or a test) and installed with :func:`activate`;
-    the sweep engine discovers it via :func:`current_context`.
+    the sweep engine discovers it via :func:`current_context`, and
+    builds a journal-less one for a batch when none is installed.
     """
 
     journal: Optional[ShardJournal] = None
     policy: SupervisionPolicy = field(default_factory=SupervisionPolicy)
-    shutdown: Optional[GracefulShutdown] = None
-    resumed: bool = False
     #: Human-readable coordinates of quarantined shards (degraded run).
     degraded: List[str] = field(default_factory=list)
     #: A started :class:`repro.farm.coordinator.FarmCoordinator` when
@@ -690,9 +691,10 @@ def activate(ctx: RunContext) -> Iterator[RunContext]:
 # Supervised process pools
 # ---------------------------------------------------------------------------
 
-#: Supervised pools, one per worker count.  Kept separate from the
-#: unsupervised executor cache in :mod:`repro.experiments.common`
-#: because supervision must be able to kill and replace a wedged pool.
+#: Supervised pools, one per worker count: the harness's only process-pool
+#: cache.  Sweep batches reach them through :func:`run_supervised`, which
+#: kills and replaces a broken or wedged pool; fig09/fig10 map whole cells
+#: on them directly.
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
@@ -820,16 +822,26 @@ def run_supervised(
     last_progress = time.monotonic()
     try:
         while pending or in_flight:
+            pool_broken = False
             while pending and len(in_flight) < jobs * policy.submit_ahead:
                 idx, task, attempts = pending.popleft()
-                fut = pool.submit(fn, task)
+                try:
+                    fut = pool.submit(fn, task)
+                except BrokenProcessPool:
+                    # A worker died while the cached pool sat idle: the
+                    # same crash a future would report, seen earlier.
+                    pool_broken = True
+                    _requeue_or_quarantine(
+                        pending, idx, task, attempts, policy,
+                        on_quarantine, "worker process crashed",
+                    )
+                    break
                 in_flight[fut] = (idx, task, attempts, time.monotonic())
             done, _ = wait(
                 set(in_flight),
                 timeout=policy.poll_interval,
                 return_when=FIRST_COMPLETED,
             )
-            pool_broken = False
             for fut in done:
                 idx, task, attempts, submitted = in_flight.pop(fut)
                 try:

@@ -17,7 +17,12 @@ import warnings
 import pytest
 
 from repro.api import algorithm_factory
-from repro.experiments import fig01_one_plus, fig03_threshold_sweep
+from repro.experiments import (
+    fig01_one_plus,
+    fig03_threshold_sweep,
+    fig09_accuracy,
+    fig10_repeats,
+)
 from repro.experiments.common import (
     SweepEngine,
     resolve_jobs,
@@ -101,6 +106,18 @@ class TestFigureIdentity:
         serial = fig03_threshold_sweep.run(runs=10, jobs=1)
         parallel = fig03_threshold_sweep.run(runs=10, jobs=2)
         assert serial.series == parallel.series
+        assert serial.to_csv() == parallel.to_csv()
+
+    @pytest.mark.parametrize(
+        "figure", [fig09_accuracy, fig10_repeats], ids=["fig09", "fig10"]
+    )
+    def test_whole_cell_figure_parallel_identical(self, figure):
+        """fig09/fig10 map whole cells on the shared worker pool."""
+        serial = figure.run(runs=10, jobs=1)
+        parallel = figure.run(runs=10, jobs=2)
+        # fig10's unreachable cells are nan, which never compares equal;
+        # float reprs round-trip exactly, so equal reprs are equal bits.
+        assert repr(serial.series) == repr(parallel.series)
         assert serial.to_csv() == parallel.to_csv()
 
 

@@ -509,7 +509,7 @@ class TestEngineResume:
         with resilience.activate(ctx1):
             baseline = _curve(_engine(1))
         assert ctx1.journal.appended_records == 3  # one shard per x
-        ctx2 = RunContext(journal=_journal(path, resume=True), resumed=True)
+        ctx2 = RunContext(journal=_journal(path, resume=True))
         with resilience.activate(ctx2):
             resumed = _curve(_engine(1))
         assert ctx2.journal.appended_records == 0
@@ -523,7 +523,7 @@ class TestEngineResume:
         # Truncate to header + first record: a crash after one shard.
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:2]))
-        ctx2 = RunContext(journal=_journal(path, resume=True), resumed=True)
+        ctx2 = RunContext(journal=_journal(path, resume=True))
         with resilience.activate(ctx2):
             resumed = _curve(_engine(1))
         assert ctx2.journal.resumed_records == 1
@@ -536,7 +536,7 @@ class TestEngineResume:
         ctx1 = RunContext(journal=_journal(path))
         with resilience.activate(ctx1):
             baseline = _curve(_engine(1))
-        ctx2 = RunContext(journal=_journal(path, resume=True), resumed=True)
+        ctx2 = RunContext(journal=_journal(path, resume=True))
         with resilience.activate(ctx2):
             resumed = _curve(_engine(4))
         assert ctx2.journal.appended_records == 0  # every block covered
@@ -591,10 +591,40 @@ class TestEngineResume:
             reg.disable()
             reg.reset()
             shutdown_executors()
-        from repro.experiments import common
-
-        assert common._EXECUTORS == {}
         assert resilience._POOLS == {}
+
+
+class TestIdleBrokenPool:
+    def test_sweep_recycles_a_pool_that_broke_while_idle(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that dies between batches breaks the cached pool, so
+        the next ``submit`` raises; supervision recycles and requeues."""
+        baseline = _curve(_engine(1))
+        pool = resilience._get_pool(2)
+        pids = [f.result() for f in [pool.submit(os.getpid) for _ in range(4)]]
+        os.kill(pids[0], signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken  # the executor noticed: submit() now raises
+        monkeypatch.setattr(resilience, "_backoff", lambda policy, n: None)
+        reg = get_registry()
+        reg.reset()
+        reg.enable()
+        try:
+            ctx = RunContext(journal=_journal(tmp_path / "j"))
+            with resilience.activate(ctx):
+                recovered = _curve(_engine(2))
+            snap = reg.snapshot()
+        finally:
+            reg.disable()
+            reg.reset()
+        assert recovered == baseline
+        assert ctx.degraded == []
+        assert snap.counter("resilience.worker_failures") == 1
+        assert snap.counter("resilience.pool_recycles") == 1
+        assert resilience._get_pool(2) is not pool
 
 
 # ---------------------------------------------------------------------------

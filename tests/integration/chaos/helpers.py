@@ -1,11 +1,12 @@
 """Picklable fault injectors for the chaos tests.
 
 Module-level classes (picklable by reference under the ``fork`` start
-method) that wrap a real algorithm factory and inject exactly one fault
-in a worker process, coordinated through an exclusive-create sentinel
-file: the first worker to create the sentinel injects, every later
-attempt behaves normally.  That gives each scenario a deterministic
-"fail once, then recover" shape regardless of scheduling.
+method) that inject faults in a worker process.  The ``*Once`` injectors
+wrap a real algorithm factory and inject exactly one fault, coordinated
+through an exclusive-create sentinel file: the first worker to create
+the sentinel injects, every later attempt behaves normally.  That gives
+each scenario a deterministic "fail once, then recover" shape regardless
+of scheduling.  :class:`KillAlwaysFactory` never recovers.
 """
 
 from __future__ import annotations
@@ -61,4 +62,16 @@ class HangOnceFactory:
         except FileExistsError:
             return self.inner(x)
         time.sleep(self.hang_seconds)
+        raise AssertionError("unreachable")  # pragma: no cover
+
+
+class KillAlwaysFactory:
+    """SIGKILLs every worker process that builds an algorithm.
+
+    No attempt can complete, so supervision must give the shard up once
+    its retry budget is spent.  Never call it in the test process.
+    """
+
+    def __call__(self, x: int):
+        os.kill(os.getpid(), signal.SIGKILL)
         raise AssertionError("unreachable")  # pragma: no cover

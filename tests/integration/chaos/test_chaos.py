@@ -36,7 +36,11 @@ from repro.experiments.resilience import (
 )
 from repro.group_testing.model import ModelSpec
 from repro.sim.rng import RngRegistry
-from tests.integration.chaos.helpers import HangOnceFactory, KillOnceFactory
+from tests.integration.chaos.helpers import (
+    HangOnceFactory,
+    KillAlwaysFactory,
+    KillOnceFactory,
+)
 
 REPO = Path(__file__).resolve().parents[3]
 
@@ -222,6 +226,45 @@ class TestWorkerFaults:
         assert (tmp_path / "hung").exists()
         assert ctx.degraded == []
         assert chaotic == baseline
+
+
+class TestContextFreeSupervision:
+    """With no RunContext installed the engine still supervises: it
+    builds a journal-less context for each batch."""
+
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(resilience, "_backoff", lambda policy, n: None)
+
+    def test_worker_killed_without_context_result_identical(self, tmp_path):
+        serial = _curve(
+            SweepEngine(64, 8, runs=12, seed=77, jobs=1),
+            algorithm_factory("2tbins"),
+        )
+        assert resilience.current_context() is None
+        chaotic = _curve(
+            SweepEngine(64, 8, runs=12, seed=77, jobs=2),
+            KillOnceFactory(str(tmp_path / "killed")),
+        )
+        assert (tmp_path / "killed").exists()
+        assert chaotic == serial
+
+    def test_worker_killed_every_attempt_raises_naming_the_shard(self):
+        engine = SweepEngine(64, 8, runs=2, seed=77, jobs=2)
+        assert resilience.current_context() is None
+        with pytest.raises(RuntimeError, match="quarantined") as ei:
+            engine.query_curve(
+                "2tBins",
+                [4],
+                KillAlwaysFactory(),
+                ModelSpec(kind="1+", max_queries=64 * 50),
+                check_exactness=False,
+            )
+        message = str(ei.value)
+        # Two run blocks, both given up after 1 + max_retries attempts.
+        assert "'2tBins' x=4 runs [0,1)" in message
+        assert "'2tBins' x=4 runs [1,2)" in message
+        assert message.count("gave up after 4 attempts") == 2
 
 
 class TestCacheCorruption:
