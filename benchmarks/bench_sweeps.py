@@ -15,10 +15,14 @@ summary:
    :class:`ResultCache` directory, then a warm one, and reports the hit
    rate and warm/cold ratio.
 4. **Metrics** -- runs fig01 with the observability registry disabled
-   and enabled, checks the CSVs are byte-identical, reports the enabled
-   overhead and the measured disabled per-call cost, and **fails** if
-   the estimated disabled-path overhead exceeds 2% -- the "near-zero
-   disabled cost" contract of :mod:`repro.obs`.
+   and enabled, checks the CSVs are byte-identical, and reports the
+   enabled overhead.  A third, serial metrics-off run counts every call
+   it makes to an instrument entry point (``Counter.inc``,
+   ``Histogram.observe``, ``Timer.time``, ``Timer.add_seconds``,
+   ``MetricsRegistry.absorb``); the bench prices each kind at its own
+   measured disabled cost and **fails** if that total exceeds 2% of the
+   same run's wall time -- the "near-zero disabled cost" contract of
+   :mod:`repro.obs`.
 5. **Supervision** -- runs fig01 under an active
    :class:`~repro.experiments.resilience.RunContext` with a journal (the
    crash-safe CLI path) and without one (the engine's journal-less
@@ -79,12 +83,28 @@ from repro.experiments.common import (  # noqa: E402
 from repro.experiments.fig01_one_plus import run as run_fig01  # noqa: E402
 from repro.experiments.registry import run_experiment  # noqa: E402
 from repro.group_testing.model import ModelSpec  # noqa: E402
-from repro.obs import get_registry  # noqa: E402
+from repro.obs import MetricsSnapshot, get_registry  # noqa: E402
+from repro.obs.registry import (  # noqa: E402
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    Timer,
+)
 from repro.workloads.scenarios import x_sweep  # noqa: E402
 
-#: Hard budget for the estimated cost of *disabled* instruments, as a
+#: Hard budget for the measured cost of *disabled* instruments, as a
 #: fraction of a metrics-off fig01 run.  CI fails the bench above this.
 DISABLED_OVERHEAD_BUDGET = 0.02
+
+#: Every instrument entry point a metrics-off run can still call, as
+#: ``name -> (class, attribute)``: the census wraps each one.
+INSTRUMENT_ENTRY_POINTS = {
+    "Counter.inc": (Counter, "inc"),
+    "Histogram.observe": (Histogram, "observe"),
+    "Timer.time": (Timer, "time"),
+    "Timer.add_seconds": (Timer, "add_seconds"),
+    "MetricsRegistry.absorb": (MetricsRegistry, "absorb"),
+}
 
 #: Hard budget for the measured journal/supervision cost on a
 #: fault-free supervised run, as a fraction of its wall time.
@@ -184,16 +204,78 @@ def bench_cache(runs: int) -> dict:
         }
 
 
+def _instrument_census(fn):
+    """Run ``fn`` with every instrument entry point counting its calls.
+
+    Returns ``(result, seconds, calls)`` with ``calls`` keyed like
+    :data:`INSTRUMENT_ENTRY_POINTS`.  Only this process's calls are
+    seen, so run ``fn`` serially for a complete census.
+    """
+    calls = dict.fromkeys(INSTRUMENT_ENTRY_POINTS, 0)
+    originals = {
+        name: getattr(cls, attr)
+        for name, (cls, attr) in INSTRUMENT_ENTRY_POINTS.items()
+    }
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name, (cls, attr) in INSTRUMENT_ENTRY_POINTS.items():
+        setattr(cls, attr, counting(name, originals[name]))
+    try:
+        result, seconds = _time(fn)
+    finally:
+        for name, (cls, attr) in INSTRUMENT_ENTRY_POINTS.items():
+            setattr(cls, attr, originals[name])
+    return result, seconds, calls
+
+
+def _disabled_call_costs(registry, calls: int = 200_000) -> dict:
+    """Measured seconds per call of each entry point, registry disabled.
+
+    Every probe but ``Counter.inc`` pays one extra Python call (its
+    lambda or ``with`` wrapper), so the costs err high, never low.
+    """
+    counter = registry.counter("bench.disabled_probe")
+    histogram = registry.histogram("bench.disabled_probe_hist", edges=(1.0,))
+    timer = registry.timer("bench.disabled_probe_timer")
+    snapshot = MetricsSnapshot(counters={"bench.disabled_probe": 0})
+
+    def span():
+        with timer.time():
+            pass
+
+    probes = {
+        "Counter.inc": counter.inc,
+        "Histogram.observe": lambda: histogram.observe(0.5),
+        "Timer.time": span,
+        "Timer.add_seconds": lambda: timer.add_seconds(0.0),
+        "MetricsRegistry.absorb": lambda: registry.absorb(snapshot),
+    }
+    costs = {}
+    for name, probe in probes.items():
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            probe()
+        costs[name] = (time.perf_counter() - t0) / calls
+    return costs
+
+
 def bench_metrics(runs: int, jobs: int) -> dict:
     """Metrics-off vs metrics-on fig01: identical bytes, bounded cost.
 
     Enforces the :mod:`repro.obs` contract two ways: the enabled run's
     CSV must match the disabled run's byte for byte, and the *disabled*
-    path must stay effectively free.  The disabled cost is estimated as
-    (measured per-call cost of a disabled counter) x (instrument events
-    the enabled run recorded), expressed as a fraction of the disabled
-    run's wall time; above :data:`DISABLED_OVERHEAD_BUDGET` the bench
-    raises.
+    path must stay effectively free.  The disabled cost is measured, not
+    estimated: a serial metrics-off run counts its calls to each
+    instrument entry point (:func:`_instrument_census`; serial, so no
+    call hides in a worker process), each kind is priced at its own
+    measured disabled cost, and the sum is expressed as a fraction of
+    that same run's wall time; above :data:`DISABLED_OVERHEAD_BUDGET`
+    the bench raises.
     """
     registry = get_registry()
     registry.disable()
@@ -209,25 +291,21 @@ def bench_metrics(runs: int, jobs: int) -> dict:
     if disabled_result.to_csv() != enabled_result.to_csv():
         raise AssertionError("enabling metrics changed the fig01 CSV")
 
-    # Direct measurement of one disabled instrument call (the registry
-    # is disabled again at this point, so inc() takes the guard branch).
-    probe = registry.counter("bench.disabled_probe")
-    calls = 1_000_000
-    t0 = time.perf_counter()
-    for _ in range(calls):
-        probe.inc()
-    per_call_s = (time.perf_counter() - t0) / calls
-
-    events = sum(snapshot.counters.values()) + sum(
-        h.total for h in snapshot.histograms.values()
+    census_result, census_s, calls = _instrument_census(
+        lambda: run_fig01(runs=runs, jobs=1)
     )
-    disabled_overhead = (
-        per_call_s * events / disabled_s if disabled_s > 0 else 0.0
-    )
+    registry.reset()
+    if census_result.to_csv() != disabled_result.to_csv():
+        raise AssertionError("the census run changed the fig01 CSV")
+    costs = _disabled_call_costs(registry)
+    registry.reset()
+    disabled_seconds = sum(calls[name] * costs[name] for name in calls)
+    disabled_overhead = disabled_seconds / census_s if census_s > 0 else 0.0
     if disabled_overhead > DISABLED_OVERHEAD_BUDGET:
         raise AssertionError(
             f"disabled-path metrics overhead {disabled_overhead:.2%} exceeds "
-            f"the {DISABLED_OVERHEAD_BUDGET:.0%} budget"
+            f"the {DISABLED_OVERHEAD_BUDGET:.0%} budget "
+            f"({sum(calls.values())} instrument calls)"
         )
     return {
         "runs": runs,
@@ -238,8 +316,11 @@ def bench_metrics(runs: int, jobs: int) -> dict:
         "enabled_overhead_fraction": round(
             (enabled_s - disabled_s) / disabled_s if disabled_s > 0 else 0.0, 4
         ),
-        "disabled_ns_per_call": round(per_call_s * 1e9, 2),
-        "instrument_events": events,
+        "census_seconds": round(census_s, 3),
+        "disabled_calls": calls,
+        "disabled_ns_per_call": {
+            name: round(cost * 1e9, 2) for name, cost in costs.items()
+        },
         "disabled_overhead_fraction": round(disabled_overhead, 6),
         "disabled_overhead_budget": DISABLED_OVERHEAD_BUDGET,
         "counters": dict(sorted(snapshot.counters.items())),
@@ -566,8 +647,8 @@ def main(argv=None) -> int:
     print(
         f"[bench_sweeps]   enabled overhead "
         f"{metrics['enabled_overhead_fraction']:+.1%}, disabled "
-        f"{metrics['disabled_ns_per_call']}ns/call "
-        f"(est. {metrics['disabled_overhead_fraction']:.3%} of run, "
+        f"{sum(metrics['disabled_calls'].values())} instrument calls "
+        f"({metrics['disabled_overhead_fraction']:.3%} of run, "
         f"budget {metrics['disabled_overhead_budget']:.0%})"
     )
 

@@ -1,4 +1,4 @@
-"""Crash-safe file primitives shared by the cache and the run journal.
+"""Crash-safe file primitives shared by the cache, the run journal and the farm.
 
 Everything durable the harness writes (cache entries, journal files,
 metrics snapshots) goes through :func:`atomic_write_bytes` /
@@ -10,23 +10,26 @@ point leaves either the old file or the new file, never a truncated
 hybrid, and never clobbers the destination with a partial write.
 
 :func:`checksum_line` / :func:`parse_checksum_line` implement the
-per-record CRC32 framing the shard journal uses for its append-only
-records, where whole-file replacement would be wasteful (see
-:mod:`repro.experiments.resilience`).
-
-:func:`quarantine_file` moves a corrupt artifact aside under a unique
-name so repeated corruption of the same entry preserves every bad copy
-for post-mortems instead of clobbering the previous one.
+per-record CRC32 framing of the shard journal (see
+:mod:`repro.experiments.resilience`), whose first line, like a farm
+spool's ``MANIFEST``, is a :class:`RunHeader`.  :class:`ChecksummedStore`
+is the one entry store behind the result cache and the farm's shard
+store; :func:`quarantine_file` moves a rejected entry aside under a
+unique name, preserving every bad copy for post-mortems.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, TypeVar, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+_T = TypeVar("_T")
 
 
 def atomic_write_bytes(
@@ -123,3 +126,123 @@ def parse_checksum_line(line: str) -> Optional[str]:
     if zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF != expected:
         return None
     return payload
+
+
+class RunHeader(NamedTuple):
+    """The first line of a run journal and of a farm spool's ``MANIFEST``.
+
+    Names the computation a file belongs to (layout version, experiment,
+    run content key); readers discard a file whose header differs from
+    the one they expect.
+    """
+
+    format: int
+    exp_id: str
+    key: str
+
+    def line(self) -> str:
+        """The header as one CRC32-framed line of canonical JSON."""
+        return checksum_line(
+            json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
+        )
+
+    @staticmethod
+    def parse(line: str) -> Optional["RunHeader"]:
+        """Inverse of :meth:`line`, or ``None`` if the line is corrupt."""
+        payload = parse_checksum_line(line)
+        if payload is None:
+            return None
+        try:
+            data = json.loads(payload)
+            return RunHeader(
+                int(data["format"]), str(data["exp_id"]), str(data["key"])
+            )
+        except (ValueError, KeyError, TypeError):
+            return None
+
+
+def _json_checksum(payload: Any) -> str:
+    """SHA-256 over the canonical JSON of an entry payload."""
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+class ChecksummedStore:
+    """A directory of ``<key>.json`` entries with verified reads.
+
+    Each entry is an envelope ``{"checksum": ..., "payload": ...}``
+    whose SHA-256 covers the canonical JSON of the payload; writes are
+    atomic.  An entry that is unreadable, unparseable, mismatched or
+    refused by the decoder is *rejected*: counted in :attr:`corrupt`,
+    moved to ``.quarantine/`` under a unique name, and read as a miss --
+    also when the move itself fails.
+
+    Args:
+        directory: Store root (created lazily on first write).
+    """
+
+    #: Subdirectory rejected entries are parked in (never read back).
+    QUARANTINE_DIRNAME = ".quarantine"
+
+    def __init__(self, directory: PathLike) -> None:
+        self._dir = Path(directory)
+        #: Entries this instance rejected.
+        self.corrupt = 0
+
+    @property
+    def directory(self) -> Path:
+        """The store root."""
+        return self._dir
+
+    @property
+    def quarantine_dir(self) -> Path:
+        """Where rejected entries are moved for post-mortem inspection."""
+        return self._dir / self.QUARANTINE_DIRNAME
+
+    def path(self, key: str) -> Path:
+        """The entry file for ``key``."""
+        return self._dir / f"{key}.json"
+
+    def write(self, key: str, payload: Any) -> Path:
+        """Atomically write ``payload`` (JSON-serialisable) under ``key``."""
+        envelope = {"checksum": _json_checksum(payload), "payload": payload}
+        return atomic_write_text(self.path(key), json.dumps(envelope, indent=2))
+
+    def read(self, key: str, decode: Callable[[Any], _T]) -> Optional[_T]:
+        """The verified, decoded entry for ``key``, or ``None``.
+
+        ``decode`` rejects a payload by raising ``ValueError``,
+        ``KeyError`` or ``TypeError``.
+        """
+        path = self.path(key)
+        if not path.is_file():
+            return None
+        try:
+            envelope = json.loads(path.read_text())
+            payload = envelope["payload"]
+            if _json_checksum(payload) != envelope["checksum"]:
+                raise ValueError(f"{path.name}: checksum mismatch")
+            return decode(payload)
+        except (OSError, ValueError, KeyError, TypeError):
+            self._reject(path)
+            return None
+
+    def _reject(self, path: Path) -> None:
+        """Count a bad entry and move it aside (best effort)."""
+        self.corrupt += 1
+        try:
+            quarantine_file(path, self.quarantine_dir)
+        except OSError:
+            pass  # rejected either way; the next read rejects it again
+
+    def entry_count(self) -> int:
+        """Number of entries currently on disk."""
+        if not self._dir.is_dir():
+            return 0
+        return sum(1 for _ in self._dir.glob("*.json"))
+
+    def quarantine_count(self) -> int:
+        """Files parked in the quarantine directory (``<name>.N`` too)."""
+        if not self.quarantine_dir.is_dir():
+            return 0
+        return sum(1 for _ in self.quarantine_dir.iterdir())

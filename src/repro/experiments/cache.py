@@ -15,14 +15,11 @@ seed, code)``.  The cache stores each finished
 Backend-only knobs (``jobs``) are excluded from the key: parallel and
 serial runs produce bit-identical results, so they share entries.
 
-Integrity: every entry embeds a SHA-256 checksum over its result
-payload, and every store goes through the atomic tmp-file +
-``os.replace`` discipline of :mod:`repro.experiments.atomicio` -- a
-Ctrl-C (or ``kill -9``) mid-store can never leave a truncated entry
-behind.  A corrupt, truncated or checksum-mismatched file found at load
-time is *quarantined* to ``<cache-dir>/.quarantine/`` (for post-mortem
-inspection) and counted as a miss, instead of crashing the run or
-silently returning garbage.
+Integrity comes from :class:`repro.experiments.atomicio.ChecksummedStore`
+(shared with the farm's shard store): every entry embeds a SHA-256
+checksum over its result payload and is written atomically, and a
+corrupt, truncated or checksum-mismatched file found at load time is
+*quarantined* to ``<cache-dir>/.quarantine/`` and counted as a miss.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import os
 from pathlib import Path
 from typing import Any, Mapping, Optional, Tuple
 
-from repro.experiments.atomicio import atomic_write_text, quarantine_file
+from repro.experiments.atomicio import ChecksummedStore
 from repro.experiments.common import ExperimentResult
 from repro.experiments.serialization import (
     experiment_result_from_dict,
@@ -47,9 +44,6 @@ _C_HITS = _OBS.counter("cache.hits")
 _C_MISSES = _OBS.counter("cache.misses")
 _C_STORES = _OBS.counter("cache.stores")
 _C_QUARANTINED = _OBS.counter("resilience.cache_quarantined")
-
-#: Subdirectory corrupt entries are moved to (never read back).
-QUARANTINE_DIRNAME = ".quarantine"
 
 #: Default cache directory, relative to the repository root (the cwd the
 #: CLI is normally invoked from).
@@ -108,8 +102,8 @@ def cache_key(exp_id: str, params: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class ResultCache:
-    """A directory of cached :class:`ExperimentResult` JSON files.
+class ResultCache(ChecksummedStore):
+    """A :class:`ChecksummedStore` of :class:`ExperimentResult` entries.
 
     Args:
         directory: Cache root (created lazily on first store).
@@ -121,46 +115,12 @@ class ResultCache:
     """
 
     def __init__(self, directory: os.PathLike | str = DEFAULT_CACHE_DIR) -> None:
-        self._dir = Path(directory)
+        super().__init__(directory)
         self.hits = 0
         self.misses = 0
 
-    @property
-    def directory(self) -> Path:
-        """The cache root."""
-        return self._dir
-
-    def _path(self, key: str) -> Path:
-        return self._dir / f"{key}.json"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where corrupt entries are moved for post-mortem inspection."""
-        return self._dir / QUARANTINE_DIRNAME
-
-    @staticmethod
-    def _result_checksum(result_payload: Any) -> str:
-        """SHA-256 over the canonical JSON of an entry's result payload."""
-        blob = json.dumps(result_payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside so it can never poison a run again.
-
-        Quarantined copies get unique names (``<name>``, ``<name>.1``,
-        ...): when a recomputed replacement turns out corrupt as well --
-        a failing disk, say -- every generation survives for post-mortem
-        instead of each new copy clobbering the previous one.
-        """
-        try:
-            moved = quarantine_file(path, self.quarantine_dir)
-        except OSError:
-            # Quarantining is best-effort (e.g. an unwritable quarantine
-            # dir); the entry was already rejected either way.
-            return
-        if moved is None:
-            # The file vanished in a race -- already rejected either way.
-            return
+    def _reject(self, path: Path) -> None:
+        super()._reject(path)
         _C_QUARANTINED.inc()
 
     def load(
@@ -174,50 +134,25 @@ class ResultCache:
         ``<cache-dir>/.quarantine/`` and counted as a miss -- it is
         never returned and never consulted again.
         """
-        path = self._path(cache_key(exp_id, params))
-        if not path.is_file():
+        result = self.read(
+            cache_key(exp_id, params), experiment_result_from_dict
+        )
+        if result is None:
             self.misses += 1
             _C_MISSES.inc()
-            return None
-        try:
-            data = json.loads(path.read_text())
-            stored_checksum = data["checksum"]
-            payload = data["result"]
-            if self._result_checksum(payload) != stored_checksum:
-                raise ValueError(f"cache entry {path.name}: checksum mismatch")
-            result = experiment_result_from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self.misses += 1
-            _C_MISSES.inc()
-            return None
-        self.hits += 1
-        _C_HITS.inc()
+        else:
+            self.hits += 1
+            _C_HITS.inc()
         return result
 
     def store(
         self, exp_id: str, params: Mapping[str, Any], result: ExperimentResult
     ) -> Path:
-        """Write ``result`` under its content key; returns the file path.
-
-        The envelope records the id and key inputs alongside the result
-        so entries are self-describing when inspected by hand, plus a
-        SHA-256 checksum of the result payload that :meth:`load`
-        verifies.  The write is atomic (unique tmp file + fsync +
-        ``os.replace``): an interrupt mid-store leaves either no entry
-        or the complete previous one, never a truncated file.
-        """
-        key = cache_key(exp_id, params)
-        path = self._path(key)
-        payload = experiment_result_to_dict(result)
-        envelope = {
-            "exp_id": exp_id,
-            "key": key,
-            "code": code_fingerprint(),
-            "checksum": self._result_checksum(payload),
-            "result": payload,
-        }
-        atomic_write_text(path, json.dumps(envelope, indent=2))
+        """Atomically write ``result`` under its content key; returns
+        the file path."""
+        path = self.write(
+            cache_key(exp_id, params), experiment_result_to_dict(result)
+        )
         _C_STORES.inc()
         return path
 
@@ -239,19 +174,3 @@ class ResultCache:
         """Fraction of lookups served from disk (0.0 when none)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def entry_count(self) -> int:
-        """Number of entries currently on disk."""
-        if not self._dir.is_dir():
-            return 0
-        return sum(1 for _ in self._dir.glob("*.json"))
-
-    def quarantine_count(self) -> int:
-        """Number of corrupt entries parked in the quarantine directory.
-
-        Counts every parked file, including the ``<name>.N`` copies a
-        repeatedly corrupted entry accumulates.
-        """
-        if not self.quarantine_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.quarantine_dir.iterdir())

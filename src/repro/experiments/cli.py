@@ -9,6 +9,7 @@ Examples::
     tcast-experiments cache info
     tcast-experiments cache clear
     tcast-experiments journal info
+    tcast-experiments farm worker --spool results/spool/fig01-<key16>
 
 Finished results are cached under ``results/cache/`` keyed by
 (experiment, config, seed, code version); re-running an unchanged
@@ -26,6 +27,9 @@ drain in-flight work, flush the journal and the metrics snapshot, and
 print the exact ``--resume`` command.  ``--resume`` replays the journal
 and recomputes only what is missing; the finished CSV is byte-identical
 to an uninterrupted run.
+
+``farm worker`` is ``python -m repro.farm.worker`` (same flags, same
+SIGTERM/SIGINT handling) with the spool spelled ``--spool DIR``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from repro.experiments.atomicio import atomic_write_text
 from repro.experiments.common import set_vectorized_dispatch
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache, cache_key
 from repro.experiments.registry import list_experiments, run_experiment
+from repro.farm.worker import add_worker_arguments, run_worker
 from repro.obs import get_registry
 
 #: Default run-journal directory, sibling of the result cache.
@@ -178,24 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="the coordinator's spool directory for this run",
     )
-    fw_p.add_argument(
-        "--worker-id",
-        default=None,
-        help="farm-wide unique worker id (default: w<pid>)",
-    )
-    fw_p.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        help="seconds between lease heartbeat touches",
-    )
-    fw_p.add_argument(
-        "--coordinator-grace",
-        type=float,
-        default=None,
-        help="stale-coordinator seconds tolerated before exiting "
-        "(0 disables the check)",
-    )
+    add_worker_arguments(fw_p)
 
     j_p = sub.add_parser(
         "journal", help="inspect or clear interrupted-run journals"
@@ -411,17 +399,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
             print(exp_id)
         return 0
     if args.command == "farm":
-        from repro.farm.worker import FarmWorker
-
-        worker_kwargs = {}
-        if args.heartbeat_interval is not None:
-            worker_kwargs["heartbeat_interval"] = args.heartbeat_interval
-        if args.coordinator_grace is not None:
-            worker_kwargs["coordinator_grace"] = args.coordinator_grace
-        worker = FarmWorker(
-            args.spool, worker_id=args.worker_id, **worker_kwargs
-        )
-        return worker.run()
+        return run_worker(args.spool, args)
     if args.command == "run":
         if args.backend == "farm" and args.no_journal:
             parser.error(

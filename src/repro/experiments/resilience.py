@@ -5,14 +5,15 @@ PR 1 made the simulated *protocol* fault-tolerant; this module makes the
 *execution harness* fault-tolerant, with the same determinism guarantee:
 a resumed sweep is bit-identical to an uninterrupted one.  Three pieces:
 
-**Shard journal** (:class:`ShardJournal`).  Every completed
-``(label, x, run-block)`` shard is appended to an on-disk journal as one
-CRC32-framed JSON record (see :mod:`repro.experiments.atomicio`), flushed
-to the kernel before the run moves on (fsync is batched on a time
-cadence; see :class:`ShardJournal`).  ``tcast-experiments run --resume``
-reloads the journal and skips every cell whose runs are already recorded;
-because shard costs derive statelessly from ``(seed, label, x, run)``,
-the stitched-together result is byte-identical to an uninterrupted run.
+**Shard journal** (:class:`ShardJournal`).  Every completed shard is
+appended to an on-disk journal as one CRC32-framed JSON record (see
+:mod:`repro.experiments.atomicio`), flushed to the kernel before the run
+moves on (fsync is batched on a time cadence; see :class:`ShardJournal`).
+``tcast-experiments run --resume`` reloads the journal and skips every
+cell whose runs are already recorded; because shard costs derive
+statelessly from the shard's identity (:func:`shard_id`: the engine's
+seed, ``n`` and threshold, the cell's label and ``x``, and the run), the
+stitched-together result is byte-identical to an uninterrupted run.
 Records are keyed per *run*, not per shard, so a resume with a different
 ``--jobs`` (different shard boundaries) still reuses everything covered.
 A torn tail -- crash mid-append -- fails its CRC and is dropped on load;
@@ -75,12 +76,14 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
 from repro.experiments.atomicio import (
+    RunHeader,
     atomic_write_text,
     checksum_line,
     parse_checksum_line,
@@ -104,8 +107,9 @@ _R_JOURNAL_TIMER = _OBS.timer("resilience.journal_write")
 
 _LOG = logging.getLogger(__name__)
 
-#: Journal file format version (bumped on incompatible record changes).
-JOURNAL_FORMAT = 1
+#: Journal file format version (bumped on incompatible record changes;
+#: 2 keys records by the full :class:`ShardId`).
+JOURNAL_FORMAT = 2
 
 #: Cold-start no-progress deadline, in seconds.  Applied by
 #: :meth:`SupervisionPolicy.stall_deadline` when *no* shard duration has
@@ -180,7 +184,9 @@ class ShardOutcome:
 
 
 def shard_coords(task: Any) -> Tuple[str, int, int, int]:
-    """``(label, x, run_lo, run_hi)`` of a sweep task (duck-typed)."""
+    """``(label, x, run_lo, run_hi)`` of a sweep task (duck-typed), for
+    messages and descriptive fields; persistence keys a shard by
+    :func:`shard_id`."""
     return (
         str(getattr(task, "label", "?")),
         int(getattr(task, "x", -1)),
@@ -189,25 +195,105 @@ def shard_coords(task: Any) -> Tuple[str, int, int, int]:
     )
 
 
+class ShardId(NamedTuple):
+    """Everything a shard's costs derive from besides the run key.
+
+    One experiment may run several engines that reuse labels
+    (``ext_scaling`` runs one per ``n``), so the engine's seed, ``n`` and
+    threshold belong to the identity along with label, ``x`` and the
+    run block ``[lo, hi)``.
+    """
+
+    seed: int
+    n: int
+    threshold: int
+    label: str
+    x: int
+    lo: int
+    hi: int
+
+    @property
+    def cell(self) -> Tuple[int, int, int, str, int]:
+        """The identity without the run block: one grid cell's runs."""
+        return (self.seed, self.n, self.threshold, self.label, self.x)
+
+
+def shard_id(task: Any) -> ShardId:
+    """The identity the journal and the farm's
+    :func:`~repro.farm.spool.shard_key` key a task's shard by (duck-typed
+    like :func:`shard_coords`; missing fields read ``-1``)."""
+    return ShardId(
+        int(getattr(task, "seed", -1)),
+        int(getattr(task, "n", -1)),
+        int(getattr(task, "threshold", -1)),
+        *shard_coords(task),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Shard journal
 # ---------------------------------------------------------------------------
 
 
+class _Record(NamedTuple):
+    """One valid journal line; ``costs is None`` marks a quarantine."""
+
+    payload: str
+    shard: ShardId
+    costs: Optional[List[float]]
+
+
+def _parse_record(line: str) -> Optional[_Record]:
+    """Classify one journal line; ``None`` if torn or corrupt."""
+    payload = parse_checksum_line(line)
+    if payload is None:
+        return None
+    try:
+        data = json.loads(payload)
+        shard = ShardId(
+            int(data["seed"]), int(data["n"]), int(data["threshold"]),
+            str(data["label"]), int(data["x"]), int(data["lo"]),
+            int(data["hi"]),
+        )
+        if "quarantine" in data:
+            return _Record(payload, shard, None)
+        costs = [float(c) for c in data["costs"]]
+    except (ValueError, KeyError, TypeError):
+        return None
+    if shard.hi - shard.lo != len(costs):
+        return None
+    return _Record(payload, shard, costs)
+
+
+def _read_journal(
+    path: Path,
+) -> Optional[Tuple[Optional[RunHeader], List[Optional[_Record]]]]:
+    """The header and every record line of a journal (``None`` where a
+    line is torn or corrupt); ``None`` if the file is missing or empty."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return None
+    if not lines:
+        return None
+    return RunHeader.parse(lines[0]), [_parse_record(ln) for ln in lines[1:]]
+
+
 class ShardJournal:
     """A crash-safe, append-only record of completed sweep shards.
 
-    File layout: a CRC32-framed header line identifying ``(format,
-    exp_id, key)`` followed by one CRC32-framed JSON record per completed
-    shard (``label``, ``x``, ``lo``, ``hi``, per-run ``costs``).  Appends
-    are flushed so a completed shard survives ``kill -9`` of the run,
-    with fsync batched per ``fsync_interval`` against host failure; the
-    file itself is created (and compacted after torn-tail repair) via
-    atomic ``tmp + os.replace``.
+    File layout: a :class:`~repro.experiments.atomicio.RunHeader` line
+    followed by one CRC32-framed JSON record per completed shard (the
+    :class:`ShardId` fields plus per-run ``costs``) or quarantined shard
+    (the fields plus a ``quarantine`` reason).  Appends are flushed so a
+    completed shard survives ``kill -9`` of the run, with fsync batched
+    per ``fsync_interval`` against host failure; the file itself is
+    created (and compacted after torn-tail repair) via atomic
+    ``tmp + os.replace``.
 
-    Records are merged into a per-``(label, x)`` run -> cost map, so
-    :meth:`lookup` can answer for *any* shard boundaries, not just the
-    ones the interrupted run happened to use.
+    Records are merged into a per-cell (:attr:`ShardId.cell`) run ->
+    cost map, so :meth:`lookup` can answer for *any* shard boundaries,
+    not just the ones the interrupted run happened to use.
 
     Args:
         path: Journal file location.
@@ -239,13 +325,12 @@ class ShardJournal:
         fsync_interval: float = 2.0,
     ) -> None:
         self._path = Path(path)
-        self._exp_id = exp_id
-        self._key = key
+        self._header = RunHeader(JOURNAL_FORMAT, exp_id, key)
         self._fsync = fsync
         self._fsync_interval = fsync_interval
         self._last_fsync = 0.0
         self._fh: Optional[Any] = None
-        self._cells: Dict[Tuple[str, int], Dict[int, float]] = {}
+        self._cells: Dict[Tuple[int, int, int, str, int], Dict[int, float]] = {}
         self.appended_records = 0
         self.resumed_records = 0
         self.dropped_records = 0
@@ -264,138 +349,77 @@ class ShardJournal:
         """The journal file location."""
         return self._path
 
-    def _header_payload(self) -> str:
-        return json.dumps(
-            {"format": JOURNAL_FORMAT, "exp_id": self._exp_id, "key": self._key},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
     def _load(self) -> None:
         """Replay a journal from disk, dropping torn or corrupt records."""
-        if not self._path.exists():
+        read = _read_journal(self._path)
+        if read is None:
             return
-        lines = self._path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            return
-        header = parse_checksum_line(lines[0])
-        if header is None:
-            self.dropped_records += len(lines)
-            _R_DROPPED_RECORDS.inc(len(lines))
-            self._path.unlink()
-            return
-        try:
-            meta = json.loads(header)
-        except ValueError:
-            meta = None
-        if (
-            not isinstance(meta, dict)
-            or meta.get("format") != JOURNAL_FORMAT
-            or meta.get("exp_id") != self._exp_id
-            or meta.get("key") != self._key
-        ):
+        header, records = read
+        if header != self._header:
+            if header is None:
+                self.dropped_records += len(records) + 1
+                _R_DROPPED_RECORDS.inc(len(records) + 1)
             # A journal for a different computation (code or config
-            # changed since the crash): start fresh rather than resume
-            # records that no longer mean anything.
+            # changed since the crash), or one whose header is torn:
+            # start fresh rather than resume records that no longer
+            # mean anything.
             self._path.unlink()
             return
-        valid_payloads: List[str] = []
-        for line in lines[1:]:
-            payload = parse_checksum_line(line)
-            if payload is not None and self._parse_quarantine(payload):
-                # Prior-run quarantine: keep the record (post-mortem
-                # trail) but do not skip the shard -- resume retries it.
-                self.quarantined_records += 1
-                valid_payloads.append(payload)
-                continue
-            record = self._parse_record(payload) if payload is not None else None
+        for record in records:
             if record is None:
                 self.dropped_records += 1
                 _R_DROPPED_RECORDS.inc()
-                continue
-            label, x, lo, costs = record
-            cell = self._cells.setdefault((label, x), {})
-            for offset, cost in enumerate(costs):
-                cell[lo + offset] = cost
-            self.resumed_records += 1
-            _R_RESUMED_RECORDS.inc()
-            assert payload is not None
-            valid_payloads.append(payload)
+            elif record.costs is None:
+                # Prior-run quarantine: keep the record (post-mortem
+                # trail) but do not skip the shard -- resume retries it.
+                self.quarantined_records += 1
+            else:
+                self._merge(record.shard, record.costs)
+                self.resumed_records += 1
+                _R_RESUMED_RECORDS.inc()
         if self.dropped_records:
-            # Compact: rewrite only the valid prefix atomically so the
+            # Compact: rewrite only the valid records atomically so the
             # next append lands on a clean file.
-            text = checksum_line(self._header_payload()) + "".join(
-                checksum_line(p) for p in valid_payloads
+            text = self._header.line() + "".join(
+                checksum_line(r.payload) for r in records if r is not None
             )
             atomic_write_text(self._path, text, fsync=self._fsync)
 
-    @staticmethod
-    def _parse_quarantine(payload: str) -> bool:
-        """Whether a framed payload is a well-formed quarantine record."""
-        try:
-            data = json.loads(payload)
-        except ValueError:
-            return False
-        return (
-            isinstance(data, dict)
-            and data.get("kind") == "quarantine"
-            and all(k in data for k in ("label", "x", "lo", "hi", "reason"))
-        )
-
-    @staticmethod
-    def _parse_record(
-        payload: str,
-    ) -> Optional[Tuple[str, int, int, List[float]]]:
-        try:
-            data = json.loads(payload)
-            label = str(data["label"])
-            x = int(data["x"])
-            lo = int(data["lo"])
-            hi = int(data["hi"])
-            costs = [float(c) for c in data["costs"]]
-        except (ValueError, KeyError, TypeError):
-            return None
-        if hi - lo != len(costs):
-            return None
-        return label, x, lo, costs
+    def _merge(self, shard: ShardId, costs: Sequence[float]) -> None:
+        cell = self._cells.setdefault(shard.cell, {})
+        for offset, cost in enumerate(costs):
+            cell[shard.lo + offset] = float(cost)
 
     def _open(self) -> Any:
         if self._fh is None:
             if not self._path.exists():
                 atomic_write_text(
-                    self._path,
-                    checksum_line(self._header_payload()),
-                    fsync=self._fsync,
+                    self._path, self._header.line(), fsync=self._fsync
                 )
             self._fh = open(self._path, "a", encoding="utf-8")
         return self._fh
 
-    def record(
-        self, label: str, x: int, lo: int, hi: int, costs: Sequence[float]
-    ) -> None:
-        """Durably append one completed shard (flush + batched fsync)."""
-        payload = json.dumps(
-            {"label": label, "x": int(x), "lo": int(lo), "hi": int(hi),
-             "costs": [float(c) for c in costs]},
-            separators=(",", ":"),
-        )
+    def _append(self, record: Dict[str, Any]) -> None:
+        """Frame one record and append it: flush now, fsync on cadence."""
+        line = checksum_line(json.dumps(record, separators=(",", ":")))
         with _R_JOURNAL_TIMER.time():
             fh = self._open()
-            fh.write(checksum_line(payload))
+            fh.write(line)
             fh.flush()
             now = time.monotonic()
             if self._fsync and now - self._last_fsync >= self._fsync_interval:
                 os.fsync(fh.fileno())
                 self._last_fsync = now
-        cell = self._cells.setdefault((label, int(x)), {})
-        for offset, cost in enumerate(costs):
-            cell[int(lo) + offset] = float(cost)
+
+    def record(self, shard: ShardId, costs: Sequence[float]) -> None:
+        """Durably append one completed shard (flush + batched fsync)."""
+        costs = [float(c) for c in costs]
+        self._append({**shard._asdict(), "costs": costs})
+        self._merge(shard, costs)
         self.appended_records += 1
         _R_JOURNAL_RECORDS.inc()
 
-    def record_quarantine(
-        self, label: str, x: int, lo: int, hi: int, reason: str
-    ) -> None:
+    def record_quarantine(self, shard: ShardId, reason: str) -> None:
         """Durably append a quarantine record for a given-up shard.
 
         Quarantine records share the journal's CRC framing and survive
@@ -405,31 +429,17 @@ class ShardJournal:
         info`` so an operator can see *why* a crashed run was degraded
         without reconstructing it from logs.
         """
-        payload = json.dumps(
-            {"kind": "quarantine", "label": label, "x": int(x),
-             "lo": int(lo), "hi": int(hi), "reason": str(reason)},
-            separators=(",", ":"),
-        )
-        with _R_JOURNAL_TIMER.time():
-            fh = self._open()
-            fh.write(checksum_line(payload))
-            fh.flush()
-            now = time.monotonic()
-            if self._fsync and now - self._last_fsync >= self._fsync_interval:
-                os.fsync(fh.fileno())
-                self._last_fsync = now
+        self._append({**shard._asdict(), "quarantine": str(reason)})
         self.quarantined_records += 1
 
-    def lookup(
-        self, label: str, x: int, lo: int, hi: int
-    ) -> Optional[List[float]]:
-        """Recorded per-run costs for ``[lo, hi)``, or ``None`` if any
-        run in the range is missing (shard must then be recomputed)."""
-        cell = self._cells.get((label, int(x)))
+    def lookup(self, shard: ShardId) -> Optional[List[float]]:
+        """Recorded per-run costs for the shard's run block, or ``None``
+        if any run in it is missing (the shard must then be recomputed)."""
+        cell = self._cells.get(shard.cell)
         if cell is None:
             return None
         try:
-            return [cell[run] for run in range(int(lo), int(hi))]
+            return [cell[run] for run in range(shard.lo, shard.hi)]
         except KeyError:
             return None
 
@@ -462,53 +472,28 @@ def journal_summary(path: os.PathLike | str) -> Optional[Dict[str, Any]]:
         ``None`` when the file is missing or its header is unreadable;
         otherwise a dict with ``exp_id``, ``key``, ``format``,
         ``shard_records``, ``quarantined_records``, ``corrupt_records``,
-        ``cells`` (distinct ``(label, x)`` grid points with journalled
-        costs) and ``runs`` (total individual run costs recorded).
+        ``cells`` (distinct grid cells with journalled costs) and
+        ``runs`` (total individual run costs recorded).
     """
-    file = Path(path)
-    try:
-        lines = file.read_text(encoding="utf-8").splitlines()
-    except OSError:
+    read = _read_journal(Path(path))
+    if read is None or read[0] is None:
         return None
-    if not lines:
-        return None
-    header = parse_checksum_line(lines[0])
-    if header is None:
-        return None
-    try:
-        meta = json.loads(header)
-    except ValueError:
-        return None
-    if not isinstance(meta, dict):
-        return None
-    shard_records = 0
-    quarantined = 0
-    corrupt = 0
-    cells: Dict[Tuple[str, int], set] = {}
-    for line in lines[1:]:
-        payload = parse_checksum_line(line)
-        if payload is None:
-            corrupt += 1
-            continue
-        if ShardJournal._parse_quarantine(payload):
-            quarantined += 1
-            continue
-        record = ShardJournal._parse_record(payload)
-        if record is None:
-            corrupt += 1
-            continue
-        label, x, lo, costs = record
-        shard_records += 1
-        cells.setdefault((label, x), set()).update(
-            range(lo, lo + len(costs))
+    header, records = read
+    shards = [r for r in records if r is not None and r.costs is not None]
+    cells: Dict[Tuple[int, int, int, str, int], set] = {}
+    for record in shards:
+        cells.setdefault(record.shard.cell, set()).update(
+            range(record.shard.lo, record.shard.hi)
         )
     return {
-        "exp_id": meta.get("exp_id"),
-        "key": meta.get("key"),
-        "format": meta.get("format"),
-        "shard_records": shard_records,
-        "quarantined_records": quarantined,
-        "corrupt_records": corrupt,
+        "exp_id": header.exp_id,
+        "key": header.key,
+        "format": header.format,
+        "shard_records": len(shards),
+        "quarantined_records": sum(
+            1 for r in records if r is not None and r.costs is None
+        ),
+        "corrupt_records": records.count(None),
         "cells": len(cells),
         "runs": sum(len(runs) for runs in cells.values()),
     }
@@ -638,8 +623,7 @@ class RunContext:
         """Journal hit for ``task``'s run block, or ``None``."""
         if self.journal is None:
             return None
-        label, x, lo, hi = shard_coords(task)
-        costs = self.journal.lookup(label, x, lo, hi)
+        costs = self.journal.lookup(shard_id(task))
         if costs is not None:
             _R_RESUME_SKIPS.inc()
         return costs
@@ -647,8 +631,7 @@ class RunContext:
     def record_shard(self, task: Any, costs: Sequence[float]) -> None:
         """Durably journal ``task``'s completed run block."""
         if self.journal is not None:
-            label, x, lo, hi = shard_coords(task)
-            self.journal.record(label, x, lo, hi, costs)
+            self.journal.record(shard_id(task), costs)
 
     def mark_degraded(self, task: Any, reason: str) -> None:
         """Record a quarantined shard for the degraded report.
@@ -662,7 +645,7 @@ class RunContext:
             f"{label!r} x={x} runs [{lo},{hi}): {reason}"
         )
         if self.journal is not None:
-            self.journal.record_quarantine(label, x, lo, hi, reason)
+            self.journal.record_quarantine(shard_id(task), reason)
 
 
 _ACTIVE: Optional[RunContext] = None

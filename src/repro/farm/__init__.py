@@ -17,11 +17,14 @@ byte-identically to a serial ``--backend local`` run.
 Module map:
 
 * :mod:`repro.farm.spool` -- spool directory layout, framed shard
-  descriptors, the :class:`~repro.farm.spool.ShardStore`.
+  descriptors, the :class:`~repro.farm.spool.ShardStore` (the result
+  cache's checksummed store, keyed by :func:`~repro.farm.spool.shard_key`).
 * :mod:`repro.farm.lease` -- lease files, heartbeats, worker
   registration, staleness checks.
-* :mod:`repro.farm.worker` -- the worker loop and its CLI entry point
-  (``python -m repro.farm.worker`` / ``tcast-experiments farm worker``).
+* :mod:`repro.farm.worker` -- the worker loop and the one worker command
+  line (flags, logging, SIGTERM/SIGINT handling) behind both
+  ``python -m repro.farm.worker SPOOL`` and ``tcast-experiments farm
+  worker --spool SPOOL``.
 * :mod:`repro.farm.coordinator` -- the coordinator loop
   (:class:`~repro.farm.coordinator.FarmCoordinator`) that the sweep
   engine drives through :class:`repro.experiments.resilience.RunContext`.

@@ -73,6 +73,7 @@ from repro.experiments.resilience import (
     ShardOutcome,
     SupervisionPolicy,
     shard_coords,
+    shard_id,
 )
 from repro.farm import lease as leasemod
 from repro.farm.lease import Lease, LeaseState
@@ -349,8 +350,7 @@ class FarmCoordinator:
         states: Dict[str, _ShardState] = {}
         queue: Deque[_ShardState] = deque()
         for idx, task in items:
-            label, x, lo, hi = shard_coords(task)
-            key = shard_key(self.run_key, label, x, lo, hi)
+            key = shard_key(self.run_key, shard_id(task))
             state = _ShardState(idx=idx, key=key, task=task, fn=fn)
             states[key] = state
             # Seed from the store first: a previous coordinator (or an

@@ -16,19 +16,22 @@ and every worker (same host, or any host mounting the same filesystem)::
 Everything durable goes through :mod:`repro.experiments.atomicio`:
 descriptor, manifest and store writes are atomic (unique tmp +
 ``os.replace``), so a crash at any point leaves whole files or no
-files, never truncated ones.  Shard descriptors and store entries are
-**content-keyed** by :func:`shard_key` -- a SHA-256 over the run's own
-content key (config + seed + code fingerprint, the same derivation as
-:func:`repro.experiments.cache.cache_key`) plus the shard coordinates
--- so a stale spool can never leak work or results into a different
-computation, and a restarted coordinator regenerates byte-identical
-file names.
+files, never truncated ones.  The manifest is the same framed
+:class:`~repro.experiments.atomicio.RunHeader` line that opens a run
+journal.  Shard descriptors and store entries are **content-keyed** by
+:func:`shard_key` -- a SHA-256 over the run's own content key (config +
+seed + code fingerprint, the same derivation as
+:func:`repro.experiments.cache.cache_key`) plus the shard's
+:class:`~repro.experiments.resilience.ShardId` -- so a stale spool can
+never leak work or results into a different computation, and a
+restarted coordinator regenerates byte-identical file names.
 
-The :class:`ShardStore` generalises
-:class:`repro.experiments.cache.ResultCache` down to shard granularity:
-entries embed a SHA-256 checksum verified on every read, and corrupt
-entries are quarantined (with unique, never-clobbered names) and
-recomputed instead of crashing the run or silently poisoning it.
+The :class:`ShardStore` is the result cache's
+:class:`~repro.experiments.atomicio.ChecksummedStore` at shard
+granularity: entries embed a SHA-256 checksum verified on every read,
+and a rejected entry is counted, quarantined (with a unique,
+never-clobbered name) and recomputed instead of crashing the run or
+silently poisoning it.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.experiments.atomicio import (
+    ChecksummedStore,
+    RunHeader,
     atomic_write_bytes,
     atomic_write_text,
-    checksum_line,
-    parse_checksum_line,
-    quarantine_file,
 )
+from repro.experiments.resilience import ShardId
 
 #: Spool layout version (bumped on incompatible changes; a mismatched
 #: manifest discards the spool instead of resuming from it).
@@ -64,24 +67,22 @@ WORKERS_DIRNAME = "workers"
 STORE_DIRNAME = "store"
 
 
-def shard_key(run_key: str, label: str, x: int, lo: int, hi: int) -> str:
-    """Content key of one shard: run key + shard coordinates.
+def shard_key(run_key: str, shard: ShardId) -> str:
+    """Content key of one shard: run key + shard identity.
 
     Args:
         run_key: The run's content key (config + seed + code
             fingerprint -- :func:`repro.experiments.cache.cache_key`).
-        label: Sweep curve label.
-        x: Grid point.
-        lo: First run index of the block (inclusive).
-        hi: Last run index of the block (exclusive).
+        shard: The shard's identity
+            (:func:`repro.experiments.resilience.shard_id`): engine
+            seed, ``n`` and threshold, label, ``x`` and run block.
 
     Returns:
         A hex digest.  Equal keys guarantee bit-identical shard costs,
         which is what makes duplicate completions harmless.
     """
     payload = json.dumps(
-        {"run": run_key, "label": label, "x": int(x),
-         "lo": int(lo), "hi": int(hi)},
+        {"run": run_key, **shard._asdict()},
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
@@ -180,94 +181,41 @@ class StoreEntry:
         return entry
 
 
-class ShardStore:
+class ShardStore(ChecksummedStore):
     """Content-addressed, checksummed store of completed shards.
 
     The farm's source of truth (together with the run journal): workers
     write entries with :meth:`store`, the coordinator collects them with
     :meth:`load`, and a coordinator restarted after a crash rebuilds its
     state purely from what it finds here.  Writes are atomic, reads are
-    checksum-verified, and corrupt files are quarantined under unique
+    checksum-verified, and rejected files are quarantined under unique
     names (a recomputed replacement that is *also* corrupt quarantines
-    again instead of clobbering the first post-mortem sample).
+    again instead of clobbering the first post-mortem sample); see
+    :class:`~repro.experiments.atomicio.ChecksummedStore`.
 
     Args:
         directory: Store root (created lazily on first write).
     """
-
-    #: Subdirectory corrupt entries are parked in (never read back).
-    QUARANTINE_DIRNAME = ".quarantine"
-
-    def __init__(self, directory: os.PathLike | str) -> None:
-        self._dir = Path(directory)
-        #: Corrupt entries seen by this instance (coordinator metrics).
-        self.corrupt = 0
-
-    @property
-    def directory(self) -> Path:
-        """The store root."""
-        return self._dir
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where corrupt entries are moved for post-mortem inspection."""
-        return self._dir / self.QUARANTINE_DIRNAME
-
-    def path(self, key: str) -> Path:
-        """The entry file for shard ``key``."""
-        return self._dir / f"{key}.json"
-
-    @staticmethod
-    def _checksum(payload: Dict[str, Any]) -> str:
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
     def store(self, entry: StoreEntry) -> Path:
         """Atomically write ``entry`` under its content key.
 
         Concurrent writers (a reclaimed worker racing its replacement)
         are harmless: shard costs derive statelessly from the shard
-        coordinates, so every correct writer produces the same payload
-        and the last atomic ``os.replace`` wins with identical bytes.
+        identity, so every correct writer produces the same payload and
+        the last atomic ``os.replace`` wins with identical bytes.
         """
-        payload = entry.to_payload()
-        envelope = {"checksum": self._checksum(payload), "entry": payload}
-        path = self.path(entry.key)
-        atomic_write_text(path, json.dumps(envelope, indent=2))
-        return path
+        return self.write(entry.key, entry.to_payload())
 
     def load(self, key: str) -> Optional[StoreEntry]:
         """Return the verified entry for ``key``, or ``None``.
 
         A missing file is a plain miss.  An unreadable, unparseable or
-        checksum-mismatched file is quarantined (unique name) and
-        reported as a miss -- the coordinator then re-leases the shard.
+        checksum-mismatched file is counted in :attr:`corrupt`,
+        quarantined (unique name) and reported as a miss -- the
+        coordinator then re-leases the shard.
         """
-        path = self.path(key)
-        if not path.is_file():
-            return None
-        try:
-            data = json.loads(path.read_text())
-            payload = data["entry"]
-            if self._checksum(payload) != data["checksum"]:
-                raise ValueError(f"store entry {path.name}: checksum mismatch")
-            return StoreEntry.from_payload(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            quarantine_file(path, self.quarantine_dir)
-            self.corrupt += 1
-            return None
-
-    def entry_count(self) -> int:
-        """Number of entries currently on disk."""
-        if not self._dir.is_dir():
-            return 0
-        return sum(1 for _ in self._dir.glob("*.json"))
-
-    def quarantine_count(self) -> int:
-        """Number of corrupt entries parked in the quarantine directory."""
-        if not self.quarantine_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.quarantine_dir.iterdir())
+        return self.read(key, StoreEntry.from_payload)
 
 
 class Spool:
@@ -330,13 +278,6 @@ class Spool:
 
     # -- manifest ----------------------------------------------------------
 
-    def _manifest_payload(self, exp_id: str, key: str) -> str:
-        return json.dumps(
-            {"format": SPOOL_FORMAT, "exp_id": exp_id, "key": key},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
     def write_manifest(self, exp_id: str, key: str) -> None:
         """Create the spool layout and its CRC-framed manifest."""
         for directory in (
@@ -345,8 +286,7 @@ class Spool:
         ):
             directory.mkdir(parents=True, exist_ok=True)
         atomic_write_text(
-            self.manifest_path,
-            checksum_line(self._manifest_payload(exp_id, key)),
+            self.manifest_path, RunHeader(SPOOL_FORMAT, exp_id, key).line()
         )
 
     def manifest_matches(self, exp_id: str, key: str) -> bool:
@@ -356,15 +296,11 @@ class Spool:
         spool belongs to another computation (or none) and must be
         discarded rather than resumed.
         """
-        if not self.manifest_path.is_file():
-            return False
         try:
-            payload = parse_checksum_line(
-                self.manifest_path.read_text(encoding="utf-8").splitlines()[0]
-            )
+            first = self.manifest_path.read_text(encoding="utf-8").splitlines()[0]
         except (OSError, IndexError):
             return False
-        return payload == self._manifest_payload(exp_id, key)
+        return RunHeader.parse(first) == RunHeader(SPOOL_FORMAT, exp_id, key)
 
     def discard(self) -> None:
         """Delete the whole spool tree (after a fully successful run)."""

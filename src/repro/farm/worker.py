@@ -1,8 +1,8 @@
 """The farm worker: claim leased shards, heartbeat, publish results.
 
 A worker is an independent OS process (spawned by the coordinator or
-launched by hand -- ``tcast-experiments farm worker --spool DIR`` /
-``python -m repro.farm.worker DIR``) that:
+launched by hand -- ``python -m repro.farm.worker DIR`` /
+``tcast-experiments farm worker --spool DIR``) that:
 
 1. registers itself under ``<spool>/workers/`` and heartbeats that
    registration for as long as it lives,
@@ -34,6 +34,10 @@ Workers never touch the run journal or the final CSV; aggregation is
 the coordinator's job, which is what keeps the farm's output
 byte-identical to a serial run no matter how many workers died,
 duplicated work, or raced on a lease.
+
+Both command lines share :func:`add_worker_arguments` (the flags) and
+:func:`run_worker` (logging, and SIGTERM/SIGINT handlers that exit 0
+and deregister); only the spool's spelling differs.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import traceback
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.experiments.resilience import ShardOutcome, shard_coords
 from repro.farm import lease as leasemod
 from repro.farm.spool import Spool, StoreEntry
 
@@ -210,39 +215,32 @@ class FarmWorker:
         fn, task = descriptor
         heartbeat.set_lease(self.spool.lease_path(key))
         try:
-            outcome = fn(task)
-            entry = StoreEntry(
-                key=key,
-                label=str(getattr(task, "label", "?")),
-                x=int(getattr(task, "x", -1)),
-                lo=int(getattr(task, "run_lo", -1)),
-                hi=int(getattr(task, "run_hi", -1)),
-                worker=self.worker_id,
-                attempt=granted.attempt,
-                costs=tuple(outcome.costs) if outcome.costs is not None else None,
-                snapshot=(
-                    outcome.snapshot.to_dict()
-                    if outcome.snapshot is not None
-                    else None
-                ),
-                error_type=outcome.error_type,
-                remote_traceback=outcome.remote_traceback,
-            )
+            outcome: ShardOutcome = fn(task)
         except Exception as exc:  # the guarded fn itself failed to load/run
-            entry = StoreEntry(
-                key=key,
-                label=str(getattr(task, "label", "?")),
-                x=int(getattr(task, "x", -1)),
-                lo=int(getattr(task, "run_lo", -1)),
-                hi=int(getattr(task, "run_hi", -1)),
-                worker=self.worker_id,
-                attempt=granted.attempt,
+            outcome = ShardOutcome(
                 error_type=type(exc).__name__,
                 remote_traceback=traceback.format_exc(),
             )
         finally:
             heartbeat.set_lease(None)
-        self.spool.store.store(entry)
+        label, x, lo, hi = shard_coords(task)
+        self.spool.store.store(StoreEntry(
+            key=key,
+            label=label,
+            x=x,
+            lo=lo,
+            hi=hi,
+            worker=self.worker_id,
+            attempt=granted.attempt,
+            costs=tuple(outcome.costs) if outcome.costs is not None else None,
+            snapshot=(
+                outcome.snapshot.to_dict()
+                if outcome.snapshot is not None
+                else None
+            ),
+            error_type=outcome.error_type,
+            remote_traceback=outcome.remote_traceback,
+        ))
         self.completed += 1
         self._release(granted)
 
@@ -280,13 +278,8 @@ class FarmWorker:
             leasemod.deregister_worker(self.spool, self.worker_id)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point: ``python -m repro.farm.worker SPOOL``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.farm.worker",
-        description="Run one sweep-farm worker against a spool directory.",
-    )
-    parser.add_argument("spool", type=Path, help="the run's spool directory")
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the worker's flags (all but the spool) on ``parser``."""
     parser.add_argument(
         "--worker-id", default=None,
         help="farm-wide unique worker id (default: w<pid>)",
@@ -306,13 +299,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="stale-coordinator seconds tolerated before exiting "
         "(0 disables the check)",
     )
-    args = parser.parse_args(argv)
+
+
+def run_worker(spool: Path, args: argparse.Namespace) -> int:
+    """Run one worker from parsed :func:`add_worker_arguments` flags;
+    SIGTERM/SIGINT call :meth:`FarmWorker.request_stop`."""
     logging.basicConfig(
         level=logging.INFO,
         format="%(asctime)s %(levelname)s %(message)s",
     )
     worker = FarmWorker(
-        args.spool,
+        spool,
         worker_id=args.worker_id,
         heartbeat_interval=args.heartbeat_interval,
         poll_interval=args.poll_interval,
@@ -327,6 +324,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
     return worker.run()
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Console entry point: ``python -m repro.farm.worker SPOOL``."""
+    parser = argparse.ArgumentParser(
+        prog="repro.farm.worker",
+        description="Run one sweep-farm worker against a spool directory.",
+    )
+    parser.add_argument("spool", type=Path, help="the run's spool directory")
+    add_worker_arguments(parser)
+    args = parser.parse_args(argv)
+    return run_worker(args.spool, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,9 +6,10 @@ import shlex
 
 import pytest
 
+from repro.experiments import ext_scaling
 from repro.experiments.cli import _resume_command, build_parser, main
 from repro.experiments.registry import get_experiment, list_experiments
-from repro.experiments.resilience import ShardJournal
+from repro.experiments.resilience import ShardId, ShardJournal
 
 
 class TestRegistry:
@@ -115,6 +116,21 @@ class TestFarmCli:
         assert parts[-1] == "--resume"
 
 
+class TestJournalledMultiEngineFigure:
+    def test_ext_scaling_journalled_equals_library_run(self, tmp_path):
+        """ext_scaling reuses its labels on one engine per n; a journal
+        keyed without the engine's seed and n replayed n=32's costs for
+        every larger n."""
+        out = tmp_path / "out"
+        argv = [
+            "run", "ext_scaling", "--runs", "10", "--no-cache",
+            "--journal-dir", str(tmp_path / "journal"), "--out", str(out),
+        ]
+        assert main(argv) == 0
+        expected = ext_scaling.run(runs=10).to_csv() + "\n"
+        assert (out / "ext_scaling.csv").read_text() == expected
+
+
 class TestJournalInfoCli:
     def test_reports_quarantined_and_record_counts(self, capsys, tmp_path):
         journal = ShardJournal(
@@ -123,9 +139,11 @@ class TestJournalInfoCli:
             key="k" * 64,
             fsync=False,
         )
-        journal.record("a", 1, 0, 2, [1.0, 2.0])
-        journal.record("a", 2, 0, 2, [3.0, 4.0])
-        journal.record_quarantine("a", 3, 0, 2, "worker died twice")
+        journal.record(ShardId(7, 16, 2, "a", 1, 0, 2), [1.0, 2.0])
+        journal.record(ShardId(7, 16, 2, "a", 2, 0, 2), [3.0, 4.0])
+        journal.record_quarantine(
+            ShardId(7, 16, 2, "a", 3, 0, 2), "worker died twice"
+        )
         journal.close()
         assert main(["journal", "info", "--journal-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -17,12 +17,12 @@ import logging
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.api import algorithm_factory
-from repro.experiments import resilience
+from repro.experiments import atomicio, resilience
 from repro.experiments.atomicio import (
     atomic_write_bytes,
     atomic_write_text,
@@ -34,6 +34,7 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     SweepEngine,
+    _SweepCellTask,
     shutdown_executors,
 )
 from repro.experiments.resilience import (
@@ -41,11 +42,14 @@ from repro.experiments.resilience import (
     GracefulShutdown,
     RunContext,
     ShardExecutionError,
+    ShardId,
     ShardJournal,
     ShardOutcome,
     SupervisionPolicy,
     run_supervised,
+    shard_id,
 )
+from repro.farm.spool import ShardStore, StoreEntry, shard_key
 from repro.group_testing.model import ModelSpec
 from repro.obs import get_registry
 
@@ -115,46 +119,51 @@ def _journal(path, **kwargs):
     return ShardJournal(path, **kwargs)
 
 
+def _shard(label, x, lo, hi):
+    """A journal identity on a fixed engine (seed 7, n 16, t 2)."""
+    return ShardId(7, 16, 2, label, x, lo, hi)
+
+
 class TestShardJournal:
     def test_record_lookup_roundtrip(self, tmp_path):
         j = _journal(tmp_path / "j")
-        j.record("algo", 4, 0, 3, [1.0, 2.0, 3.0])
-        assert j.lookup("algo", 4, 0, 3) == [1.0, 2.0, 3.0]
-        assert j.lookup("algo", 4, 0, 4) is None  # run 3 missing
-        assert j.lookup("algo", 5, 0, 3) is None
+        j.record(_shard("algo", 4, 0, 3), [1.0, 2.0, 3.0])
+        assert j.lookup(_shard("algo", 4, 0, 3)) == [1.0, 2.0, 3.0]
+        assert j.lookup(_shard("algo", 4, 0, 4)) is None  # run 3 missing
+        assert j.lookup(_shard("algo", 5, 0, 3)) is None
         j.close()
 
     def test_lookup_spans_shard_boundaries(self, tmp_path):
         """Per-run merging: any block covered by records is answerable."""
         j = _journal(tmp_path / "j")
-        j.record("algo", 4, 0, 4, [0.0, 1.0, 2.0, 3.0])
-        j.record("algo", 4, 4, 8, [4.0, 5.0, 6.0, 7.0])
-        assert j.lookup("algo", 4, 2, 6) == [2.0, 3.0, 4.0, 5.0]
-        assert j.lookup("algo", 4, 0, 8) == [float(i) for i in range(8)]
+        j.record(_shard("algo", 4, 0, 4), [0.0, 1.0, 2.0, 3.0])
+        j.record(_shard("algo", 4, 4, 8), [4.0, 5.0, 6.0, 7.0])
+        assert j.lookup(_shard("algo", 4, 2, 6)) == [2.0, 3.0, 4.0, 5.0]
+        assert j.lookup(_shard("algo", 4, 0, 8)) == [float(i) for i in range(8)]
         j.close()
 
     def test_resume_replays_records(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record("algo", 4, 0, 2, [1.5, 2.5])
+        j1.record(_shard("algo", 4, 0, 2), [1.5, 2.5])
         j1.close()
         j2 = _journal(path, resume=True)
         assert j2.resumed_records == 1
-        assert j2.lookup("algo", 4, 0, 2) == [1.5, 2.5]
+        assert j2.lookup(_shard("algo", 4, 0, 2)) == [1.5, 2.5]
         j2.close()
 
     def test_torn_tail_dropped_and_compacted(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record("algo", 4, 0, 2, [1.0, 2.0])
-        j1.record("algo", 8, 0, 2, [3.0, 4.0])
+        j1.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
+        j1.record(_shard("algo", 8, 0, 2), [3.0, 4.0])
         j1.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('deadbeef {"label":"algo","x":12,"lo":0,"hi')  # torn
         j2 = _journal(path, resume=True)
         assert j2.resumed_records == 2
         assert j2.dropped_records == 1
-        assert j2.lookup("algo", 12, 0, 2) is None
+        assert j2.lookup(_shard("algo", 12, 0, 2)) is None
         j2.close()
         # Compaction rewrote a fully valid file.
         lines = path.read_text().splitlines()
@@ -164,26 +173,26 @@ class TestShardJournal:
     def test_key_mismatch_starts_fresh(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path, key="a" * 64)
-        j1.record("algo", 4, 0, 2, [1.0, 2.0])
+        j1.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
         j1.close()
         j2 = _journal(path, key="b" * 64, resume=True)
         assert j2.resumed_records == 0
-        assert j2.lookup("algo", 4, 0, 2) is None
+        assert j2.lookup(_shard("algo", 4, 0, 2)) is None
         j2.close()
 
     def test_no_resume_discards_existing(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record("algo", 4, 0, 2, [1.0, 2.0])
+        j1.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
         j1.close()
         j2 = _journal(path, resume=False)
-        assert j2.lookup("algo", 4, 0, 2) is None
+        assert j2.lookup(_shard("algo", 4, 0, 2)) is None
         j2.close()
 
     def test_discard_removes_file(self, tmp_path):
         path = tmp_path / "j"
         j = _journal(path)
-        j.record("algo", 4, 0, 2, [1.0, 2.0])
+        j.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
         j.discard()
         assert not path.exists()
 
@@ -194,16 +203,16 @@ class TestJournalQuarantineRecords:
         satisfy a lookup: the resumed run retries the shard."""
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record("algo", 1, 0, 2, [1.0, 2.0])
-        j1.record_quarantine("algo", 2, 0, 2, "worker died twice")
+        j1.record(_shard("algo", 1, 0, 2), [1.0, 2.0])
+        j1.record_quarantine(_shard("algo", 2, 0, 2), "worker died twice")
         assert j1.quarantined_records == 1
         j1.close()
         j2 = _journal(path, resume=True)
         assert j2.resumed_records == 1
         assert j2.quarantined_records == 1
         assert j2.dropped_records == 0
-        assert j2.lookup("algo", 1, 0, 2) == [1.0, 2.0]
-        assert j2.lookup("algo", 2, 0, 2) is None  # retried, not skipped
+        assert j2.lookup(_shard("algo", 1, 0, 2)) == [1.0, 2.0]
+        assert j2.lookup(_shard("algo", 2, 0, 2)) is None  # retried, not skipped
         j2.close()
 
     def test_quarantine_survives_compaction(self, tmp_path):
@@ -211,8 +220,8 @@ class TestJournalQuarantineRecords:
         be preserved in the rewritten file."""
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record("algo", 1, 0, 2, [1.0, 2.0])
-        j1.record_quarantine("algo", 2, 0, 2, "hung pool")
+        j1.record(_shard("algo", 1, 0, 2), [1.0, 2.0])
+        j1.record_quarantine(_shard("algo", 2, 0, 2), "hung pool")
         j1.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('deadbeef {"label":"algo","x":9,"lo":0,"hi')  # torn
@@ -234,9 +243,9 @@ class TestJournalQuarantineRecords:
     def test_journal_summary_counts(self, tmp_path):
         path = tmp_path / "j"
         j = _journal(path)
-        j.record("algo", 1, 0, 2, [1.0, 2.0])
-        j.record("algo", 2, 0, 3, [1.0, 2.0, 3.0])
-        j.record_quarantine("algo", 3, 0, 2, "sick host")
+        j.record(_shard("algo", 1, 0, 2), [1.0, 2.0])
+        j.record(_shard("algo", 2, 0, 3), [1.0, 2.0, 3.0])
+        j.record_quarantine(_shard("algo", 3, 0, 2), "sick host")
         j.close()
         info = resilience.journal_summary(path)
         assert info is not None
@@ -252,6 +261,34 @@ class TestJournalQuarantineRecords:
         bad = tmp_path / "bad"
         bad.write_text("not a header\n")
         assert resilience.journal_summary(bad) is None
+
+
+class TestShardIdentity:
+    """Engines that differ only in seed, n or threshold never share a
+    shard: ext_scaling runs one engine per n with the same labels."""
+
+    @staticmethod
+    def _task(**changes):
+        task = _SweepCellTask(
+            seed=7, label="Sequential", x=0, n=32, threshold=8,
+            run_lo=0, run_hi=3, baseline=True,
+            factory=algorithm_factory("2tbins"),
+        )
+        return replace(task, **changes)
+
+    @pytest.mark.parametrize(
+        "change", [{"seed": 8}, {"n": 64}, {"threshold": 4}],
+        ids=["seed", "n", "threshold"],
+    )
+    def test_engines_never_share_shards(self, tmp_path, change):
+        a, b = self._task(), self._task(**change)
+        for i, (mine, other) in enumerate(((a, b), (b, a))):
+            ctx = RunContext(journal=_journal(tmp_path / f"j{i}"))
+            ctx.record_shard(mine, [1.0, 2.0, 3.0])
+            assert ctx.lookup_shard(mine) == [1.0, 2.0, 3.0]
+            assert ctx.lookup_shard(other) is None
+            ctx.journal.close()
+        assert shard_key("r", shard_id(a)) != shard_key("r", shard_id(b))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +316,7 @@ class TestCacheIntegrity:
         cache = ResultCache(tmp_path)
         path = cache.store("figX", {"runs": 2}, _result())
         data = json.loads(path.read_text())
-        data["result"]["title"] = "tampered"  # checksum now stale
+        data["payload"]["title"] = "tampered"  # checksum now stale
         path.write_text(json.dumps(data))
         assert cache.load("figX", {"runs": 2}) is None
         assert not path.exists()
@@ -303,6 +340,49 @@ class TestCacheIntegrity:
         path.write_text(json.dumps(data))
         assert cache.load("figX", {"runs": 2}) is None
         assert cache.quarantine_count() == 1
+
+
+def _rejecting_cache(tmp_path):
+    cache = ResultCache(tmp_path)
+    path = cache.store("figX", {"runs": 2}, _result())
+    return cache, path, lambda: cache.load("figX", {"runs": 2})
+
+
+def _rejecting_shard_store(tmp_path):
+    store = ShardStore(tmp_path)
+    entry = StoreEntry(
+        key="k" * 64, label="a", x=1, lo=0, hi=2, worker="w1", attempt=0,
+        costs=(1.0, 2.0),
+    )
+    path = store.store(entry)
+    return store, path, lambda: store.load(entry.key)
+
+
+class TestRejectedEntryPolicy:
+    """One quarantine policy for the cache and the farm store: a bad
+    entry is counted and reads as a miss, even when it cannot be moved
+    to the quarantine directory."""
+
+    @pytest.mark.parametrize(
+        "make", [_rejecting_cache, _rejecting_shard_store],
+        ids=["ResultCache", "ShardStore"],
+    )
+    def test_failed_quarantine_still_a_counted_miss(
+        self, tmp_path, monkeypatch, make
+    ):
+        store, path, load = make(tmp_path)
+        path.write_text("garbage")
+
+        def unwritable(src, qdir):
+            raise OSError("quarantine directory is read-only")
+
+        monkeypatch.setattr(atomicio, "quarantine_file", unwritable)
+        assert load() is None
+        assert store.corrupt == 1
+        assert path.exists()  # not moved, and still rejected next time
+        assert load() is None
+        assert store.corrupt == 2
+        assert store.quarantine_count() == 0
 
 
 # ---------------------------------------------------------------------------

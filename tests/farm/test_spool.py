@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.experiments.atomicio import quarantine_file
+from repro.experiments.resilience import ShardId
 from repro.farm.spool import ShardStore, Spool, StoreEntry, shard_key
 
 
@@ -35,22 +36,29 @@ def _entry(key="k" * 64, **kwargs):
     return StoreEntry(key=key, **kwargs)
 
 
+#: seed, n, threshold, label, x, lo, hi
+_SHARD = ShardId(7, 16, 2, "a", 1, 0, 4)
+
+
 class TestShardKey:
     def test_deterministic(self):
-        assert shard_key("r", "a", 1, 0, 4) == shard_key("r", "a", 1, 0, 4)
+        assert shard_key("r", _SHARD) == shard_key("r", ShardId(*_SHARD))
 
     @pytest.mark.parametrize(
         "other",
         [
-            ("r2", "a", 1, 0, 4),  # different run key
-            ("r", "b", 1, 0, 4),  # different label
-            ("r", "a", 2, 0, 4),  # different x
-            ("r", "a", 1, 1, 4),  # different lo
-            ("r", "a", 1, 0, 5),  # different hi
+            ("r2", _SHARD),  # different run key
+            ("r", _SHARD._replace(seed=8)),  # different engine seed
+            ("r", _SHARD._replace(n=32)),  # different n
+            ("r", _SHARD._replace(threshold=3)),  # different threshold
+            ("r", _SHARD._replace(label="b")),  # different label
+            ("r", _SHARD._replace(x=2)),  # different x
+            ("r", _SHARD._replace(lo=1)),  # different lo
+            ("r", _SHARD._replace(hi=5)),  # different hi
         ],
     )
     def test_distinct_per_coordinate(self, other):
-        assert shard_key("r", "a", 1, 0, 4) != shard_key(*other)
+        assert shard_key("r", _SHARD) != shard_key(*other)
 
 
 class TestStoreEntry:
@@ -98,7 +106,7 @@ class TestShardStore:
         entry = _entry()
         path = store.store(entry)
         data = json.loads(path.read_text())
-        data["entry"]["costs"] = [9.0, 9.0, 9.0]  # tamper, keep checksum
+        data["payload"]["costs"] = [9.0, 9.0, 9.0]  # tamper, keep checksum
         path.write_text(json.dumps(data))
         assert store.load(entry.key) is None
         assert store.corrupt == 1
@@ -178,7 +186,7 @@ class TestSpool:
         spool = Spool(tmp_path / "s")
         spool.write_manifest("figX", "k" * 64)
         task = _Task("algo", 3, 0, 5)
-        key = shard_key("k" * 64, task.label, task.x, 0, 5)
+        key = shard_key("k" * 64, _SHARD._replace(label=task.label, x=task.x, hi=5))
         spool.write_shard(key, _double, task)
         loaded = spool.read_shard(key)
         assert loaded is not None
@@ -189,7 +197,7 @@ class TestSpool:
     def test_damaged_descriptor_returns_none(self, tmp_path):
         spool = Spool(tmp_path / "s")
         spool.write_manifest("figX", "k" * 64)
-        key = shard_key("k" * 64, "a", 1, 0, 2)
+        key = shard_key("k" * 64, _SHARD._replace(hi=2))
         spool.write_shard(key, _double, _Task("a", 1, 0, 2))
         blob = spool.shard_path(key).read_bytes()
         spool.shard_path(key).write_bytes(blob[:-3])

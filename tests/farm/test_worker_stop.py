@@ -5,7 +5,9 @@ Regression suite for the PR-9 bugfix: the idle branch of
 ``poll_interval`` even when the STOP marker already existed, and the
 sleep was uninterruptible.  Shutdown latency is now bounded by delivery
 (:meth:`FarmWorker.request_stop`, wired to SIGTERM/SIGINT in ``main``)
-and the exit conditions are re-checked before going idle.
+and the exit conditions are re-checked before going idle.  Both worker
+command lines (``python -m repro.farm.worker`` and ``tcast-experiments
+farm worker``) install those handlers.
 """
 
 from __future__ import annotations
@@ -98,22 +100,48 @@ class TestEventBoundedStop:
         assert worker._should_exit(time.time()) == "stop requested"
 
 
+def _signal_registered_worker(command, reg, signum):
+    """Start a worker command line, wait for ``reg``, signal it.
+
+    Returns ``(exit code, seconds from signal to exit)``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(Path(__file__).resolve().parents[2] / "src")
+        + os.pathsep
+        + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", *command],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+    )
+    try:
+        deadline = time.monotonic() + 15.0
+        while not reg.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert reg.exists(), "worker subprocess never registered"
+        time.sleep(0.2)  # let it settle into the idle wait
+        started = time.monotonic()
+        proc.send_signal(signum)
+        rc = proc.wait(timeout=5.0)
+        return rc, time.monotonic() - started
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 class TestSignalBoundedStop:
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
     def test_signal_stops_a_sleeping_worker_sub_second(
         self, tmp_path, signum
     ):
         spool = _make_spool(tmp_path / "spool")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(Path(__file__).resolve().parents[2] / "src")
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        )
-        proc = subprocess.Popen(
+        reg = spool.workers_dir / "w-sig.reg"
+        rc, elapsed = _signal_registered_worker(
             [
-                sys.executable,
-                "-m",
                 "repro.farm.worker",
                 str(spool.root),
                 "--worker-id",
@@ -123,26 +151,33 @@ class TestSignalBoundedStop:
                 "--coordinator-grace",
                 "0",
             ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
+            reg,
+            signum,
         )
-        try:
-            reg = spool.workers_dir / "w-sig.reg"
-            deadline = time.monotonic() + 15.0
-            while not reg.exists() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert reg.exists(), "worker subprocess never registered"
-            time.sleep(0.2)  # let it settle into the idle wait
-            started = time.monotonic()
-            proc.send_signal(signum)
-            rc = proc.wait(timeout=5.0)
-            elapsed = time.monotonic() - started
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
         assert rc == 0
         assert elapsed < 2.0, f"signal stop took {elapsed:.2f}s"
         # Clean exit deregisters the worker.
+        assert not reg.exists()
+
+    def test_cli_worker_subcommand_stops_cleanly_on_sigterm(self, tmp_path):
+        """``tcast-experiments farm worker`` is the same worker: SIGTERM
+        exits 0 and deregisters instead of killing the process."""
+        spool = _make_spool(tmp_path / "spool")
+        reg = spool.workers_dir / "w-cli.reg"
+        rc, _ = _signal_registered_worker(
+            [
+                "repro.experiments.cli",
+                "farm",
+                "worker",
+                "--spool",
+                str(spool.root),
+                "--worker-id",
+                "w-cli",
+                "--coordinator-grace",
+                "0",
+            ],
+            reg,
+            signal.SIGTERM,
+        )
+        assert rc == 0
         assert not reg.exists()
