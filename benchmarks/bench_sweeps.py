@@ -479,7 +479,8 @@ def bench_vectorized(runs: int, *, reps: int, enforce_gate: bool) -> dict:
     """Scalar vs vectorized query curves: identical numbers, >=10x faster.
 
     Runs the two fig01 tcast query curves (2tBins and Exponential
-    Increase; the MAC baselines never touch the kernel) through
+    Increase; the floor is defined on these two, so the MAC baselines'
+    batch path is timed by the throughput leg, not here) through
     ``SweepEngine`` with ``vectorize=False`` and ``vectorize=True``.
     The legs are interleaved ``reps`` times and compared best-of-reps
     so both face the same noise environment -- a single back-to-back

@@ -99,6 +99,9 @@ class BatchThresholdDecider(Protocol):
     (:class:`~repro.core.probabilistic.ProbabilisticThreshold`);
     adaptive policies (ABNS and friends) are scalar-only.  The registry
     mirrors this capability as :attr:`repro.api.AlgorithmSpec.vectorized`.
+    The MAC baselines (:class:`~repro.mac.csma.CsmaBaseline`,
+    :class:`~repro.mac.tdma.SequentialOrdering`) implement it over
+    batches without a model, whose runs carry ``(pop, mac)`` streams.
     """
 
     @property

@@ -47,10 +47,8 @@ from repro.core.base import ThresholdDecider
 from repro.experiments import resilience
 from repro.experiments.resilience import ShardOutcome
 from repro.group_testing.model import ModelFactory
-from repro.group_testing.population import Population
 from repro.group_testing.vectorized import QueryBatch, dispatch_batch
 from repro.obs import MetricsSnapshot, get_registry
-from repro.sim.rng import RngRegistry
 from repro.viz.ascii import ascii_chart, render_table
 
 _LOG = logging.getLogger(__name__)
@@ -78,6 +76,8 @@ _S_PICKLE_TIMER = _OBS.timer("sweep.pickle_check")
 _S_DRAIN_TIMER = _OBS.timer("sweep.drain")
 _S_VEC_SHARDS = _OBS.counter("sweep.vectorized_shards")
 _S_VEC_FALLBACK = _OBS.counter("sweep.vectorized_fallback")
+_S_BASE_VEC_SHARDS = _OBS.counter("sweep.baseline_vectorized_shards")
+_S_BASE_FALLBACK = _OBS.counter("sweep.baseline_fallback")
 
 #: Process-wide default for the engine's vectorized dispatch (overridden
 #: per engine via ``SweepEngine(vectorize=...)``; the CLI's
@@ -102,7 +102,8 @@ def vectorized_dispatch() -> bool:
 AlgorithmFactory = Callable[[int], ThresholdDecider]
 
 #: A MAC-baseline factory: no arguments, returns a decider whose
-#: ``decide`` takes the population directly.
+#: ``decide`` takes the population directly (and whose ``decide_batch``
+#: takes a batch with no model).
 BaselineFactory = Callable[[], ThresholdDecider]
 
 
@@ -291,8 +292,8 @@ class _SweepCellTask:
     #: Whether the executing process may dispatch this shard to the
     #: vectorized kernel (ships with the task: worker processes cannot
     #: see the submitting process's engine configuration).  The scalar
-    #: fallback fires automatically when the algorithm, model or fault
-    #: configuration is not batch-capable (see
+    #: fallback fires automatically when the algorithm, baseline, model
+    #: or fault configuration is not batch-capable (see
     #: :func:`repro.group_testing.vectorized.dispatch_batch`).
     vectorize: bool = False
 
@@ -324,45 +325,38 @@ def _run_sweep_cell(
     shard_start = (
         time.perf_counter() if metrics.enabled else 0.0  # tcast-lint: disable=TCL002 -- harness profiling (shard wall time), never simulated time
     )
-    if task.baseline:
-        root = RngRegistry(task.seed)
-        costs = []
-        for run in range(task.run_lo, task.run_hi):
-            reg = root.fork(f"{task.label}/x{task.x}/r{run}")
-            pop = Population.from_count(task.n, task.x, reg.stream("pop"))
-            result = task.factory().decide(pop, task.threshold, reg.stream("mac"))
-            costs.append(float(result.queries))
-    else:
-        assert task.model_factory is not None
-        batch = QueryBatch.for_cell(
-            seed=task.seed,
-            label=task.label,
-            x=task.x,
-            n=task.n,
-            threshold=task.threshold,
-            run_lo=task.run_lo,
-            run_hi=task.run_hi,
-            model=task.model_factory,
-        )
-        out, path = dispatch_batch(
-            task.factory(task.x), batch, vectorize=task.vectorize
-        )
-        # Parity jobs read which path ran from these two counters.
-        if path == "kernel":
-            _S_VEC_SHARDS.inc()
-        elif path == "fallback":
-            _S_VEC_FALLBACK.inc()
-        if task.check_exactness and out.exact:
-            # A from_count population's ground truth is x >= t.
-            truth = task.x >= task.threshold
-            bad = np.flatnonzero(out.decisions != truth)
-            if bad.size:
-                raise AssertionError(
-                    f"{task.label}: wrong answer at x={task.x}, "
-                    f"t={task.threshold}, run={task.run_lo + int(bad[0])}: "
-                    f"got {bool(out.decisions[bad[0]])}, truth {truth}"
-                )
-        costs = [float(q) for q in out.queries]
+    # A baseline shard has no model factory: its batch carries the
+    # "pop"/"mac" stream layout and its decider reads the population.
+    batch = QueryBatch.for_cell(
+        seed=task.seed,
+        label=task.label,
+        x=task.x,
+        n=task.n,
+        threshold=task.threshold,
+        run_lo=task.run_lo,
+        run_hi=task.run_hi,
+        model=task.model_factory,
+    )
+    decider = task.factory() if task.baseline else task.factory(task.x)
+    out, path = dispatch_batch(decider, batch, vectorize=task.vectorize)
+    # Parity jobs read which path ran from these counters; baseline
+    # shards keep their own pair so sweep.vectorized_* count query
+    # curves only.
+    if path == "kernel":
+        (_S_BASE_VEC_SHARDS if task.baseline else _S_VEC_SHARDS).inc()
+    elif path == "fallback":
+        (_S_BASE_FALLBACK if task.baseline else _S_VEC_FALLBACK).inc()
+    if task.check_exactness and out.exact:
+        # A from_count population's ground truth is x >= t.
+        truth = task.x >= task.threshold
+        bad = np.flatnonzero(out.decisions != truth)
+        if bad.size:
+            raise AssertionError(
+                f"{task.label}: wrong answer at x={task.x}, "
+                f"t={task.threshold}, run={task.run_lo + int(bad[0])}: "
+                f"got {bool(out.decisions[bad[0]])}, truth {truth}"
+            )
+    costs = [float(q) for q in out.queries]
     if metrics.enabled:
         elapsed = time.perf_counter() - shard_start  # tcast-lint: disable=TCL002 -- harness profiling (shard wall time), never simulated time
         _S_SHARD_SECONDS.observe(elapsed)
@@ -431,7 +425,6 @@ class SweepEngine:
         self._threshold = threshold
         self._runs = runs
         self._seed = int(seed)
-        self._root = RngRegistry(seed)
         self._jobs = resolve_jobs(jobs)
         self._vectorize = (
             vectorized_dispatch() if vectorize is None else bool(vectorize)
@@ -624,7 +617,7 @@ class SweepEngine:
                 model_factory=model_factory,
                 check_exactness=check_exactness,
                 collect_metrics=collect_metrics,
-                vectorize=self._vectorize and not baseline,
+                vectorize=self._vectorize,
             )
             for (x, lo, hi) in shards
         ]
@@ -692,9 +685,19 @@ class SweepEngine:
         *,
         threshold: Optional[int] = None,
     ) -> Series:
-        """Mean slot cost of a MAC baseline (CSMA / sequential) sweep."""
+        """Mean slot cost of a MAC baseline (CSMA / sequential) sweep.
+
+        Decisions are checked against ``x >= t`` wherever the baseline
+        reports them exact (sequential ordering; CSMA's are not).
+        """
         return self._sweep(
-            label, xs, baseline_factory, None, threshold, baseline=True
+            label,
+            xs,
+            baseline_factory,
+            None,
+            threshold,
+            baseline=True,
+            check_exactness=True,
         )
 
 

@@ -15,7 +15,9 @@ The contract has three parts:
   the population ``choice``, one ``permutation`` per round, and (2+ only)
   the per-collision capture draws -- and nothing else.  Everything
   *between* draws (counting, verdicts, termination, elimination) is
-  vectorized.
+  vectorized.  A batch without a model belongs to a MAC baseline; its
+  runs carry ``(pop, mac)`` streams and its batch deciders live in
+  :mod:`repro.mac`.
 * **Verdict semantics.**  The single scalar verdict path
   (:meth:`repro.group_testing.model._BaseModel.query` plus each model's
   ``_observe``) is the semantics source this kernel mirrors; the round
@@ -81,8 +83,9 @@ _BIN_SIZE_EDGES_ARR = np.asarray(_BIN_SIZE_EDGES)
 #: Round safety valve, mirroring :attr:`ThresholdAlgorithm.max_rounds`.
 _MAX_ROUNDS = 10_000
 
-#: The ``(pop, model, bins)`` generator triple of one run.
-RunStreams = Tuple[np.random.Generator, np.random.Generator, np.random.Generator]
+#: One run's generators: ``(pop, model, bins)`` for a model-backed
+#: batch, ``(pop, mac)`` for a MAC-baseline batch (``model`` is ``None``).
+RunStreams = Tuple[np.random.Generator, ...]
 
 #: Pure bin-count schedule: round index -> requested bin count.
 Schedule = Callable[[int], int]
@@ -110,9 +113,11 @@ class QueryBatch:
         run_hi: Last run index (exclusive).
         model: Builds each run's query model from its population and
             model stream.  The kernel replays only a declarative
-            :class:`ModelSpec` and declines any other factory.
+            :class:`ModelSpec` and declines any other factory.  ``None``
+            marks a MAC-baseline batch: the decider reads each run's
+            population itself and draws on the run's ``"mac"`` stream.
         streams: Callable mapping an absolute run index to that run's
-            ``(pop, model, bins)`` generators.  The kernel consumes these
+            generators (:data:`RunStreams`).  The kernel consumes these
             exactly as the scalar path would.
         seed_info: Optional ``(root_seed, cell)`` pair declaring that run
             ``r``'s streams are the registry streams of
@@ -128,7 +133,7 @@ class QueryBatch:
     threshold: int
     run_lo: int
     run_hi: int
-    model: ModelFactory
+    model: Optional[ModelFactory]
     streams: Callable[[int], RunStreams]
     seed_info: Optional[Tuple[int, str]] = field(default=None)
 
@@ -148,20 +153,22 @@ class QueryBatch:
         threshold: int,
         run_lo: int,
         run_hi: int,
-        model: ModelFactory,
+        model: Optional[ModelFactory],
     ) -> "QueryBatch":
         """A batch over the sweep engine's per-run registry streams.
 
         Run ``r`` gets the generators
         ``RngRegistry(seed).fork(f"{label}/x{x}/r{r}")`` derives for the
-        names ``"pop"``/``"model"``/``"bins"`` -- the stream layout of
-        every sweep cell, on the kernel and the scalar path alike.
+        names ``"pop"``/``"model"``/``"bins"`` (``"pop"``/``"mac"`` when
+        ``model`` is ``None``) -- the stream layout of every sweep cell,
+        on the kernel and the scalar path alike.
         """
         root = RngRegistry(seed)
+        names = ("pop", "mac") if model is None else ("pop", "model", "bins")
 
         def streams(run: int) -> RunStreams:
             reg = root.fork(f"{label}/x{x}/r{run}")
-            return reg.stream("pop"), reg.stream("model"), reg.stream("bins")
+            return tuple(reg.stream(name) for name in names)
 
         return cls(
             n=n,
@@ -235,10 +242,12 @@ def dispatch_batch(
     and a decider that has ``decide_batch``, the kernel answers the whole
     batch or declines it with :class:`UnsupportedBatch`.  Otherwise, and
     after a decline, each run is decided on the scalar path over the same
-    ``batch.streams(run)`` triple: a ``from_count`` population on the pop
+    ``batch.streams(run)``: a ``from_count`` population on the pop
     stream, ``batch.model`` on the model stream, ``decide`` on the bins
-    stream.  Both paths give the same decisions, query counts and
-    ``exact`` whichever stream layout the batch uses.
+    stream.  A MAC baseline (``batch.model`` is ``None``) is handed the
+    population itself and its ``"mac"`` stream.  Both paths give the
+    same decisions, query counts and ``exact`` whichever stream layout
+    the batch uses.
 
     Returns:
         The decision and the :data:`BatchPath` taken.  The scalar loop's
@@ -264,11 +273,16 @@ def dispatch_batch(
     exact = True
     for i, run in enumerate(range(batch.run_lo, batch.run_hi)):
         try:
-            pop_rng, model_rng, bins_rng = batch.streams(run)
+            pop_rng, *rest = batch.streams(run)
             population = Population.from_count(batch.n, batch.x, pop_rng)
-            result = decider.decide(
-                batch.model(population, model_rng), batch.threshold, bins_rng
-            )
+            if batch.model is None:
+                (mac_rng,) = rest
+                result = decider.decide(population, batch.threshold, mac_rng)
+            else:
+                model_rng, bins_rng = rest
+                result = decider.decide(
+                    batch.model(population, model_rng), batch.threshold, bins_rng
+                )
         except Exception as exc:
             setattr(exc, "failed_run", run)
             raise
@@ -405,7 +419,7 @@ def _run_digits(lo: int, hi: int) -> List[bytes]:
     return _RUN_DIGITS[lo:hi]
 
 
-def _fast_states(
+def fast_states(
     batch: QueryBatch, names: Sequence[str], raw: Sequence[str] = ()
 ) -> Optional[Dict[str, Any]]:
     """Bulk-reconstructed PCG64 states for the named per-run streams.
@@ -440,6 +454,38 @@ def _fast_states(
         )
         for name, s in zip(names, seeds)
     }
+
+
+def mark_positives(
+    hit: np.ndarray,
+    pop: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    n: int,
+    x: int,
+) -> None:
+    """Mark each run's population draw in the rows of ``hit``.
+
+    ``hit`` is a zeroed, C-contiguous boolean ``(rows, width >= n)``
+    matrix and ``pop`` the rows' ``"pop"`` stream states as
+    :func:`fastseed.pcg64_raw` halves; row ``i`` gets ``True`` at the
+    ``x >= 1`` node ids :meth:`Population.from_count` draws.  The pop
+    stream is consumed by this one draw and nothing else, so
+    result-equality suffices: all the ``choice`` calls are emulated in
+    lockstep and scattered into the flat matrix.  Bulk cost grows with
+    the pull count (~2x) while the per-run loop's is nearly flat, so
+    large draws (x beyond ~n/2) stay on per-run generators.
+    """
+    rows, width = hit.shape
+    idx = (
+        fastseed.choice_bulk(pop, n, x)
+        if 2 * x <= n + 16 and fastseed.choice_available()
+        else None
+    )
+    if idx is not None:
+        hit.ravel()[idx + (np.arange(rows, dtype=np.int64) * width)[:, None]] = True
+        return
+    _POOL.reserve(1)
+    for i, (st, inc) in enumerate(fastseed.pairs_from_raw(pop)):
+        hit[i, _POOL.load(0, st, inc).choice(n, size=x, replace=False)] = True
 
 
 def _model_spec(batch: QueryBatch) -> ModelSpec:
@@ -514,7 +560,7 @@ def run_lockstep(
             if spec.capture_probability is not None
             else default_capture_probability
         )
-        states = _fast_states(batch, ("pop", "model", "bins"))
+        states = fast_states(batch, ("pop", "model", "bins"))
         if states is not None:
             _POOL.reserve(3)
         for i in range(batch.runs):
@@ -595,7 +641,7 @@ def _run_counting_batch(
     """
     n, threshold = batch.n, batch.threshold
     runs = batch.runs
-    states = _fast_states(
+    states = fast_states(
         batch, ("pop", "bins") if batch.x else ("bins",), raw=("pop",)
     )
     # Positive masks double as round-0 hit flags: the candidate list
@@ -608,28 +654,7 @@ def _run_counting_batch(
         _POOL.reserve(1 + runs)
         load = _POOL.load
         if batch.x:
-            # The pop stream is consumed by this one draw and nothing
-            # else, so result-equality suffices: emulate all the choice
-            # calls in lockstep and scatter into the flat hit matrix.
-            # Bulk cost grows with the pull count (~2x) while the
-            # per-run loop's is nearly flat, so large draws (x beyond
-            # ~n/2) stay on the per-run path.
-            idx = (
-                fastseed.choice_bulk(states["pop"], n, batch.x)
-                if 2 * batch.x <= n + 16 and fastseed.choice_available()
-                else None
-            )
-            if idx is not None:
-                hit.ravel()[
-                    idx + (np.arange(runs, dtype=np.int64) * (n + 1))[:, None]
-                ] = True
-            else:
-                for i, (st, inc) in enumerate(
-                    fastseed.pairs_from_raw(states["pop"])
-                ):
-                    hit[
-                        i, load(0, st, inc).choice(n, size=batch.x, replace=False)
-                    ] = True
+            mark_positives(hit, states["pop"], n, batch.x)
         bins_gens = [
             load(1 + i, st, inc) for i, (st, inc) in enumerate(states["bins"])
         ]
@@ -918,7 +943,7 @@ def run_probes(
     tally = _CellTally() if _OBS.enabled else None
     decisions = np.zeros(batch.runs, dtype=bool)
     queries = np.full(batch.runs, repeats, dtype=np.int64)
-    states = _fast_states(batch, ("pop", "bins"))
+    states = fast_states(batch, ("pop", "bins"))
     if states is not None:
         _POOL.reserve(2)
     for i in range(batch.runs):

@@ -292,14 +292,28 @@ def _pulls_from(
     return pulls
 
 
-def _pull_buffer(
-    raw: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], count: int
+def pull_block(
+    raw: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    count: int,
+    skip: int = 0,
 ) -> np.ndarray:
-    """Each generator's first ``count`` outputs, split into 32-bit pulls."""
+    """Outputs ``skip .. skip + count`` of every generator, as 32-bit pulls.
+
+    Returns the ``(2 * count, rows)`` uint64 matrix of the values a
+    freshly loaded generator's buffered ``next_uint32`` hands out after
+    ``skip`` 64-bit outputs: rows ``2k`` / ``2k + 1`` hold the low/high
+    half of output ``skip + k``.  A caller that does not know how many
+    pulls it needs grows its buffer block by block without recomputing
+    the prefix.  Whether numpy's bounded draws read this stream the way
+    such callers assume is checked by :func:`pulls_available`.
+    """
     state_hi, state_lo, inc_hi, inc_lo = raw
-    return _pulls_from(
-        _half_limbs(state_hi, state_lo), _half_limbs(inc_hi, inc_lo), count
-    )
+    s: Sequence[np.ndarray] = _half_limbs(state_hi, state_lo)
+    inc = _half_limbs(inc_hi, inc_lo)
+    if skip:
+        ak, bk = _jump_limbs(skip)
+        s = _lcg_jump(s, inc, tuple(ak[skip]), tuple(bk[skip]))
+    return _pulls_from(s, inc, count)
 
 
 class _PullsExhausted(Exception):
@@ -328,7 +342,7 @@ def choice_bulk(
         return None
     rows = int(raw[0].size)
     count = x + 4
-    pulls = _pull_buffer(raw, count).ravel()
+    pulls = pull_block(raw, count).ravel()
     limit = 2 * count
     rowix = np.arange(rows, dtype=np.int64)
     ptr = np.zeros(rows, dtype=np.int64)
@@ -424,6 +438,61 @@ def choice_available() -> bool:
         except Exception:
             _choice_verified = False
     return _choice_verified
+
+
+_pulls_verified: Optional[bool] = None
+
+
+def pulls_available() -> bool:
+    """Whether power-of-two bounded draws read :func:`pull_block`'s stream.
+
+    The contract a lockstep caller relies on: with ``w`` a power of two
+    no larger than ``2**32``, ``Generator.integers(0, w)`` consumes
+    exactly one buffered 32-bit pull and returns ``(pull * w) >> 32``
+    (Lemire's rejection threshold ``(2**32 - w) % w`` is zero), and
+    ``integers(0, 1)`` consumes none.  Replays sized fills of odd length
+    (so the buffered high half carries into the next call), scalar calls
+    and a block read past a skip against real generators.  Cached per
+    process.
+    """
+    global _pulls_verified
+    if _pulls_verified is None:
+        try:
+            if not available():
+                _pulls_verified = False
+            else:
+                seeds = [0, 1, 7, 2011, 123456789, (1 << 63) - 1]
+                raw = pcg64_raw(seeds)
+                pulls = np.concatenate(
+                    (pull_block(raw, 5), pull_block(raw, 7, skip=5))
+                )
+                widths = (2, 64, 1, 256, 1 << 31, 1 << 32, 8, 1024)
+                ok = True
+                for i, seed in enumerate(seeds):
+                    gen = np.random.Generator(
+                        np.random.PCG64(np.random.SeedSequence(seed))
+                    )
+                    got = [int(v) for v in gen.integers(0, 8, size=3)]
+                    got += [int(v) for v in gen.integers(0, 1, size=4)]
+                    got += [int(gen.integers(0, w)) for w in widths]
+                    got += [int(v) for v in gen.integers(0, 16, size=9)]
+                    col = [int(p) for p in pulls[:, i]]
+                    want = [(p * 8) >> 32 for p in col[:3]] + [0] * 4
+                    k = 3
+                    for w in widths:
+                        if w == 1:
+                            want.append(0)
+                        else:
+                            want.append((col[k] * w) >> 32)
+                            k += 1
+                    want += [(p * 16) >> 32 for p in col[k:k + 9]]
+                    if got != want:
+                        ok = False
+                        break
+                _pulls_verified = ok
+        except Exception:
+            _pulls_verified = False
+    return _pulls_verified
 
 
 def available() -> bool:

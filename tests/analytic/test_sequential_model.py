@@ -11,8 +11,10 @@ from repro.analytic.sequential_model import (
     anchor_order_statistic,
     expected_slots_sequential,
 )
+from repro.experiments.common import SweepEngine
 from repro.group_testing.population import Population
 from repro.mac.tdma import SequentialOrdering
+from repro.workloads.scenarios import x_sweep
 
 
 def simulated_mean(n, x, t, runs=400):
@@ -94,3 +96,22 @@ class TestExactness:
         n, t = 64, 8
         costs = [expected_slots_sequential(n, x, t) for x in (8, 16, 32, 64)]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
+
+
+class TestSweepOracle:
+    """The engine's Sequential curve against the exact expectation.
+
+    Bit-identity between the batch path and the scalar oracle cannot
+    catch a modelling bug the two share; the closed form can.
+    """
+
+    def test_fig01_curve_within_four_standard_errors(self):
+        n, t, runs = 128, 16, 400
+        xs = x_sweep(n)
+        series = SweepEngine(n, t, runs=runs, seed=2011).baseline_curve(
+            "Sequential", xs, SequentialOrdering
+        )
+        for x, mean, stderr in zip(xs, series.ys, series.stderr):
+            exact = expected_slots_sequential(n, x, t)
+            # x = 0 and x = n are deterministic (stderr 0): exact match.
+            assert abs(mean - exact) <= 4 * stderr + 1e-9, (x, mean, exact, stderr)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,24 @@ class TestSweepEngine:
         s = engine.baseline_curve("Seq", [0, 32], SequentialOrdering)
         assert s.y_at(0) == 32 - 4 + 1
         assert s.y_at(32) == 4
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_baseline_curve_checks_exact_decisions(self, vectorize):
+        engine = SweepEngine(32, 4, runs=5, seed=0, vectorize=vectorize)
+        with pytest.raises(AssertionError, match="wrong answer at x=8"):
+            engine.baseline_curve("Seq", [8], _InvertedSequential)
+
+
+class _InvertedSequential(SequentialOrdering):
+    """Claims exact verdicts, but inverts every one of them."""
+
+    def decide(self, population, threshold, rng):
+        result = super().decide(population, threshold, rng)
+        return replace(result, decision=not result.decision)
+
+    def decide_batch(self, batch):
+        out = super().decide_batch(batch)
+        return replace(out, decisions=~out.decisions)
 
 
 class TestModuleLevelWrappers:

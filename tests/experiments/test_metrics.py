@@ -19,6 +19,7 @@ import pytest
 from repro.experiments import cli, fig01_one_plus
 from repro.experiments.common import shutdown_executors
 from repro.obs import get_registry
+from repro.workloads.scenarios import x_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -95,6 +96,28 @@ class TestCrossProcessMerge:
         # The parallel run really took the pool path.
         assert parallel.counter("sweep.parallel_batches") > 0
         assert serial.counter("sweep.parallel_batches") == 0
+
+
+class TestBaselinePathCounters:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig01_baseline_shards_take_the_batch_path(self, jobs):
+        registry = get_registry()
+        registry.enable()
+        _fig01(jobs)
+        snapshot = registry.snapshot()
+
+        # CSMA and Sequential: one shard per grid point at this run count.
+        baseline_shards = 2 * len(x_sweep(fig01_one_plus.DEFAULT_N))
+        batched = snapshot.counter("sweep.baseline_vectorized_shards")
+        fallback = snapshot.counter("sweep.baseline_fallback")
+        assert batched + fallback == baseline_shards
+        assert batched == baseline_shards
+        # The query-curve pair still counts query-curve shards only, and
+        # the four path counters partition the shards.
+        query_shards = snapshot.counter("sweep.vectorized_shards") + snapshot.counter(
+            "sweep.vectorized_fallback"
+        )
+        assert query_shards + baseline_shards == snapshot.counter("sweep.shards")
 
 
 class TestReconciliation:
