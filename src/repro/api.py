@@ -90,13 +90,6 @@ class AlgorithmSpec:
             interval helpers do not; they expose ``count``/interval
             ``decide`` interfaces instead and cannot be made reliable or
             used by :func:`threshold_query`).
-        vectorized: Whether instances satisfy
-            :class:`~repro.core.base.BatchThresholdDecider`, i.e. can
-            execute whole Monte-Carlo cells on the vectorized kernel
-            (:mod:`repro.group_testing.vectorized`).  The sweep engine
-            consults this capability when dispatching cells; the
-            unwrapped reliability layer and adaptive bin policies stay
-            scalar.
     """
 
     key: str
@@ -104,7 +97,6 @@ class AlgorithmSpec:
     summary: str
     needs_x: bool = False
     decider: bool = True
-    vectorized: bool = False
 
 
 def _build_abns(**config: Any) -> Abns:
@@ -136,13 +128,11 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
             key="2tbins",
             build=TwoTBins,
             summary="Algorithm 1: fixed 2t bins per round",
-            vectorized=True,
         ),
         AlgorithmSpec(
             key="exponential",
             build=ExponentialIncrease,
             summary="Algorithm 2: exponential bin-count increase",
-            vectorized=True,
         ),
         AlgorithmSpec(
             key="abns",
@@ -176,7 +166,6 @@ REGISTRY: Dict[str, AlgorithmSpec] = {
             build=_build_prob_threshold,
             summary="Sec VI: O(1) bimodal probabilistic scheme "
             "(spec/delta/repeats)",
-            vectorized=True,
         ),
         AlgorithmSpec(
             key="counting",
@@ -509,12 +498,12 @@ def threshold_query_batch(
     deterministic function of ``(seed, r)`` regardless of batch size.
 
     When the algorithm is batch-capable
-    (:class:`~repro.core.base.BatchThresholdDecider`; see the registry's
-    ``vectorized`` flags) and no fault plan is active, the cell executes
-    on the vectorized kernel; otherwise every run takes the scalar path
-    over the *same* streams, so the two paths are interchangeable
-    bit for bit (:func:`~repro.group_testing.vectorized.dispatch_batch`
-    makes the choice).
+    (:class:`~repro.core.base.BatchThresholdDecider`) and no fault plan
+    is active, the cell executes on the vectorized kernel; otherwise
+    every run takes the scalar path over the *same* streams, so the two
+    paths are interchangeable bit for bit
+    (:func:`~repro.group_testing.vectorized.dispatch_batch` makes the
+    choice).
 
     Args:
         population_size: Number of participant nodes ``n``.
@@ -525,8 +514,7 @@ def threshold_query_batch(
         collision_model: ``"1+"``, ``"2+"`` or ``"k+"``.
         seed: Root seed of the spawn tree.
         max_queries: Optional per-run query budget.
-        fault_plan: Optional fault injection; an active plan is not
-            vectorizable (:attr:`FaultPlan.vectorizable`) and forces the
+        fault_plan: Optional fault injection; an active plan forces the
             scalar path.
         algorithm_options: Extra keyword configuration for the algorithm.
 
@@ -568,12 +556,11 @@ def threshold_query_batch(
         return plan.wrap_model(model_spec(population, rng))
 
     batch = QueryBatch.spawned(
-        seed=seed,
+        segments=[(seed, runs)],
         n=population_size,
         x=x,
         threshold=threshold,
-        runs=runs,
-        model=model_spec if plan.vectorizable else faulted_model,
+        model=faulted_model if plan else model_spec,
     )
-    decision, _ = dispatch_batch(algo, batch, vectorize=plan.vectorizable)
+    decision, _ = dispatch_batch(algo, batch, vectorize=not plan)
     return decision

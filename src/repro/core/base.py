@@ -97,9 +97,8 @@ class BatchThresholdDecider(Protocol):
     :class:`~repro.core.exponential.ExponentialIncrease`) and by the
     non-adaptive probabilistic scheme
     (:class:`~repro.core.probabilistic.ProbabilisticThreshold`);
-    adaptive policies (ABNS and friends) are scalar-only.  The registry
-    mirrors this capability as :attr:`repro.api.AlgorithmSpec.vectorized`.
-    The MAC baselines (:class:`~repro.mac.csma.CsmaBaseline`,
+    adaptive policies (ABNS and friends) are scalar-only.  The MAC
+    baselines (:class:`~repro.mac.csma.CsmaBaseline`,
     :class:`~repro.mac.tdma.SequentialOrdering`) implement it over
     batches without a model, whose runs carry ``(pop, mac)`` streams.
     """

@@ -10,8 +10,8 @@ rounds.
 
 from __future__ import annotations
 
-from repro.core.base import RoundOutcome, SessionState, ThresholdAlgorithm
-from repro.group_testing.vectorized import BatchDecision, QueryBatch, run_lockstep
+from repro.core.base import SessionState, ThresholdAlgorithm
+from repro.group_testing.vectorized import BatchDecision, QueryBatch, Schedule, run_lockstep
 
 
 class ExponentialIncrease(ThresholdAlgorithm):
@@ -50,48 +50,38 @@ class ExponentialIncrease(ThresholdAlgorithm):
         self._initial_bins = initial_bins
         self._growth = growth
         self._max_bins = max_bins
-        self._bin_num = initial_bins
 
-    def _reset(self, state: SessionState) -> None:
-        self._bin_num = self._initial_bins
+    def schedule(self, threshold: int) -> Schedule:
+        """The bin count of every round of a session with threshold ``t``.
+
+        Round ``r`` uses ``initial_bins * growth**r`` bins, clamped to the
+        cap (floored at ``t``).  The cap only ever clamps, so this equals
+        the running product of Algorithm 2's doubling.  The exponent is
+        clamped at 63: by then a round has at least as many bins as
+        candidates, queries singletons and resolves, and the clamp keeps
+        the Python ints small on pathological round counts.
+        """
+        initial, growth = self._initial_bins, self._growth
+        cap = None if self._max_bins is None else max(self._max_bins, threshold)
+
+        def bins(round_index: int) -> int:
+            count = initial * growth ** min(round_index, 63)
+            return count if cap is None else min(count, cap)
+
+        return bins
 
     def _bins_for_round(self, state: SessionState) -> int:
-        if self._max_bins is not None:
-            # Completeness floor: never cap below the threshold.
-            return min(self._bin_num, max(self._max_bins, state.threshold))
-        return self._bin_num
-
-    def _observe_round(self, state: SessionState, outcome: RoundOutcome) -> None:
-        nxt = self._bin_num * self._growth
-        if self._max_bins is not None:
-            nxt = min(nxt, max(self._max_bins, state.threshold))
-        self._bin_num = nxt
+        return self.schedule(state.threshold)(state.round_index)
 
     def decide_batch(self, batch: QueryBatch) -> BatchDecision:
         """Vectorized cell execution; bit-identical to :meth:`decide`.
 
-        The geometric doubling depends on nothing but the round index
-        (the cap only ever clamps, so capping the *schedule* equals
-        capping the doubling state), which makes the bin policy a pure
-        schedule the lockstep kernel can replay.
+        The bin policy is a pure :meth:`schedule` of the round index,
+        which the lockstep kernel replays.
         """
-        initial, growth = self._initial_bins, self._growth
-        cap = (
-            max(self._max_bins, batch.threshold)
-            if self._max_bins is not None
-            else None
-        )
-
-        def schedule(round_index: int) -> int:
-            # Clamp the exponent: beyond 2**63 bins the effective count
-            # is the candidate count either way, and the clamp keeps the
-            # Python ints small on pathological round counts.
-            bins = initial * growth ** min(round_index, 63)
-            return bins if cap is None else min(bins, cap)
-
         return run_lockstep(
             batch,
-            schedule,
+            self.schedule(batch.threshold),
             partition_strategy=self.partition_strategy,
             algorithm=self.name,
         )

@@ -12,7 +12,7 @@ bound of Sec IV-A.
 from __future__ import annotations
 
 from repro.core.base import SessionState, ThresholdAlgorithm
-from repro.group_testing.vectorized import BatchDecision, QueryBatch, run_lockstep
+from repro.group_testing.vectorized import BatchDecision, QueryBatch, Schedule, run_lockstep
 
 
 class TwoTBins(ThresholdAlgorithm):
@@ -30,9 +30,13 @@ class TwoTBins(ThresholdAlgorithm):
 
     name = "2tBins"
 
+    def schedule(self, threshold: int) -> Schedule:
+        """Every round uses ``2t`` bins (at least 2, for ``t <= 1``)."""
+        bins = max(2, 2 * threshold)
+        return lambda round_index: bins
+
     def _bins_for_round(self, state: SessionState) -> int:
-        """Always ``2t`` bins (at least 2, for the degenerate ``t=1``... ``2t=2``)."""
-        return max(2, 2 * state.threshold)
+        return self.schedule(state.threshold)(state.round_index)
 
     def decide_batch(self, batch: QueryBatch) -> BatchDecision:
         """Vectorized cell execution; bit-identical to :meth:`decide`.
@@ -40,10 +44,9 @@ class TwoTBins(ThresholdAlgorithm):
         The bin count is a constant of the session, so the whole cell
         runs on the lockstep kernel.
         """
-        bins = max(2, 2 * batch.threshold)
         return run_lockstep(
             batch,
-            lambda round_index: bins,
+            self.schedule(batch.threshold),
             partition_strategy=self.partition_strategy,
             algorithm=self.name,
         )

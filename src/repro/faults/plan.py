@@ -243,20 +243,6 @@ class FaultPlan:
         return self.enabled
 
     @property
-    def vectorizable(self) -> bool:
-        """Whether sessions under this plan may use the vectorized kernel.
-
-        Fault injection is a scalar-path feature: drop faults become a
-        ``detection_failure`` hook and observation faults wrap the model,
-        both of which draw per-query randomness the kernel does not
-        reproduce.  Any configured injector therefore reports the plan as
-        not vectorizable and batch callers
-        (:func:`repro.api.threshold_query_batch`, the sweep dispatcher)
-        fall back to the scalar oracle path.
-        """
-        return not self.enabled
-
-    @property
     def events(self) -> tuple[FaultEvent, ...]:
         """Faults that actually fired so far (injection ground truth)."""
         return tuple(self._events)

@@ -39,6 +39,7 @@ all call it.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass, field
 from typing import (
@@ -185,33 +186,56 @@ class QueryBatch:
     def spawned(
         cls,
         *,
-        seed: int,
+        segments: Sequence[Tuple[int, int]],
         n: int,
         x: int,
         threshold: int,
-        runs: int,
         model: ModelFactory,
     ) -> "QueryBatch":
         """A batch over ``Generator.spawn``-derived per-run streams.
 
-        ``default_rng(seed)`` is spawned into ``runs`` independent
-        children and each child into the run's ``(pop, model, bins)``
-        triple -- the stream layout of :func:`repro.api.threshold_query_batch`.
-        All children are derived eagerly so the per-run callable is pure.
+        ``segments`` lists ``(seed, runs)`` pairs laid end to end.  Run
+        ``r`` of a segment gets the ``(pop, model, bins)`` triple
+        ``default_rng(seed).spawn(runs)[r].spawn(3)`` -- the stream
+        layout of :func:`repro.api.threshold_query_batch` -- derived on
+        demand as ``SeedSequence(seed, spawn_key=(r, j))``, which is how
+        numpy spawns.  A run's streams therefore depend on its segment's
+        seed and its index within the segment alone, whatever else
+        shares the batch.
+
+        Raises:
+            ValueError: If a seed is negative, as ``default_rng`` would;
+                checked here so a bad seed fails where it is passed, not
+                inside the kernel.
         """
-        children = np.random.default_rng(seed).spawn(runs)
-        triples = [tuple(child.spawn(3)) for child in children]
+        seeds: List[int] = []
+        offsets: List[int] = []
+        total = 0
+        for seed, runs in segments:
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
+            seeds.append(seed)
+            offsets.append(total)
+            total += runs
 
         def streams(run: int) -> RunStreams:
-            pop, model_rng, bins = triples[run]
-            return pop, model_rng, bins
+            idx = bisect.bisect_right(offsets, run) - 1
+            seed, local = seeds[idx], run - offsets[idx]
+            return tuple(
+                np.random.Generator(
+                    np.random.PCG64(
+                        np.random.SeedSequence(seed, spawn_key=(local, j))
+                    )
+                )
+                for j in range(3)
+            )
 
         return cls(
             n=n,
             x=x,
             threshold=threshold,
             run_lo=0,
-            run_hi=runs,
+            run_hi=total,
             model=model,
             streams=streams,
         )

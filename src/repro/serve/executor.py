@@ -5,17 +5,19 @@ agreeing on :attr:`~repro.serve.request.QueryRequest.coalesce_key`
 (population shape, threshold, algorithm, collision model, reliability).
 :func:`execute_group` answers all of them at once:
 
-* The group's trials are concatenated into one
-  :class:`~repro.group_testing.vectorized.QueryBatch`.  Each request
-  keeps its *own* ``seed``-rooted spawn tree (the exact stream layout of
+* The group is one
+  :meth:`~repro.group_testing.vectorized.QueryBatch.spawned` batch with
+  one ``(seed, runs)`` segment per request.  Each request keeps its
+  *own* ``seed``-rooted spawn tree (the exact stream layout of
   :func:`repro.api.threshold_query_batch`), so run ``r`` of request
   ``q`` consumes the same generators whether ``q`` rides alone, with
   nine strangers, or on the scalar path -- coalescing is invisible in
   the answers, bit for bit.
 * :func:`~repro.group_testing.vectorized.dispatch_batch` answers the
-  batch in one call: on the vectorized kernel when the request is
-  vectorizable and the kernel accepts it, otherwise on the per-run
-  scalar loop :func:`repro.api.threshold_query_batch` also runs, with
+  batch in one call: on the vectorized kernel when the caller allows it
+  and the decider has ``decide_batch`` (and the kernel accepts the
+  batch), otherwise on the per-run scalar loop
+  :func:`repro.api.threshold_query_batch` also runs, with
   :func:`repro.api.make_algorithm` applying any reliability layer as
   server-side degradation.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from repro.api import make_algorithm
@@ -34,7 +37,6 @@ from repro.group_testing.model import ModelSpec
 from repro.group_testing.vectorized import (
     BatchDecision,
     QueryBatch,
-    RunStreams,
     dispatch_batch,
 )
 from repro.obs import get_registry
@@ -68,70 +70,19 @@ class QueryOutcome:
     batched: bool
 
 
-class _ConcatStreams:
-    """Maps a group-global run index onto the owning request's streams.
-
-    Request boundaries are precomputed as cumulative offsets; lookup is
-    a bisect plus the sub-batch's own ``streams`` call.  A class (not a
-    closure) so the callable is introspectable and picklable.
-    """
-
-    def __init__(self, batches: Sequence[QueryBatch]) -> None:
-        self._batches = list(batches)
-        self._offsets: List[int] = []
-        total = 0
-        for batch in self._batches:
-            self._offsets.append(total)
-            total += batch.runs
-        self.total = total
-
-    def owner(self, run: int) -> int:
-        """Index of the request that owns group-global run ``run``."""
-        return bisect.bisect_right(self._offsets, run) - 1
-
-    def __call__(self, run: int) -> RunStreams:
-        """The ``(pop, model, bins)`` triple of group-global run ``run``."""
-        idx = self.owner(run)
-        return self._batches[idx].streams(run - self._offsets[idx])
-
-
-def _model_spec(request: QueryRequest) -> ModelSpec:
-    """The declarative model configuration shared by both paths."""
-    return ModelSpec(kind=request.collision_model)
-
-
-def _spawned_batch(request: QueryRequest) -> QueryBatch:
-    """The request's private batch over its own spawn-tree streams."""
-    return QueryBatch.spawned(
-        seed=request.seed,
-        n=request.n,
-        x=request.x,
-        threshold=request.threshold,
-        runs=request.runs,
-        model=_model_spec(request),
-    )
-
-
 def _split(
-    requests: Sequence[QueryRequest], decision: BatchDecision, *, batched: bool
+    offsets: Sequence[int], decision: BatchDecision, *, batched: bool
 ) -> List[QueryOutcome]:
-    """Slice a concatenated :class:`BatchDecision` back per request."""
-    outcomes: List[QueryOutcome] = []
-    offset = 0
-    for request in requests:
-        stop = offset + request.runs
-        outcomes.append(
-            QueryOutcome(
-                decisions=tuple(
-                    bool(d) for d in decision.decisions[offset:stop]
-                ),
-                queries=tuple(int(q) for q in decision.queries[offset:stop]),
-                exact=decision.exact,
-                batched=batched,
-            )
+    """Slice a group's :class:`BatchDecision` back per request."""
+    return [
+        QueryOutcome(
+            decisions=tuple(bool(d) for d in decision.decisions[lo:hi]),
+            queries=tuple(int(q) for q in decision.queries[lo:hi]),
+            exact=decision.exact,
+            batched=batched,
         )
-        offset = stop
-    return outcomes
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
 
 
 def execute_group(
@@ -141,7 +92,8 @@ def execute_group(
 
     Args:
         requests: A non-empty group agreeing on ``coalesce_key``.
-        vectorize: Allow the vectorized kernel (tests and the benchmark
+        vectorize: Allow the vectorized kernel, which then runs when the
+            group's decider has ``decide_batch`` (tests and the benchmark
             force the scalar oracle with ``False``).
 
     Returns:
@@ -159,30 +111,34 @@ def execute_group(
                 f"coalesce-key mismatch in group: {request.coalesce_key} "
                 f"!= {lead.coalesce_key}"
             )
-    total_runs = sum(request.runs for request in requests)
+    # Request q owns the group-global runs offsets[q]:offsets[q + 1].
+    offsets = list(accumulate((r.runs for r in requests), initial=0))
     _BATCHES.inc()
-    _BATCH_RUNS.observe(float(total_runs))
-    streams = _ConcatStreams([_spawned_batch(r) for r in requests])
-    combined = QueryBatch(
+    _BATCH_RUNS.observe(float(offsets[-1]))
+    batch = QueryBatch.spawned(
+        segments=[(r.seed, r.runs) for r in requests],
         n=lead.n,
         x=lead.x,
         threshold=lead.threshold,
-        run_lo=0,
-        run_hi=streams.total,
-        model=_model_spec(lead),
-        streams=streams,
+        model=ModelSpec(kind=lead.collision_model),
     )
     try:
         algo = make_algorithm(lead.algorithm, reliable=lead.reliable)
         decision, path = dispatch_batch(
-            algo, combined, vectorize=vectorize and lead.vectorizable
+            algo,
+            batch,
+            vectorize=vectorize and hasattr(algo, "decide_batch"),
         )
     except Exception as exc:
         # A scalar run names its own request; anything else -- the kernel
         # fails the group as a unit, or the decider cannot be built --
         # blames the lead, the request whose claim formed the group.
         run = getattr(exc, "failed_run", None)
-        culprit = lead if run is None else requests[streams.owner(run)]
+        culprit = (
+            lead
+            if run is None
+            else requests[bisect.bisect_right(offsets, run) - 1]
+        )
         raise QueryExecutionError(
             f"execution of request {culprit.id!r} in a "
             f"{len(requests)}-request group failed: {exc!r}",
@@ -192,4 +148,4 @@ def execute_group(
         _BATCHED_REQUESTS.inc(len(requests))
     elif path == "fallback":
         _SCALAR_FALLBACKS.inc()
-    return _split(requests, decision, batched=path == "kernel")
+    return _split(offsets, decision, batched=path == "kernel")

@@ -82,7 +82,7 @@ class QueryRequest:
         runs: Number of Monte-Carlo trials to answer.
         algorithm: Registry name (see :data:`repro.api.REGISTRY`).
         collision_model: ``"1+"`` or ``"2+"``.
-        seed: Root seed of the request's private spawn tree.
+        seed: Root seed (``>= 0``) of the request's private spawn tree.
         reliable: Optional reliability shortcut (``"krepeat"`` /
             ``"chernoff"``); forces the scalar path.
         deadline_ms: Optional end-to-end latency budget in milliseconds,
@@ -124,15 +124,6 @@ class QueryRequest:
             self.collision_model,
             self.reliable,
         )
-
-    @property
-    def vectorizable(self) -> bool:
-        """Whether this request may ride the vectorized kernel.
-
-        Reliable sessions are scalar by design (the confirmation loop is
-        adaptive), as are registry entries without batch support.
-        """
-        return self.reliable is None and REGISTRY[self.algorithm].vectorized
 
     @classmethod
     def from_wire(cls, obj: Mapping[str, Any]) -> "QueryRequest":
@@ -180,6 +171,8 @@ class QueryRequest:
             raise RequestError(f"x must be in [0, n={n}], got {x}")
         if threshold < 0:
             raise RequestError(f"threshold must be >= 0, got {threshold}")
+        if seed < 0:
+            raise RequestError(f"seed must be >= 0, got {seed}")
         if not 1 <= runs <= MAX_RUNS_PER_REQUEST:
             raise RequestError(
                 f"runs must be in [1, {MAX_RUNS_PER_REQUEST}], got {runs}"

@@ -26,7 +26,6 @@ from repro.api import (
 from repro.core import (
     Abns,
     AdaptiveSplittingCounter,
-    BatchThresholdDecider,
     ChernoffConfirm,
     ExponentialIncrease,
     FourFoldIncrease,
@@ -102,20 +101,6 @@ class TestCompleteness:
         assert HELPER_NAMES == ["counting", "interval"]
         assert isinstance(_instance("counting"), AdaptiveSplittingCounter)
         assert isinstance(_instance("interval"), IntervalQuery)
-
-    @pytest.mark.parametrize("name", sorted(REGISTRY))
-    def test_vectorized_flag_matches_batch_protocol(self, name):
-        """spec.vectorized must agree with the instance's batch support."""
-        spec = REGISTRY[name]
-        algo = _instance(name)
-        supports_batch = isinstance(algo, BatchThresholdDecider) and hasattr(
-            algo, "decide_batch"
-        )
-        assert spec.vectorized == supports_batch, (
-            f"registry entry {name!r} declares vectorized={spec.vectorized} "
-            f"but the instance {'does' if supports_batch else 'does not'} "
-            "implement BatchThresholdDecider"
-        )
 
 
 class TestReliableWrapping:

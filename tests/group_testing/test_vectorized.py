@@ -39,7 +39,8 @@ from repro.obs import get_registry
 
 DECIDER_NAMES = sorted(key for key, spec in REGISTRY.items() if spec.decider)
 VECTORIZED_NAMES = sorted(
-    key for key, spec in REGISTRY.items() if spec.vectorized
+    key for key in DECIDER_NAMES
+    if hasattr(algorithm_factory(key)(0), "decide_batch")
 )
 MODEL_KINDS = ("1+", "k+", "2+")
 
@@ -191,14 +192,14 @@ def _dispatch_batch(kind: str, layout: str, faulted: bool) -> QueryBatch:
     def model(pop, rng):
         return plan.wrap_model(spec(pop, rng))
 
-    factory = spec if plan.vectorizable else model
+    factory = model if plan else spec
     if layout == "for_cell":
         return QueryBatch.for_cell(
             seed=SEED, label="dispatch", x=7, n=N, threshold=T,
             run_lo=2, run_hi=2 + RUNS, model=factory,
         )
     return QueryBatch.spawned(
-        seed=SEED, n=N, x=7, threshold=T, runs=RUNS, model=factory
+        segments=[(SEED, RUNS)], n=N, x=7, threshold=T, model=factory
     )
 
 
@@ -310,6 +311,17 @@ class TestBatchFacade:
         out = threshold_query_batch(32, 10, 4, runs=3, seed=1, algorithm="abns")
         assert out.decisions.all()
 
+    def test_negative_seed_rejected_when_the_batch_is_built(self):
+        # Lazily derived streams would raise numpy's own message from
+        # inside the kernel instead.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            QueryBatch.spawned(
+                segments=[(3, 2), (-1, 2)], n=8, x=2, threshold=1,
+                model=ModelSpec(kind="1+"),
+            )
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            threshold_query_batch(8, 2, 1, runs=2, seed=-1)
+
     def test_negative_runs_rejected(self):
         with pytest.raises(ValueError, match="runs"):
             threshold_query_batch(8, 2, 1, runs=-1)
@@ -320,11 +332,6 @@ class TestBatchFacade:
                     32, 16, 4, runs=0, algorithm="prob-threshold",
                     collision_model=collision_model,
                 )
-
-    def test_vectorizable_property(self):
-        assert FaultPlan.none().vectorizable
-        plan = FaultPlan([VerdictFlip(p_drop=0.2, only_single=True)], seed=0)
-        assert not plan.vectorizable
 
 
 def _miss_probability(size: int) -> float:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
+import numpy as np
 import pytest
 
+from repro.api import make_algorithm, threshold_query_batch
+from repro.group_testing import ModelSpec, Population
+from repro.obs import enable_metrics, get_registry
 from repro.serve.errors import QueryExecutionError
 from repro.serve.executor import execute_group
 from repro.serve.request import QueryRequest
@@ -51,7 +57,8 @@ class TestBitIdentity:
         coalesced = execute_group(requests)
         solo = [execute_group([r])[0] for r in requests]
         scalar = [execute_group([r], vectorize=False)[0] for r in requests]
-        assert all(o.batched == requests[0].vectorizable for o in coalesced)
+        on_kernel = algorithm in ("2tbins", "exponential")
+        assert all(o.batched == on_kernel for o in coalesced)
         assert not any(o.batched for o in scalar)
         for got, alone, oracle in zip(coalesced, solo, scalar):
             assert got.decisions == alone.decisions == oracle.decisions
@@ -68,8 +75,6 @@ class TestBitIdentity:
 
     def test_matches_the_public_batch_api(self):
         """One served request == one threshold_query_batch call."""
-        from repro.api import threshold_query_batch
-
         request = _request("q0", seed=42, runs=16)
         [outcome] = execute_group([request])
         reference = threshold_query_batch(
@@ -83,6 +88,105 @@ class TestBitIdentity:
         )
         assert outcome.decisions == tuple(bool(d) for d in reference.decisions)
         assert outcome.queries == tuple(int(q) for q in reference.queries)
+
+
+def _spawn_tree_reference(
+    request: QueryRequest,
+) -> Tuple[Tuple[bool, ...], Tuple[int, ...]]:
+    """Answer ``request`` run by run over numpy's own spawn tree."""
+    decider = make_algorithm(request.algorithm)
+    decisions, queries = [], []
+    for child in np.random.default_rng(request.seed).spawn(request.runs):
+        pop_rng, model_rng, bins_rng = child.spawn(3)
+        population = Population.from_count(request.n, request.x, pop_rng)
+        model = ModelSpec(kind=request.collision_model)(population, model_rng)
+        result = decider.decide(model, request.threshold, bins_rng)
+        decisions.append(result.decision)
+        queries.append(result.queries)
+    return tuple(decisions), tuple(queries)
+
+
+class TestSpawnTreeReference:
+    """The API and a coalesced group replay a hand-built spawn tree.
+
+    The other parity tests compare two paths that share one stream
+    builder, so a layout change inside ``QueryBatch.spawned`` would pass
+    them all; this one derives every run's streams independently.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm, collision_model",
+        [("2tbins", "1+"), ("2tbins", "2+"), ("abns", "1+")],
+    )
+    def test_api_and_group_match_the_reference(
+        self, algorithm, collision_model
+    ):
+        requests = [
+            _request(
+                f"q{i}",
+                seed=11 * i + 3,
+                runs=3 + i,
+                algorithm=algorithm,
+                collision_model=collision_model,
+            )
+            for i in range(3)
+        ]
+        for request, served in zip(requests, execute_group(requests)):
+            decisions, queries = _spawn_tree_reference(request)
+            api = threshold_query_batch(
+                request.n,
+                request.x,
+                request.threshold,
+                runs=request.runs,
+                algorithm=algorithm,
+                collision_model=collision_model,
+                seed=request.seed,
+            )
+            assert served.decisions == decisions
+            assert served.queries == queries
+            assert tuple(bool(d) for d in api.decisions) == decisions
+            assert tuple(int(q) for q in api.queries) == queries
+
+
+class TestPathCounters:
+    """Every group counts once on serve.batches; its path moves the rest."""
+
+    @staticmethod
+    def _counters(requests):
+        enable_metrics()
+        execute_group(requests)
+        snap = get_registry().snapshot()
+        return tuple(
+            snap.counter(name)
+            for name in (
+                "serve.batches",
+                "serve.batched_requests",
+                "serve.scalar_fallbacks",
+            )
+        )
+
+    def test_kernel_group_counts_its_requests(self):
+        requests = [_request(f"q{i}", seed=i) for i in range(3)]
+        assert self._counters(requests) == (1, 3, 0)
+
+    def test_declined_group_counts_one_fallback(self):
+        requests = [
+            _request(
+                f"q{i}", seed=i, n=128, x=100, threshold=64,
+                algorithm="prob-threshold", collision_model="2+",
+            )
+            for i in range(3)
+        ]
+        assert self._counters(requests) == (1, 0, 1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"algorithm": "abns"}, {"reliable": "krepeat"}],
+        ids=["abns", "2tbins+krepeat"],
+    )
+    def test_scalar_group_moves_only_batches(self, overrides):
+        requests = [_request(f"q{i}", seed=i, **overrides) for i in range(3)]
+        assert self._counters(requests) == (1, 0, 0)
 
 
 class TestScalarDegradation:

@@ -73,6 +73,7 @@ class TestFromWire:
             {"algorithm": "no-such-algo"},
             {"algorithm": "oracle"},
             {"algorithm": "counting"},
+            {"seed": -1},
         ],
     )
     def test_out_of_bounds_and_mistyped_fields(self, overrides):
@@ -106,8 +107,3 @@ class TestCoalesceKey:
         base = QueryRequest.from_wire(_wire())
         other = QueryRequest.from_wire(_wire(id="q2", **overrides))
         assert base.coalesce_key != other.coalesce_key
-
-    def test_vectorizable_flags(self):
-        assert QueryRequest.from_wire(_wire()).vectorizable
-        assert not QueryRequest.from_wire(_wire(reliable="krepeat")).vectorizable
-        assert not QueryRequest.from_wire(_wire(algorithm="abns")).vectorizable

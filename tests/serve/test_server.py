@@ -82,6 +82,25 @@ class TestProtocol:
         assert reply["error"]["code"] == "bad_op"
 
 
+class TestBadSeedOverTheWire:
+    def test_negative_seed_fails_alone_at_the_edge(self):
+        """A negative seed is a 400, never a member of a coalesced group:
+        the well-formed request pipelined behind it is answered and no
+        worker lane dies."""
+        with serve_in_thread(ServeConfig(port=0, workers=1)) as handle:
+            with ServeClient("127.0.0.1", handle.port) as client:
+                client.send(_query("bad", seed=-1))
+                client.send(_query("good", seed=5))
+                replies = {r["id"]: r for r in (client.recv(), client.recv())}
+                counters = client.request({"op": "metrics"})["metrics"][
+                    "counters"
+                ]
+        assert replies["bad"]["status"] == 400
+        assert replies["bad"]["error"]["code"] == "bad_field"
+        assert replies["good"]["ok"] and replies["good"]["status"] == 200
+        assert counters.get("serve.worker_restarts", 0) == 0
+
+
 class TestRateLimitOverTheWire:
     def test_429_rejections_count_in_metrics(self):
         config = ServeConfig(
