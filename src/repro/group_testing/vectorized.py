@@ -84,6 +84,18 @@ _BIN_SIZE_EDGES_ARR = np.asarray(_BIN_SIZE_EDGES)
 #: Round safety valve, mirroring :attr:`ThresholdAlgorithm.max_rounds`.
 _MAX_ROUNDS = 10_000
 
+#: Cells (runs x (n + 1)) of one round-major row block.  A block's
+#: arrays grow with rows x n (hit flags, permutations, prefix sums) and
+#: its population pull buffer with rows x x, so blocks of at most
+#: ``_BLOCK_CELLS // (n + 1)`` rows bound a cell's memory whatever
+#: ``runs`` and ``n`` are.
+_BLOCK_CELLS = 1 << 20
+
+#: Smallest 2+ cell run on the round-major loop.  Below it the per-run
+#: capture loop is cheaper: the lockstep's fixed per-round and per-draw
+#: array costs are shared by too few runs (DESIGN.md section 14.2).
+_CAPTURE_LOCKSTEP_RUNS = 32
+
 #: One run's generators: ``(pop, model, bins)`` for a model-backed
 #: batch, ``(pop, mac)`` for a MAC-baseline batch (``model`` is ``None``).
 RunStreams = Tuple[np.random.Generator, ...]
@@ -364,17 +376,21 @@ class _CellTally:
         n_small: np.ndarray,
         n_big: np.ndarray,
         n_silent: np.ndarray,
+        n_capture: Optional[np.ndarray] = None,
     ) -> None:
         """Count one balanced round per row: ``n_small`` queried bins of
-        size ``base`` plus ``n_big`` of size ``base + 1`` (counting
-        models: every non-silent response is an activity verdict)."""
+        size ``base`` plus ``n_big`` of size ``base + 1``, of which
+        ``n_silent`` read silent and ``n_capture`` (2+ only) captured;
+        every other response is an activity verdict."""
         nq = int(n_small.sum() + n_big.sum())
         if not nq:
             return
         self.queries += nq
         sil = int(n_silent.sum())
+        cap = 0 if n_capture is None else int(n_capture.sum())
         self.silent += sil
-        self.activity += nq - sil
+        self.capture += cap
+        self.activity += nq - sil - cap
         idx_small = np.searchsorted(_BIN_SIZE_EDGES_ARR, base, side="left")
         idx_big = np.searchsorted(_BIN_SIZE_EDGES_ARR, base + 1, side="left")
         np.add.at(self.buckets, idx_small, n_small)
@@ -540,7 +556,7 @@ def _validate_lockstep(
             raise ValueError(f"k must be >= 1, got {spec.k}")
         return spec, spec.k
     if spec.kind == "2+":
-        return spec, 1  # capture path ignores k
+        return spec, 2  # an undecodable collision proves two positives
     raise UnsupportedBatch(f"model kind {spec.kind!r} is not vectorized")
 
 
@@ -552,6 +568,15 @@ def run_lockstep(
     algorithm: str = "vectorized",
 ) -> BatchDecision:
     """Execute a cell of round-structured exact trials.
+
+    1+ and k+ cells, and 2+ cells of at least
+    :data:`_CAPTURE_LOCKSTEP_RUNS` runs, run round-major
+    (:func:`_run_rounds`) in row blocks of at most
+    ``_BLOCK_CELLS // (n + 1)`` runs, so a cell's transient memory is
+    bounded whatever ``runs`` and ``n`` are; rows are independent, so
+    blocking changes no answer.  Smaller 2+ cells, and every 2+ cell
+    when :func:`fastseed.pulls_available` fails, run per run
+    (:func:`_run_one_capture`).
 
     Args:
         batch: The cell description and per-run streams.
@@ -570,7 +595,8 @@ def run_lockstep(
         UnsupportedBatch: If the model factory is not a
             :class:`ModelSpec`, or the model or partitioning cannot be
             reproduced bit-exactly.
-        ValueError: If the threshold is negative (mirroring ``decide``).
+        ValueError: If the threshold is negative (mirroring ``decide``),
+            or a queried collision's capture probability is out of range.
     """
     spec, k = _validate_lockstep(batch, partition_strategy)
     if batch.threshold < 0:
@@ -578,12 +604,16 @@ def run_lockstep(
     tally = _CellTally() if _OBS.enabled else None
     decisions = np.zeros(batch.runs, dtype=bool)
     queries = np.zeros(batch.runs, dtype=np.int64)
+    p_cap: Optional[Callable[[int], float]] = None
     if spec.kind == "2+":
         p_cap = (
             spec.capture_probability
             if spec.capture_probability is not None
             else default_capture_probability
         )
+    if p_cap is not None and (
+        batch.runs < _CAPTURE_LOCKSTEP_RUNS or not fastseed.pulls_available()
+    ):
         states = fast_states(batch, ("pop", "model", "bins"))
         if states is not None:
             _POOL.reserve(3)
@@ -600,13 +630,54 @@ def run_lockstep(
                 schedule, p_cap, spec.max_queries, algorithm, tally,
             )
     else:
-        _run_counting_batch(
-            batch, schedule, k, spec.max_queries, algorithm, tally,
-            decisions, queries,
-        )
+        odds = _CaptureOdds(p_cap) if p_cap is not None else None
+        names = ["pop"] if batch.x else []
+        if odds is not None and batch.x >= 2:
+            # Only a 2+ cell with collisions draws on the model stream.
+            names.append("model")
+        states = fast_states(batch, names + ["bins"], raw=("pop", "model"))
+        block = max(1, _BLOCK_CELLS // (batch.n + 1))
+        for lo in range(0, batch.runs, block):
+            hi = min(lo + block, batch.runs)
+            _run_block(
+                batch, lo, hi, states, schedule, k, odds, spec.max_queries,
+                algorithm, tally, decisions[lo:hi], queries[lo:hi],
+            )
     if tally is not None:
         tally.flush()
     return BatchDecision(decisions=decisions, queries=queries, exact=True)
+
+
+class _CaptureOdds:
+    """``capture_probability(c)`` per collision size, range-checked.
+
+    Evaluated once per distinct ``c`` a queried collision reaches, as
+    the scalar model would on reaching it: an out-of-range value raises
+    the model's ``ValueError`` then, and never for a ``c`` no queried
+    bin has.
+    """
+
+    def __init__(self, p_cap: Callable[[int], float]) -> None:
+        self.p_cap = p_cap
+        self._table = np.full(0, np.nan)
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        """The capture probability of each collision size in ``c``."""
+        top = int(c.max())
+        if top >= self._table.size:
+            grown = np.full(max(top + 1, 2 * self._table.size), np.nan)
+            grown[: self._table.size] = self._table
+            self._table = grown
+        p = self._table[c]
+        missing = np.isnan(p)
+        if missing.any():
+            for size in np.unique(c[missing]).tolist():
+                prob = self.p_cap(size)
+                if not 0.0 <= prob <= 1.0:
+                    raise ValueError(f"capture probability out of range: {prob}")
+                self._table[size] = prob
+            p = self._table[c]
+        return p
 
 
 def _round_layout(
@@ -638,19 +709,101 @@ def _round_layout(
     return perm, starts, sizes, counts, hits
 
 
-def _run_counting_batch(
+def _run_block(
     batch: QueryBatch,
+    lo: int,
+    hi: int,
+    states: Optional[Dict[str, Any]],
     schedule: Schedule,
     k: int,
+    odds: Optional[_CaptureOdds],
     max_queries: Optional[int],
     algorithm: str,
     tally: Optional[_CellTally],
     decisions: np.ndarray,
     queries: np.ndarray,
 ) -> None:
-    """All 1+/k+ trials of a cell, processed round-major.
+    """Runs ``run_lo + lo .. run_lo + hi`` of a cell, round-major.
 
-    Every run's per-round *draws* stay sequential on its own bins stream
+    Draws each row's population into the round-0 hit flags, positions
+    its bins stream and -- for a 2+ cell (``odds`` set) -- its model
+    stream replay, then hands the block to :func:`_run_rounds`.
+    ``states`` is the whole cell's :func:`fast_states` (``None`` for
+    generator-backed batches); ``decisions``/``queries`` are this
+    block's views.
+
+    A generator-backed 2+ block replays each model generator from its
+    state and afterwards leaves it where the scalar draws would
+    (:meth:`fastseed.DrawReplay.restore`).  A block whose model
+    generators cannot be replayed (not PCG64, or a half waiting) runs
+    per run on those same generators instead.
+    """
+    n, runs = batch.n, hi - lo
+    # Positive masks double as round-0 hit flags: the candidate list
+    # starts as 0..n-1 in order, so flags are indexed by candidate id.
+    # The extra always-False sentinel column lets padded permutation
+    # slots gather False without any validity masking.
+    hit = np.zeros((runs, n + 1), dtype=bool)
+    replay: Optional[fastseed.DrawReplay] = None
+    model_gens: List[np.random.Generator] = []
+    bins_gens: List[np.random.Generator]
+    if states is not None:
+        _POOL.reserve(1 + runs)
+        load = _POOL.load
+        if batch.x:
+            mark_positives(hit, tuple(a[lo:hi] for a in states["pop"]), n, batch.x)
+        bins_gens = [
+            load(1 + i, st, inc) for i, (st, inc) in enumerate(states["bins"][lo:hi])
+        ]
+        if "model" in states:
+            replay = fastseed.DrawReplay(tuple(a[lo:hi] for a in states["model"]))
+    else:
+        # Model generators are kept only when the block draws on them.
+        draws = odds is not None and batch.x >= 2
+        bins_gens = []
+        for i in range(runs):
+            pop_rng, model_rng, bins_rng = batch.streams(batch.run_lo + lo + i)
+            if batch.x:
+                hit[i, pop_rng.choice(n, size=batch.x, replace=False)] = True
+            if draws:
+                model_gens.append(model_rng)
+            bins_gens.append(bins_rng)
+        if odds is not None and draws:
+            replay = fastseed.DrawReplay.from_generators(model_gens)
+            if replay is None:
+                for i in range(runs):
+                    decisions[i], queries[i] = _run_one_capture(
+                        n, batch.threshold, hit[i, :n], model_gens[i],
+                        bins_gens[i], schedule, odds.p_cap, max_queries,
+                        algorithm, tally,
+                    )
+                return
+    _run_rounds(
+        n, batch.threshold, hit, bins_gens, replay, schedule, k, odds,
+        max_queries, algorithm, tally, decisions, queries,
+    )
+    if replay is not None and model_gens:
+        replay.restore(model_gens)
+
+
+def _run_rounds(
+    n: int,
+    threshold: int,
+    hit: np.ndarray,
+    bins_gens: List[np.random.Generator],
+    replay: Optional[fastseed.DrawReplay],
+    schedule: Schedule,
+    k: int,
+    odds: Optional[_CaptureOdds],
+    max_queries: Optional[int],
+    algorithm: str,
+    tally: Optional[_CellTally],
+    decisions: np.ndarray,
+    queries: np.ndarray,
+) -> None:
+    """All trials of a block, processed round-major.
+
+    Every run's per-round *draws* stay sequential on its own streams
     (run ``r`` consumes exactly what the scalar path would), but all
     *computation* -- layout, counts, termination, elimination -- runs
     once per round over the whole active cohort as 2-D array reductions.
@@ -659,36 +812,17 @@ def _run_counting_batch(
     candidate count and hit pattern, so candidate identities are never
     materialised.
 
-    Without captures a round's query-by-query state is a pair of prefix
-    sums (cumulative evidence, cumulative eliminations), so both
-    termination conditions reduce to per-row first-index searches.
+    A round's query-by-query state is a pair of prefix sums (cumulative
+    evidence, cumulative eliminations), so both termination conditions
+    reduce to per-row first-index searches.  A row's ``need`` is the
+    threshold less its confirmed positives, which only 2+ captures
+    raise.  With ``odds`` set (2+), the one model-specific part is the
+    capture step (:func:`_capture_step`, drawing on ``replay``), which
+    fixes the outcome of every queried collision before the prefix
+    sums: a capture adds 1 to the evidence instead of a collision's 2,
+    and confirms and removes its winner, as does every lone reply.
     """
-    n, threshold = batch.n, batch.threshold
-    runs = batch.runs
-    states = fast_states(
-        batch, ("pop", "bins") if batch.x else ("bins",), raw=("pop",)
-    )
-    # Positive masks double as round-0 hit flags: the candidate list
-    # starts as 0..n-1 in order, so flags are indexed by candidate id.
-    # The extra always-False sentinel column lets padded permutation
-    # slots gather False without any validity masking.
-    hit = np.zeros((runs, n + 1), dtype=bool)
-    bins_gens: List[np.random.Generator]
-    if states is not None:
-        _POOL.reserve(1 + runs)
-        load = _POOL.load
-        if batch.x:
-            mark_positives(hit, states["pop"], n, batch.x)
-        bins_gens = [
-            load(1 + i, st, inc) for i, (st, inc) in enumerate(states["bins"])
-        ]
-    else:
-        bins_gens = []
-        for i in range(runs):
-            pop_rng, _model_rng, bins_rng = batch.streams(batch.run_lo + i)
-            if batch.x:
-                hit[i, pop_rng.choice(n, size=batch.x, replace=False)] = True
-            bins_gens.append(bins_rng)
+    runs = hit.shape[0]
     if threshold == 0:
         decisions[:] = True
         return
@@ -696,6 +830,7 @@ def _run_counting_batch(
         return
     active = np.arange(runs, dtype=np.int64)
     m = np.full(runs, n, dtype=np.int64)
+    need = np.full(runs, threshold, dtype=np.int64)
     totals = np.zeros(runs, dtype=np.int64)
     for round_index in range(_MAX_ROUNDS):
         if not active.size:
@@ -745,24 +880,35 @@ def _run_counting_batch(
         cum_at = cum.ravel().take(starts_ext + off_w1)
         counts = cum_at[:, 1:] - cum_at[:, :-1]
         silent = bin_valid & (counts == 0)
-        # Evidence after bin b (min_positives = min(count, k), silent
-        # adds 0) and surviving candidates after bin b (silent bins
-        # eliminate); both prefixes are monotone, so the value at the
-        # last real bin says whether each condition fires at all and
-        # argmax finds the first firing bin.
-        ev_cum = np.cumsum(np.minimum(counts, k), axis=1)
+        # Surviving candidates after bin b (silent bins eliminate; a
+        # capture moves a node from the candidates to the confirmed, so
+        # it never trips False) and evidence after bin b (min_positives:
+        # min(count, k), 1 for a capture, 0 for silence).  Both prefixes
+        # are monotone, so the value at the last real bin says whether
+        # each condition fires at all and argmax finds the first firing
+        # bin.
         elim_cum = np.cumsum(sizes * silent, axis=1)
-        fire_true = bin_valid & (ev_cum >= threshold)
-        fire_false = bin_valid & ((m[:, None] - elim_cum) < threshold)
+        fire_false = bin_valid & ((m - need)[:, None] < elim_cum)
         idx_last = (eff - 1) + off_b
-        i_true = np.where(
-            ev_cum.ravel().take(idx_last) >= threshold,
-            np.argmax(fire_true, axis=1),
+        i_false = np.where(
+            (m - elim_cum.ravel().take(idx_last)) < need,
+            np.argmax(fire_false, axis=1),
             eff,
         )
-        i_false = np.where(
-            (m - elim_cum.ravel().take(idx_last)) < threshold,
-            np.argmax(fire_false, axis=1),
+        evidence = np.minimum(counts, k)
+        if odds is not None:
+            limit = None if max_queries is None else max_queries - totals
+            winners = _capture_step(
+                replay, active, counts, evidence, need, i_false, limit, odds
+            )
+            captured = winners >= 0
+            evidence -= captured
+            confirms = captured | (counts == 1)
+        ev_cum = np.cumsum(evidence, axis=1)
+        fire_true = bin_valid & (ev_cum >= need[:, None])
+        i_true = np.where(
+            ev_cum.ravel().take(idx_last) >= need,
+            np.argmax(fire_true, axis=1),
             eff,
         )
         stop = np.minimum(i_true, i_false)
@@ -771,10 +917,15 @@ def _run_counting_batch(
         totals += queried
         if max_queries is not None and int(totals.max()) > max_queries:
             raise QueryBudgetExceeded(f"query budget of {max_queries} exceeded")
+        if odds is not None:
+            confirmed = (confirms & (ibin_ext[:n_bins] < queried[:, None])).sum(axis=1)
         if tally is not None:
             n_big = np.minimum(queried, extra)
             sil_q = np.cumsum(silent, axis=1).ravel().take(queried - 1 + off_b)
-            tally.record_batch(base, queried - n_big, n_big, sil_q)
+            tally.record_batch(
+                base, queried - n_big, n_big, sil_q,
+                confirmed if odds is not None else None,
+            )
         if resolved.any():
             done = active[resolved]
             # The True check runs first in the scalar executor, so it
@@ -784,7 +935,22 @@ def _run_counting_batch(
         live = ~resolved
         if not live.any():
             return
-        # Full round, unresolved: silent bins eliminate their members.
+        # Full round, unresolved: silent bins eliminate their members,
+        # and (2+) each confirmed positive leaves -- a lone reply, or a
+        # captured collision's winner, which is positive
+        # ``cum_at[b] + winner`` of its row in slot order.
+        if odds is not None:
+            conf_r, conf_b = np.nonzero(confirms & live[:, None])
+            rank = cum_at.ravel().take(conf_r * (n_bins + 1) + conf_b) + np.maximum(
+                winners.ravel().take(conf_r * n_bins + conf_b), 0
+            )
+            npos = cum[:, width]
+            conf_slot = (
+                np.flatnonzero(hits_slot).take((np.cumsum(npos) - npos)[conf_r] + rank)
+                - conf_r * width
+            )
+            conf_r = (np.cumsum(live) - 1)[conf_r]
+            need = need - confirmed
         # Resolved rows drop out *before* the elimination arrays are
         # built -- the cohort shrinks fast, so every op below runs over
         # survivors only.  Map each slot to its bin, mark slots of
@@ -798,6 +964,7 @@ def _run_counting_batch(
             silent = silent[live]
             starts_ext = starts_ext[live]
             hit = hit[live]
+            need = need[live]
             rows = active.size
             row_i = np.arange(rows, dtype=np.int64)
             off_w1 = (row_i * (width + 1))[:, None]
@@ -811,6 +978,8 @@ def _run_counting_batch(
         bound.ravel()[starts_ext[:, 1:n_bins] + off_w1] = 1
         bin_of = np.cumsum(bound[:, :width], axis=1)
         slot_keep = ~silent.ravel().take(bin_of + off_b[:, None])
+        if odds is not None:
+            slot_keep[conf_r, conf_slot] = False
         keep_flat = np.zeros(rows * (width + 1), dtype=bool)
         keep_flat[(perm + off_w1).ravel()] = slot_keep.ravel()
         keep2d = keep_flat.reshape(rows, width + 1)
@@ -828,6 +997,80 @@ def _run_counting_batch(
     raise RuntimeError(
         f"{algorithm}: round safety valve ({_MAX_ROUNDS}) tripped"
     )
+
+
+def _capture_step(
+    replay: Optional[fastseed.DrawReplay],
+    streams: np.ndarray,
+    counts: np.ndarray,
+    evidence: np.ndarray,
+    need: np.ndarray,
+    i_false: np.ndarray,
+    limit: Optional[np.ndarray],
+    odds: _CaptureOdds,
+) -> np.ndarray:
+    """One round's capture draws, for every row at once.
+
+    Row ``i`` (model stream ``streams[i]`` of ``replay``) makes the draws
+    the scalar model makes on this round's queried collision bins
+    (``counts >= 2``), in bin order: ``random() < p(c)``, then on a
+    capture ``integers(c)`` for the winner's index among the bin's
+    positives.  The loop runs over collision rank ``j``, vectorized over
+    the rows still drawing.  A row stops before its ``j``-th collision
+    bin ``b`` once either check has fired at an earlier bin, both
+    decided by earlier draws alone: True when the evidence before ``b``
+    (``evidence``'s prefix, less one per capture so far) reaches
+    ``need``; False when ``i_false < b``.  It also stops at the first
+    bin past its query budget (``b >= limit``), where the scalar model
+    raises before drawing.  So every draw, and every capture-probability
+    evaluation, is one the scalar path makes.
+
+    Returns:
+        ``winners`` (int32, shaped like ``counts``): the winner's index
+        among the positives of each collision bin that captured, ``-1``
+        for every other bin.
+    """
+    rows, n_bins = counts.shape
+    winners = np.full((rows, n_bins), -1, dtype=np.int32)
+    # Collision bins as flat indices, row-major: row r's j-th collision
+    # is flat[first[r] + j].
+    flat = np.flatnonzero(counts >= 2)
+    if not flat.size:
+        return winners
+    assert replay is not None, "collisions need a model stream (x >= 2)"
+    before = (np.cumsum(evidence, axis=1) - evidence).ravel()
+    n_coll = np.bincount(flat // n_bins, minlength=rows)
+    first = np.cumsum(n_coll) - n_coll
+    caps = np.zeros(rows, dtype=np.int64)
+    drawing = np.flatnonzero(n_coll)
+    # A row draws at most min(collisions, need) times this round (each
+    # queried collision adds at least 1 evidence), one output per
+    # random() and at most one pull per capture: reserve that much up
+    # front so the replay grows once per round, not once per draw.
+    most = np.minimum(n_coll[drawing], need[drawing])
+    replay.reserve(
+        streams[drawing], replay.used[streams[drawing]] + most + (most + 1) // 2
+    )
+    j = 0
+    while drawing.size:
+        at = flat[first[drawing] + j]
+        b = at - drawing * n_bins
+        go = (before.take(at) - caps[drawing] < need[drawing]) & (b <= i_false[drawing])
+        if limit is not None:
+            go &= b < limit[drawing]
+        if not go.all():
+            drawing, at = drawing[go], at[go]
+            if not drawing.size:
+                break
+        c = counts.ravel().take(at)
+        rows_s = streams[drawing]
+        won = replay.random(rows_s) < odds(c)
+        if won.any():
+            winners.ravel()[at[won]] = replay.integers(rows_s[won], c[won])
+            caps[drawing[won]] += 1
+        j += 1
+        drawing = drawing[n_coll[drawing] > j]
+    return winners
 
 
 def _run_one_capture(

@@ -28,7 +28,8 @@ returns ``False``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+import threading
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +43,8 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _U32 = 0xFFFFFFFF
+_M32 = np.uint64(_U32)
+_S32 = np.uint64(32)
 
 #: PCG 128-bit LCG constants (``pcg64.h``).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -198,25 +201,39 @@ _JUMP_A: List[int] = [1]
 _JUMP_B: List[int] = [0]
 _jump_limb_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
+#: Serialises table growth: the query service replays 2+ draws from
+#: several executor threads, and an append computed from a stale
+#: ``_JUMP_A[-1]`` would silently corrupt every later output.
+_JUMP_LOCK = threading.Lock()
+
 
 def _jump_limbs(count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """32-bit limb matrices of the jump constants for steps ``0..count``."""
+    """32-bit limb matrices of the jump constants for steps ``0..count``.
+
+    Grows ``_JUMP_A``/``_JUMP_B`` (entries are never changed once
+    appended) to cover ``count`` as a side effect.
+    """
     global _jump_limb_cache
-    if _jump_limb_cache is None or _jump_limb_cache[0].shape[0] <= count:
-        target = max(count + 1, 2 * len(_JUMP_A), 64)
-        while len(_JUMP_A) < target:
-            _JUMP_A.append((_JUMP_A[-1] * _PCG_MULT) & _MASK128)
-            _JUMP_B.append((_JUMP_B[-1] * _PCG_MULT + 1) & _MASK128)
-        size = len(_JUMP_A)
-        a = np.empty((size, 4), dtype=np.uint64)
-        b = np.empty((size, 4), dtype=np.uint64)
-        for i in range(size):
-            av, bv = _JUMP_A[i], _JUMP_B[i]
-            for c in range(4):
-                a[i, c] = (av >> (32 * c)) & _U32
-                b[i, c] = (bv >> (32 * c)) & _U32
-        _jump_limb_cache = (a, b)
-    return _jump_limb_cache
+    cache = _jump_limb_cache
+    if cache is not None and cache[0].shape[0] > count:
+        return cache
+    with _JUMP_LOCK:
+        cache = _jump_limb_cache
+        if cache is None or cache[0].shape[0] <= count:
+            target = max(count + 1, 2 * len(_JUMP_A), 64)
+            while len(_JUMP_A) < target:
+                _JUMP_A.append((_JUMP_A[-1] * _PCG_MULT) & _MASK128)
+                _JUMP_B.append((_JUMP_B[-1] * _PCG_MULT + 1) & _MASK128)
+            size = len(_JUMP_A)
+            a = np.empty((size, 4), dtype=np.uint64)
+            b = np.empty((size, 4), dtype=np.uint64)
+            for i in range(size):
+                av, bv = _JUMP_A[i], _JUMP_B[i]
+                for c in range(4):
+                    a[i, c] = (av >> (32 * c)) & _U32
+                    b[i, c] = (bv >> (32 * c)) & _U32
+            cache = _jump_limb_cache = (a, b)
+    return cache
 
 
 def _half_limbs(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -295,25 +312,203 @@ def _pulls_from(
 def pull_block(
     raw: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     count: int,
-    skip: int = 0,
+    skip: Union[int, np.ndarray] = 0,
 ) -> np.ndarray:
     """Outputs ``skip .. skip + count`` of every generator, as 32-bit pulls.
 
     Returns the ``(2 * count, rows)`` uint64 matrix of the values a
     freshly loaded generator's buffered ``next_uint32`` hands out after
     ``skip`` 64-bit outputs: rows ``2k`` / ``2k + 1`` hold the low/high
-    half of output ``skip + k``.  A caller that does not know how many
-    pulls it needs grows its buffer block by block without recomputing
-    the prefix.  Whether numpy's bounded draws read this stream the way
-    such callers assume is checked by :func:`pulls_available`.
+    half of output ``skip + k``.  ``skip`` is one count for every
+    generator or an int64 array of one per generator.  A caller that
+    does not know how many pulls it needs grows its buffer block by
+    block without recomputing the prefix.  Whether numpy's bounded draws
+    read this stream the way such callers assume is checked by
+    :func:`pulls_available`.
     """
     state_hi, state_lo, inc_hi, inc_lo = raw
     s: Sequence[np.ndarray] = _half_limbs(state_hi, state_lo)
     inc = _half_limbs(inc_hi, inc_lo)
-    if skip:
-        ak, bk = _jump_limbs(skip)
-        s = _lcg_jump(s, inc, tuple(ak[skip]), tuple(bk[skip]))
+    if np.any(skip):
+        ak, bk = _jump_limbs(int(np.max(skip)))
+        s = _lcg_jump(s, inc, tuple(ak[skip].T), tuple(bk[skip].T))
     return _pulls_from(s, inc, count)
+
+
+#: Outputs a :class:`DrawReplay` row gains at least per growth step.
+_REPLAY_BLOCK = 8
+
+#: Rows whose outputs :meth:`DrawReplay.reserve` computes in one pass.
+_REPLAY_CHUNK = 256
+
+
+class DrawReplay:
+    """``random()`` and ``integers(c)`` draws of many PCG64 streams at once.
+
+    Row ``i`` stands for one generator, given as row ``i`` of a
+    :func:`pcg64_raw` state with no buffered half.  Every call draws once
+    on each listed row (a row may appear once per call) and returns what
+    that generator's own call would, reading the stream's outputs from
+    :func:`pull_block` instead of calling numpy:
+
+    * ``random()`` takes one whole 64-bit output ``u`` and returns
+      ``(u >> 11) * 2**-53``; a waiting high half stays waiting.
+    * ``integers(c)`` for ``2 <= c < 2**32`` is 32-bit Lemire rejection
+      on buffered halves: each pull is the waiting high half if there is
+      one, else the low half of the next output (whose high half then
+      waits); ``m = pull * c`` is redrawn while ``m mod 2**32 < (2**32 -
+      c) % c``, and the draw is ``m >> 32``.
+
+    Each row holds the outputs it has been given in one row-major
+    buffer.  Only rows that run short are given more outputs (at least
+    :data:`_REPLAY_BLOCK` at a time), so the pull computation follows
+    each row's own consumption; callers that know a bound on their next
+    draws :meth:`reserve` it up front, so rows grow in few steps.
+    :func:`pulls_available` checks the contract against this numpy.
+
+    Attributes:
+        used: 64-bit outputs each row has consumed.
+        waiting: Whether a high half waits (``has_uint32``).
+        uinteger: The last high half each row buffered (``uinteger``,
+            which numpy keeps after the half is consumed).
+    """
+
+    def __init__(
+        self,
+        raw: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        uinteger: Optional[np.ndarray] = None,
+    ) -> None:
+        self._raw = raw
+        rows = int(raw[0].size)
+        self.used = np.zeros(rows, dtype=np.int64)
+        self.waiting = np.zeros(rows, dtype=bool)
+        self.uinteger = (
+            np.zeros(rows, dtype=np.uint64) if uinteger is None else uinteger
+        )
+        self._have = np.zeros(rows, dtype=np.int64)
+        self._pulls = np.zeros((rows, 0), dtype=np.uint64)
+
+    @classmethod
+    def from_generators(
+        cls, gens: Sequence[np.random.Generator]
+    ) -> Optional["DrawReplay"]:
+        """A replay of ``gens`` from their current states.
+
+        ``None`` unless every generator is a PCG64 without a waiting
+        half, the only state the replay starts from.
+        """
+        states = [gen.bit_generator.state for gen in gens]
+        if any(
+            st["bit_generator"] != "PCG64" or st["has_uint32"] for st in states
+        ):
+            return None
+        mask = (1 << 64) - 1
+
+        def halves(key: str) -> Tuple[np.ndarray, np.ndarray]:
+            values = [st["state"][key] for st in states]
+            return (
+                np.array([v >> 64 for v in values], dtype=np.uint64),
+                np.array([v & mask for v in values], dtype=np.uint64),
+            )
+
+        uinteger = np.array([st["uinteger"] for st in states], dtype=np.uint64)
+        return cls((*halves("state"), *halves("inc")), uinteger)
+
+    def reserve(self, rows: np.ndarray, outputs: np.ndarray) -> None:
+        """Make row ``rows[i]`` hold at least ``outputs[i]`` outputs."""
+        short = outputs > self._have[rows]
+        if not short.any():
+            return
+        grow = rows[short]
+        have = self._have[grow]
+        count = max(int((outputs[short] - have).max()), _REPLAY_BLOCK)
+        width = 2 * (int(have.max()) + count)
+        if width > self._pulls.shape[1]:
+            wider = np.zeros((self._pulls.shape[0], width), dtype=np.uint64)
+            wider[:, : self._pulls.shape[1]] = self._pulls
+            self._pulls = wider
+        state_hi, state_lo, inc_hi, inc_lo = self._raw
+        cols = 2 * have[:, None] + np.arange(2 * count, dtype=np.int64)
+        # Chunks bound pull_block's limb temporaries (about sixteen
+        # count x rows uint64 arrays) whatever the number of rows.
+        for lo in range(0, grow.size, _REPLAY_CHUNK):
+            part = grow[lo:lo + _REPLAY_CHUNK]
+            block = pull_block(
+                (state_hi[part], state_lo[part], inc_hi[part], inc_lo[part]),
+                count,
+                skip=have[lo:lo + _REPLAY_CHUNK],
+            )
+            self._pulls[part[:, None], cols[lo:lo + _REPLAY_CHUNK]] = block.T
+        self._have[grow] = have + count
+
+    def _output(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Low and high half of each row's next 64-bit output."""
+        used = self.used[rows]
+        self.reserve(rows, used + 1)
+        at = rows * self._pulls.shape[1] + 2 * used
+        flat = self._pulls.ravel()
+        self.used[rows] = used + 1
+        return flat.take(at), flat.take(at + 1)
+
+    def _pull(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's next buffered 32-bit pull (``next_uint32``)."""
+        wait = self.waiting[rows]
+        pull = np.empty(rows.size, dtype=np.uint64)
+        pull[wait] = self.uinteger[rows[wait]]
+        fresh = ~wait
+        if fresh.any():
+            lo, hi = self._output(rows[fresh])
+            pull[fresh] = lo
+            self.uinteger[rows[fresh]] = hi
+        self.waiting[rows] = fresh
+        return pull
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        """``Generator.random()`` on each row, as float64."""
+        lo, hi = self._output(rows)
+        return (((hi << _S32) | lo) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def integers(self, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """``Generator.integers(bounds[i])`` on row ``rows[i]``, as int64."""
+        c = bounds.astype(np.uint64)
+        threshold = (np.uint64(1 << 32) - c) % c
+        m = self._pull(rows) * c
+        bad = (m & _M32) < threshold
+        while bad.any():
+            redo = np.flatnonzero(bad)
+            m[redo] = self._pull(rows[redo]) * c[redo]
+            bad[redo] = (m[redo] & _M32) < threshold[redo]
+        return (m >> _S32).astype(np.int64)
+
+    def restore(self, gens: Sequence[np.random.Generator]) -> None:
+        """Leave generator ``gens[i]`` where row ``i``'s draws left it.
+
+        For generators the replay started from (see
+        :meth:`from_generators`): each is advanced past the outputs its
+        row consumed (the LCG jump of :func:`pull_block`, in python
+        ints), with its 32-bit buffer as numpy's own draws would leave
+        it.
+        """
+        used = self.used.tolist()
+        _jump_limbs(max(used, default=0))
+        rows = zip(
+            gens, used, self.waiting.tolist(), self.uinteger.tolist(),
+            *(a.tolist() for a in self._raw),
+        )
+        for gen, steps, waiting, uinteger, state_hi, state_lo, inc_hi, inc_lo in rows:
+            if not steps:
+                continue
+            state = (state_hi << 64) | state_lo
+            inc = (inc_hi << 64) | inc_lo
+            gen.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": (_JUMP_A[steps] * state + _JUMP_B[steps] * inc) & _MASK128,
+                    "inc": inc,
+                },
+                "has_uint32": int(waiting),
+                "uinteger": uinteger,
+            }
 
 
 class _PullsExhausted(Exception):
@@ -442,54 +637,102 @@ def choice_available() -> bool:
 
 _pulls_verified: Optional[bool] = None
 
+#: The interleaved draws :func:`pulls_available` replays: ``None`` is a
+#: ``random()``, an int ``c`` an ``integers(c)``.  ``2**31 + 1`` rejects
+#: about half its pulls, so rows fall out of step and grow their buffers
+#: apart; runs of ``random()`` after an odd number of pulls leave a high
+#: half waiting across them.
+_REPLAY_PROBE: Tuple[Optional[int], ...] = (
+    3, None, None, None, 7, 100, None, 2, 2**31 + 1, None, None,
+    2**31 + 1, 2**31 + 1, 2**32 - 1, None, 5, 2**31 + 1, 2**31 + 1,
+    2**31 + 1, None, 6, None, None, None, None, 2**31 + 1, 1000, 3,
+)
+
+
+def _power_of_two_draws_match(seeds: Sequence[int]) -> bool:
+    """Power-of-two ``integers(0, w)`` calls read one pull each."""
+    raw = pcg64_raw(seeds)
+    pulls = np.concatenate((pull_block(raw, 5), pull_block(raw, 7, skip=5)))
+    widths = (2, 64, 1, 256, 1 << 31, 1 << 32, 8, 1024)
+    for i, seed in enumerate(seeds):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        got = [int(v) for v in gen.integers(0, 8, size=3)]
+        got += [int(v) for v in gen.integers(0, 1, size=4)]
+        got += [int(gen.integers(0, w)) for w in widths]
+        got += [int(v) for v in gen.integers(0, 16, size=9)]
+        col = [int(p) for p in pulls[:, i]]
+        want = [(p * 8) >> 32 for p in col[:3]] + [0] * 4
+        k = 3
+        for w in widths:
+            if w == 1:
+                want.append(0)
+            else:
+                want.append((col[k] * w) >> 32)
+                k += 1
+        want += [(p * 16) >> 32 for p in col[k:k + 9]]
+        if got != want:
+            return False
+    return True
+
+
+def _replayed_draws_match(seeds: Sequence[int]) -> bool:
+    """:class:`DrawReplay` equals real ``random()``/``integers(c)`` calls,
+    draw for draw and in the generator states it leaves."""
+
+    def fresh() -> List[np.random.Generator]:
+        return [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+            for s in seeds
+        ]
+
+    gens, replayed = fresh(), fresh()
+    replay = DrawReplay.from_generators(replayed)
+    if replay is None:
+        return False
+    rows = np.arange(len(seeds), dtype=np.int64)
+    for bound in _REPLAY_PROBE:
+        if bound is None:
+            same = replay.random(rows).tolist() == [gen.random() for gen in gens]
+        else:
+            same = replay.integers(rows, np.full(rows.size, bound)).tolist() == [
+                int(gen.integers(bound)) for gen in gens
+            ]
+        if not same:
+            return False
+    replay.restore(replayed)
+    return all(
+        a.bit_generator.state == b.bit_generator.state
+        for a, b in zip(replayed, gens)
+    )
+
 
 def pulls_available() -> bool:
-    """Whether power-of-two bounded draws read :func:`pull_block`'s stream.
+    """Whether numpy's draws read :func:`pull_block`'s stream as assumed.
 
-    The contract a lockstep caller relies on: with ``w`` a power of two
-    no larger than ``2**32``, ``Generator.integers(0, w)`` consumes
-    exactly one buffered 32-bit pull and returns ``(pull * w) >> 32``
-    (Lemire's rejection threshold ``(2**32 - w) % w`` is zero), and
-    ``integers(0, 1)`` consumes none.  Replays sized fills of odd length
-    (so the buffered high half carries into the next call), scalar calls
-    and a block read past a skip against real generators.  Cached per
-    process.
+    Two contracts, both replayed against real generators once per
+    process (cached):
+
+    * Power-of-two bounds: with ``w`` a power of two no larger than
+      ``2**32``, ``Generator.integers(0, w)`` consumes exactly one
+      buffered 32-bit pull and returns ``(pull * w) >> 32`` (Lemire's
+      rejection threshold ``(2**32 - w) % w`` is zero), and
+      ``integers(0, 1)`` consumes none.  Checked over sized fills of odd
+      length (so the buffered high half carries into the next call),
+      scalar calls and a block read past a skip.
+    * :class:`DrawReplay`: interleaved ``random()`` and
+      non-power-of-two ``integers(c)``, with bounds that force Lemire
+      rejections and high halves left waiting across ``random()``
+      calls, give the same values and leave the same generator states.
     """
     global _pulls_verified
     if _pulls_verified is None:
+        seeds = [0, 1, 7, 2011, 123456789, (1 << 63) - 1]
         try:
-            if not available():
-                _pulls_verified = False
-            else:
-                seeds = [0, 1, 7, 2011, 123456789, (1 << 63) - 1]
-                raw = pcg64_raw(seeds)
-                pulls = np.concatenate(
-                    (pull_block(raw, 5), pull_block(raw, 7, skip=5))
-                )
-                widths = (2, 64, 1, 256, 1 << 31, 1 << 32, 8, 1024)
-                ok = True
-                for i, seed in enumerate(seeds):
-                    gen = np.random.Generator(
-                        np.random.PCG64(np.random.SeedSequence(seed))
-                    )
-                    got = [int(v) for v in gen.integers(0, 8, size=3)]
-                    got += [int(v) for v in gen.integers(0, 1, size=4)]
-                    got += [int(gen.integers(0, w)) for w in widths]
-                    got += [int(v) for v in gen.integers(0, 16, size=9)]
-                    col = [int(p) for p in pulls[:, i]]
-                    want = [(p * 8) >> 32 for p in col[:3]] + [0] * 4
-                    k = 3
-                    for w in widths:
-                        if w == 1:
-                            want.append(0)
-                        else:
-                            want.append((col[k] * w) >> 32)
-                            k += 1
-                    want += [(p * 16) >> 32 for p in col[k:k + 9]]
-                    if got != want:
-                        ok = False
-                        break
-                _pulls_verified = ok
+            _pulls_verified = (
+                available()
+                and _power_of_two_draws_match(seeds)
+                and _replayed_draws_match(seeds)
+            )
         except Exception:
             _pulls_verified = False
     return _pulls_verified

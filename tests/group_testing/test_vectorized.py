@@ -11,6 +11,7 @@ and the answers of every path.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core import BatchThresholdDecider, TwoTBins
 from repro.experiments.common import SweepEngine
 from repro.faults.injectors import VerdictFlip
 from repro.faults.plan import FaultPlan
+from repro.group_testing import vectorized
 from repro.group_testing import (
     ModelSpec,
     Population,
@@ -148,10 +150,12 @@ class TestEngineParity:
 class TestStreamConsumption:
     """The kernel leaves every RNG stream exactly where the scalar path would."""
 
+    # 40 runs take the 2+ lockstep, which replays the model streams and
+    # must then advance each generator as the scalar draws would.
+    @pytest.mark.parametrize("runs", [6, 40])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_post_run_generator_states_match_scalar(self, kind):
+    def test_post_run_generator_states_match_scalar(self, kind, runs):
         spec = _model_spec(kind)
-        runs = 6
         vec_streams, vec_cache = _memoized_streams(salt=9)
         batch = QueryBatch(
             n=32, x=10, threshold=5, run_lo=0, run_hi=runs,
@@ -174,6 +178,28 @@ class TestStreamConsumption:
                     vec_gen.bit_generator.state
                     == scalar_gen.bit_generator.state
                 ), f"run {run}: stream consumed a different number of draws"
+
+    def test_capture_draws_stop_where_the_scalar_run_stops(self):
+        # x < t: a silent first half (about one run in nine) proves False
+        # before the second half's collision, whose capture draw the
+        # scalar run therefore never makes.
+        spec = ModelSpec(kind="2+")
+        runs, n, x, t = 40, 32, 3, 17
+        vec_streams, vec_cache = _memoized_streams(salt=4)
+        make_algorithm("exponential").decide_batch(QueryBatch(
+            n=n, x=x, threshold=t, run_lo=0, run_hi=runs,
+            model=spec, streams=vec_streams,
+        ))
+        scalar_streams, scalar_cache = _memoized_streams(salt=4)
+        for run in range(runs):
+            pop_rng, model_rng, bins_rng = scalar_streams(run)
+            model = spec(Population.from_count(n, x, pop_rng), model_rng)
+            make_algorithm("exponential").decide(model, t, bins_rng)
+        for run in range(runs):
+            assert (
+                vec_cache[run][1].bit_generator.state
+                == scalar_cache[run][1].bit_generator.state
+            ), f"run {run}: model stream consumed a different number of draws"
 
 
 def _dispatch_batch(kind: str, layout: str, faulted: bool) -> QueryBatch:
@@ -418,3 +444,180 @@ class TestKernelEdgeCases:
         assert isinstance(TwoTBins(), BatchThresholdDecider)
         assert isinstance(make_algorithm("exponential"), BatchThresholdDecider)
         assert not isinstance(make_algorithm("abns"), BatchThresholdDecider)
+
+
+def _metered(registry, decider, batch, *, vectorize):
+    """``dispatch_batch`` plus the ``model.*`` metrics it recorded."""
+    registry.reset()
+    registry.enable()
+    out, path = dispatch_batch(decider, batch, vectorize=vectorize)
+    snapshot = registry.snapshot()
+    registry.disable()
+    registry.reset()
+    counters = {
+        key: value for key, value in snapshot.counters.items()
+        if key.startswith("model.")
+    }
+    return out, path, counters, snapshot.histograms.get("model.bin_size")
+
+
+def _assert_same(a, b):
+    out_a, _, counters_a, hist_a = a
+    out_b, _, counters_b, hist_b = b
+    np.testing.assert_array_equal(out_a.decisions, out_b.decisions)
+    np.testing.assert_array_equal(out_a.queries, out_b.queries)
+    assert out_a.exact == out_b.exact
+    assert counters_a == counters_b
+    assert hist_a == hist_b
+
+
+def _layout_batch(layout, *, kind, runs, n=64, x=20, threshold=8, spec=None):
+    spec = spec if spec is not None else ModelSpec(kind=kind, k=3, max_queries=40 * n)
+    if layout == "for_cell":
+        return QueryBatch.for_cell(
+            seed=SEED, label="capture", x=x, n=n, threshold=threshold,
+            run_lo=5, run_hi=5 + runs, model=spec,
+        )
+    cut = runs // 3
+    return QueryBatch.spawned(
+        segments=[(11, cut), (12, runs - 2 * cut), (13, cut)],
+        n=n, x=x, threshold=threshold, model=spec,
+    )
+
+
+def _unreached_bad(c: int) -> float:
+    """Out of range only at c = 32, a size no queried bin reaches below."""
+    return 9.0 if c == 32 else 1.0 / c
+
+
+def _reached_bad(c: int) -> float:
+    """Out of range at c = 33, the size of every run's first bin below."""
+    return 9.0 if c == 33 else 1.0 / c
+
+
+class TestCaptureLockstep:
+    """2+ cells of at least 32 runs replay their capture draws in lockstep."""
+
+    @pytest.mark.parametrize("layout", ["for_cell", "spawned"])
+    @pytest.mark.parametrize("name", ["2tbins", "exponential"])
+    @pytest.mark.parametrize("runs", [31, 32])
+    def test_size_rule_boundary_matches_scalar(
+        self, runs, name, layout, monkeypatch, _pristine_registry
+    ):
+        per_run = []
+        original = vectorized._run_one_capture
+
+        def spy(*args, **kwargs):
+            per_run.append(True)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "_run_one_capture", spy)
+        decider = make_algorithm(name)
+        batch = _layout_batch(layout, kind="2+", runs=runs)
+        kernel = _metered(_pristine_registry, decider, batch, vectorize=True)
+        assert kernel[1] == "kernel"
+        # Below the rule every run takes the per-run loop; at it, none.
+        assert len(per_run) == (runs if runs < 32 else 0)
+        scalar = _metered(_pristine_registry, decider, batch, vectorize=False)
+        _assert_same(kernel, scalar)
+        assert kernel[2]["model.verdict.capture"] > 0
+
+    @pytest.mark.parametrize("layout", ["for_cell", "spawned"])
+    def test_query_budget_matches_scalar_error(self, layout):
+        spec = ModelSpec(kind="2+", max_queries=9)
+        batch = _layout_batch(layout, kind="2+", runs=40, x=12, spec=spec)
+        decider = make_algorithm("exponential")
+        for vectorize in (True, False):
+            with pytest.raises(QueryBudgetExceeded, match="budget of 9"):
+                dispatch_batch(decider, batch, vectorize=vectorize)
+
+    @pytest.mark.parametrize("layout", ["for_cell", "spawned"])
+    def test_capture_probability_checked_only_where_reached(self, layout):
+        # n = 65 all positive, t = 1: bin 0 holds 33 positives and its
+        # collision decides the run, so the 32-positive bin 1 is never
+        # queried and its capture probability never evaluated.
+        decider = make_algorithm("2tbins")
+        for vectorize in (True, False):
+            spec = ModelSpec(kind="2+", capture_probability=_unreached_bad)
+            batch = _layout_batch(
+                layout, kind="2+", runs=40, n=65, x=65, threshold=1, spec=spec
+            )
+            out, _ = dispatch_batch(decider, batch, vectorize=vectorize)
+            assert out.decisions.all()
+            spec = ModelSpec(kind="2+", capture_probability=_reached_bad)
+            batch = _layout_batch(
+                layout, kind="2+", runs=40, n=65, x=65, threshold=1, spec=spec
+            )
+            with pytest.raises(
+                ValueError, match=r"capture probability out of range: 9\.0"
+            ):
+                dispatch_batch(decider, batch, vectorize=vectorize)
+
+    def test_unreplayable_model_generators_run_per_run(self):
+        # Custom streams whose model generator is not a PCG64: the
+        # lockstep cannot replay it, so the block runs per run instead.
+        def streams(run):
+            seq = np.random.SeedSequence([77, run])
+            pop, model, bins = seq.spawn(3)
+            return (
+                np.random.default_rng(pop),
+                np.random.Generator(np.random.MT19937(model)),
+                np.random.default_rng(bins),
+            )
+
+        batch = QueryBatch(
+            n=48, x=12, threshold=6, run_lo=0, run_hi=40,
+            model=ModelSpec(kind="2+"), streams=streams,
+        )
+        decider = make_algorithm("2tbins")
+        kernel, path = dispatch_batch(decider, batch, vectorize=True)
+        scalar, _ = dispatch_batch(decider, batch, vectorize=False)
+        assert path == "kernel"
+        np.testing.assert_array_equal(kernel.decisions, scalar.decisions)
+        np.testing.assert_array_equal(kernel.queries, scalar.queries)
+
+
+class TestRowBlocks:
+    """The round-major loop runs in row blocks that bound its memory."""
+
+    @pytest.mark.parametrize("layout", ["for_cell", "spawned"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_multi_block_equals_one_block_and_scalar(
+        self, kind, layout, monkeypatch, _pristine_registry
+    ):
+        decider = make_algorithm("exponential")
+        batch = _layout_batch(layout, kind=kind, runs=45)
+        one_block = _metered(_pristine_registry, decider, batch, vectorize=True)
+        blocks = []
+        original = vectorized._run_block
+
+        def spy(batch, lo, hi, *args):
+            blocks.append((lo, hi))
+            return original(batch, lo, hi, *args)
+
+        monkeypatch.setattr(vectorized, "_run_block", spy)
+        monkeypatch.setattr(vectorized, "_BLOCK_CELLS", 7 * (batch.n + 1))
+        multi = _metered(_pristine_registry, decider, batch, vectorize=True)
+        assert blocks == [(lo, min(lo + 7, 45)) for lo in range(0, 45, 7)]
+        scalar = _metered(_pristine_registry, decider, batch, vectorize=False)
+        _assert_same(multi, one_block)
+        _assert_same(multi, scalar)
+
+    def test_large_population_peak_memory_is_bounded(self):
+        # One block of _BLOCK_CELLS // (n + 1) = 52 rows peaks at about
+        # 26 MB (tracemalloc).  The same cell as one 400-row block peaks
+        # at about 200 MB: its int64 permutation and prefix sums alone
+        # are 2 x 400 x 20,000 x 8 B = 128 MB.
+        n, runs = 20_000, 400
+        batch = QueryBatch.for_cell(
+            seed=SEED, label="wide", x=40, n=n, threshold=30,
+            run_lo=0, run_hi=runs, model=ModelSpec(kind="2+"),
+        )
+        tracemalloc.start()
+        try:
+            out = make_algorithm("2tbins").decide_batch(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.decisions.any()
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -34,9 +34,16 @@ class TestBitIdentity:
         "algorithm",
         ["2tbins", "exponential", "abns", "prob-abns", "2tbins+krepeat"],
     )
-    @pytest.mark.parametrize("collision_model", ["1+", "2+"])
+    # Runs 2..5 coalesce to 14; runs 9..12 coalesce to 42, so a 2+
+    # group takes the capture lockstep while each request alone stays
+    # below its 32-run size rule.
+    @pytest.mark.parametrize(
+        "collision_model, first_runs",
+        [("1+", 2), ("2+", 2), ("2+", 9)],
+        ids=["1+", "2+", "2+-lockstep"],
+    )
     def test_coalesced_equals_solo_equals_scalar(
-        self, algorithm, collision_model
+        self, algorithm, collision_model, first_runs
     ):
         """The acceptance-criterion identity: batch composition never
         changes a request's answers, and the vectorized kernel matches
@@ -47,7 +54,7 @@ class TestBitIdentity:
             _request(
                 f"q{i}",
                 seed=100 + i,
-                runs=2 + i,
+                runs=first_runs + i,
                 algorithm=name,
                 collision_model=collision_model,
                 reliable=reliable or None,

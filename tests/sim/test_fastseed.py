@@ -1,0 +1,170 @@
+"""The 2+ capture draws replayed from PCG64 outputs (``DrawReplay``).
+
+The lockstep kernel never calls a model generator: it reads each run's
+``random()`` and ``integers(c)`` draws off the stream's outputs and, for
+generator-backed batches, leaves every generator where numpy's own
+draws would.  These tests hold the replay to real generators draw for
+draw and in the full ``bit_generator.state`` it leaves behind.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from typing import List
+
+import numpy as np
+import pytest
+
+from repro.sim import fastseed
+
+SEEDS = [0, 5, 2011, 123456789, (1 << 63) - 1]
+
+BOUNDS = (2, 3, 7, 100, 2**31 + 1, 2**32 - 1)
+
+
+def _generators() -> List[np.random.Generator]:
+    return [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+        for s in SEEDS
+    ]
+
+
+def _replay_and_compare(script, replay_gens):
+    """Run ``script`` (None = random(), int c = integers(c)) on real
+    generators and on a replay of ``replay_gens``; compare every draw."""
+    real = _generators()
+    replay = fastseed.DrawReplay.from_generators(replay_gens)
+    assert replay is not None
+    rows = np.arange(len(SEEDS), dtype=np.int64)
+    for bound in script:
+        if bound is None:
+            got = replay.random(rows)
+            want = np.array([gen.random() for gen in real])
+        else:
+            got = replay.integers(rows, np.full(rows.size, bound))
+            want = np.array([gen.integers(bound) for gen in real])
+        np.testing.assert_array_equal(got, want, err_msg=f"draw {bound!r}")
+    return replay, real
+
+
+class TestDrawReplay:
+    def test_probe_passes_on_this_numpy(self):
+        assert fastseed.pulls_available()
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_interleaved_draws_and_states_match(self, bound):
+        # Odd pull counts between random() calls keep a high half waiting
+        # across them; 2**31 + 1 rejects about half its pulls.  Without
+        # rejections a script ends on a consumed half, which numpy keeps
+        # in ``uinteger``.
+        script = [bound, None, None, None, bound, bound, None, bound] * 6
+        gens = _generators()
+        replay, real = _replay_and_compare(script, gens)
+        replay.restore(gens)
+        for replayed, scalar in zip(gens, real):
+            assert replayed.bit_generator.state == scalar.bit_generator.state
+
+    def test_waiting_half_survives_random_calls(self):
+        gens = _generators()
+        replay, real = _replay_and_compare([3, None, None, None, None], gens)
+        assert replay.waiting.all()
+        replay.restore(gens)
+        for replayed, scalar in zip(gens, real):
+            state = replayed.bit_generator.state
+            assert state == scalar.bit_generator.state
+            assert state["has_uint32"] == 1
+
+    def test_growth_past_the_first_block(self):
+        # Rows consume different amounts (rejections), so they outgrow
+        # their first block at different draws and grow apart.
+        script = [None, 2**31 + 1] * 40 + [7, None] * 30
+        gens = _generators()
+        replay, real = _replay_and_compare(script, gens)
+        assert int(replay.used.min()) > 8 * fastseed._REPLAY_BLOCK
+        replay.restore(gens)
+        for replayed, scalar in zip(gens, real):
+            assert replayed.bit_generator.state == scalar.bit_generator.state
+
+    def test_rows_draw_independently(self):
+        # Each call draws on the listed rows only, in any subset.
+        real = _generators()
+        replay = fastseed.DrawReplay(fastseed.pcg64_raw(SEEDS))
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            rows = np.flatnonzero(rng.random(len(SEEDS)) < 0.6)
+            if not rows.size:
+                continue
+            bounds = rng.integers(2, 1000, size=rows.size)
+            if rng.random() < 0.5:
+                got = replay.random(rows)
+                want = [real[r].random() for r in rows]
+            else:
+                got = replay.integers(rows, bounds)
+                want = [real[r].integers(b) for r, b in zip(rows, bounds)]
+            np.testing.assert_array_equal(got, want)
+
+    def test_unreplayable_generators_decline(self):
+        waiting = _generators()
+        waiting[2].integers(5)  # leaves a high half buffered
+        assert fastseed.DrawReplay.from_generators(waiting) is None
+        other = [np.random.Generator(np.random.MT19937(1))]
+        assert fastseed.DrawReplay.from_generators(other) is None
+
+    def test_failed_probe_reports_unavailable(self, monkeypatch):
+        real = fastseed.DrawReplay.integers
+        monkeypatch.setattr(fastseed, "_pulls_verified", None)
+        monkeypatch.setattr(
+            fastseed.DrawReplay, "integers",
+            lambda self, rows, bounds: real(self, rows, bounds + 1),
+        )
+        assert not fastseed.pulls_available()
+
+
+class TestPullBlockSkips:
+    def test_per_row_skips_match_real_generators(self):
+        skips = np.array([0, 3, 17, 1, 64], dtype=np.int64)
+        pulls = fastseed.pull_block(fastseed.pcg64_raw(SEEDS), 4, skip=skips)
+        for i, seed in enumerate(SEEDS):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            raw = gen.bit_generator.random_raw(int(skips[i]) + 4)[skips[i]:]
+            np.testing.assert_array_equal(pulls[0::2, i], raw & np.uint64(0xFFFFFFFF))
+            np.testing.assert_array_equal(pulls[1::2, i], raw >> np.uint64(32))
+
+
+class TestJumpTablesUnderThreads:
+    def test_concurrent_growth_keeps_every_entry(self, monkeypatch):
+        # The query service replays from several executor threads, and
+        # each may grow the shared jump tables; an append computed from
+        # a stale last entry would corrupt every later output.
+        monkeypatch.setattr(fastseed, "_JUMP_A", [1])
+        monkeypatch.setattr(fastseed, "_JUMP_B", [0])
+        monkeypatch.setattr(fastseed, "_jump_limb_cache", None)
+        errors: List[BaseException] = []
+
+        def grow(offset: int) -> None:
+            try:
+                for count in range(offset, 4000, 97):
+                    fastseed._jump_limbs(count)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        mult, mask = fastseed._PCG_MULT, (1 << 128) - 1
+        a, b = 1, 0
+        for k, (got_a, got_b) in enumerate(zip(fastseed._JUMP_A, fastseed._JUMP_B)):
+            assert (got_a, got_b) == (a, b), f"entry {k}"
+            a, b = (a * mult) & mask, (b * mult + 1) & mask
+        limbs_a, _ = fastseed._jump_limbs(0)
+        assert limbs_a.shape[0] == len(fastseed._JUMP_A) > 4000
