@@ -36,7 +36,7 @@ from typing import (
 import numpy as np
 
 from repro.core.result import RoundRecord, ThresholdResult
-from repro.group_testing.binning import partition_deterministic, partition_random
+from repro.group_testing.binning import partition_random
 from repro.group_testing.model import ObservationKind, QueryModel
 
 if TYPE_CHECKING:
@@ -178,12 +178,6 @@ class ThresholdAlgorithm(abc.ABC):
     #: never gets near it; it guards tests against adaptive-policy bugs).
     max_rounds: int = 10_000
 
-    #: How each round partitions the candidates: ``"random"`` (the
-    #: paper's choice, default) or ``"deterministic"`` (sorted contiguous
-    #: slices, as in the companion theory paper).  Class-level switch so
-    #: every subclass inherits it; override per instance for ablations.
-    partition_strategy: str = "random"
-
     def decide(
         self,
         model: QueryModel,
@@ -275,14 +269,7 @@ class ThresholdAlgorithm(abc.ABC):
         rng: np.random.Generator,
     ) -> RoundOutcome:
         """Execute one round: partition, query, update, check termination."""
-        if self.partition_strategy == "random":
-            bins = partition_random(state.candidates, bins_requested, rng)
-        elif self.partition_strategy == "deterministic":
-            bins = partition_deterministic(state.candidates, bins_requested)
-        else:
-            raise ValueError(
-                f"unknown partition strategy {self.partition_strategy!r}"
-            )
+        bins = partition_random(state.candidates, bins_requested, rng)
         # Round-oriented substrates (backcast) broadcast the whole
         # member-to-bin assignment once per round; abstract models have no
         # such hook and skip it.
@@ -316,7 +303,8 @@ class ThresholdAlgorithm(abc.ABC):
                 break
 
         eliminated = len(state.candidates) - len(candidate_set)
-        # Preserve id order for deterministic partitioning downstream.
+        # Preserve id order: the next round's random partition permutes
+        # this list, so its order is part of the stream contract.
         state.candidates = [c for c in state.candidates if c in candidate_set]
         record = RoundRecord(
             index=state.round_index,

@@ -82,6 +82,5 @@ class ExponentialIncrease(ThresholdAlgorithm):
         return run_lockstep(
             batch,
             self.schedule(batch.threshold),
-            partition_strategy=self.partition_strategy,
             algorithm=self.name,
         )

@@ -47,6 +47,5 @@ class TwoTBins(ThresholdAlgorithm):
         return run_lockstep(
             batch,
             self.schedule(batch.threshold),
-            partition_strategy=self.partition_strategy,
             algorithm=self.name,
         )

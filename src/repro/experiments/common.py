@@ -12,16 +12,19 @@ Because every ``(cell, run)`` derives its streams purely from
 ``(seed, label, x, run)`` -- :meth:`repro.sim.rng.RngRegistry.fork` is a
 stateless SHA-256 derivation -- trials can be recomputed anywhere, in any
 order.  The engine exploits this with an optional process-pool backend
-(``jobs > 1``): runs are sharded into blocks across worker processes and
-stitched back in run order, so parallel results are **bit-identical** to
-serial ones.  Factories must be picklable for the parallel path (use
+(``jobs > 1``): each whole cell is one shard, computed in whichever
+worker process picks it up, so parallel results are **bit-identical**
+to serial ones.  Factories must be picklable for the parallel path (use
 :func:`repro.api.algorithm_factory` and
 :class:`repro.group_testing.model.ModelSpec` instead of closures);
 unpicklable factories degrade to serial execution with a warning.
 
-Every batch runs under a :class:`repro.experiments.resilience.RunContext`:
-the one the CLI installs, or a journal-less one the engine builds for
-the call.  The parallel path is always the supervised pool of
+Every figure's cells run through one runner, :func:`run_shards`: the
+engine's curves, and the per-``(d, r)`` cells of fig09/fig10 (any
+:class:`ShardTask`).  Every batch runs under a
+:class:`repro.experiments.resilience.RunContext`: the one the CLI
+installs, or a journal-less one built for the call.  The parallel path
+is always the supervised pool of
 :func:`repro.experiments.resilience.run_supervised` (crash/hang
 detection, bounded requeue, quarantine).  With a journal, completed
 shards are recorded for ``--resume`` and already-journalled shards are
@@ -39,7 +42,7 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,13 +266,14 @@ atexit.register(shutdown_executors)
 
 
 @dataclass(frozen=True)
-class _SweepCellTask:
-    """One shard of a sweep curve: runs ``[run_lo, run_hi)`` of one cell.
+class ShardTask:
+    """One shard: a whole grid cell, named by what its values derive from.
 
-    Carries everything a worker process needs to recompute its trials
-    from scratch -- cell streams derive statelessly from
-    ``(seed, label, x, run)``, so a shard's costs are identical no matter
-    which process computes them.
+    The identity fields are what
+    :func:`repro.experiments.resilience.shard_id` keys the run journal
+    and the farm store by; ``[run_lo, run_hi)`` is always the cell's
+    whole run range.  Subclasses add :meth:`costs` and everything a
+    worker process needs to compute it from scratch.
     """
 
     seed: int
@@ -279,17 +283,32 @@ class _SweepCellTask:
     threshold: int
     run_lo: int
     run_hi: int
+    #: Whether the executing process should collect metrics (set by
+    #: :func:`run_shards` from the submitting process's registry;
+    #: workers sync to it).
+    collect_metrics: bool = False
+    #: Whether to return an isolated :class:`MetricsSnapshot` (set off
+    #: the serial path only -- worker state cannot be read any other way).
+    snapshot_metrics: bool = False
+
+    def costs(self) -> List[float]:
+        """The cell's values, one per run in ``[run_lo, run_hi)``."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, kw_only=True)
+class _SweepCellTask(ShardTask):
+    """One :class:`SweepEngine` cell: every run of one ``(label, x)``.
+
+    Cell streams derive statelessly from ``(seed, label, x, run)``, so a
+    cell's costs are identical no matter which process computes them.
+    """
+
     baseline: bool
     factory: Callable[..., ThresholdDecider]
     model_factory: Optional[ModelFactory] = None
     check_exactness: bool = False
-    #: Whether the executing process should collect metrics (mirrors the
-    #: submitting process's registry state; workers sync to it).
-    collect_metrics: bool = False
-    #: Whether to return an isolated :class:`MetricsSnapshot` (set on the
-    #: parallel path only -- worker state cannot be read any other way).
-    snapshot_metrics: bool = False
-    #: Whether the executing process may dispatch this shard to the
+    #: Whether the executing process may dispatch this cell to the
     #: vectorized kernel (ships with the task: worker processes cannot
     #: see the submitting process's engine configuration).  The scalar
     #: fallback fires automatically when the algorithm, baseline, model
@@ -297,18 +316,53 @@ class _SweepCellTask:
     #: :func:`repro.group_testing.vectorized.dispatch_batch`).
     vectorize: bool = False
 
+    def costs(self) -> List[float]:
+        """Per-run query (or slot) costs of the cell, in run order."""
+        # A baseline cell has no model factory: its batch carries the
+        # "pop"/"mac" stream layout and its decider reads the population.
+        batch = QueryBatch.for_cell(
+            seed=self.seed,
+            label=self.label,
+            x=self.x,
+            n=self.n,
+            threshold=self.threshold,
+            run_lo=self.run_lo,
+            run_hi=self.run_hi,
+            model=self.model_factory,
+        )
+        decider = self.factory() if self.baseline else self.factory(self.x)
+        out, path = dispatch_batch(decider, batch, vectorize=self.vectorize)
+        # Parity jobs read which path ran from these counters; baseline
+        # cells keep their own pair so sweep.vectorized_* count query
+        # curves only.
+        if path == "kernel":
+            (_S_BASE_VEC_SHARDS if self.baseline else _S_VEC_SHARDS).inc()
+        elif path == "fallback":
+            (_S_BASE_FALLBACK if self.baseline else _S_VEC_FALLBACK).inc()
+        if self.check_exactness and out.exact:
+            # A from_count population's ground truth is x >= t.
+            truth = self.x >= self.threshold
+            bad = np.flatnonzero(out.decisions != truth)
+            if bad.size:
+                raise AssertionError(
+                    f"{self.label}: wrong answer at x={self.x}, "
+                    f"t={self.threshold}, run={self.run_lo + int(bad[0])}: "
+                    f"got {bool(out.decisions[bad[0]])}, truth {truth}"
+                )
+        return [float(q) for q in out.queries]
+
 
 def _run_sweep_cell(
-    task: _SweepCellTask,
+    task: ShardTask,
 ) -> Tuple[List[float], Optional[MetricsSnapshot]]:
-    """Compute one shard's per-run query costs (module-level: picklable).
+    """Compute one shard's values (module-level: picklable).
 
-    This is the single trial loop behind both the serial and the parallel
-    backend, which is what makes them bit-identical by construction.
+    This is the single envelope behind the serial, pool and farm
+    backends, which is what makes them bit-identical by construction.
 
     Returns:
         ``(costs, snapshot)``.  ``snapshot`` is ``None`` unless the task
-        asks for metrics isolation (``snapshot_metrics``, the parallel
+        asks for metrics isolation (``snapshot_metrics``, off the serial
         path): then the worker's registry is reset before the shard and
         snapshotted after it, and the caller merges the snapshot into its
         own registry.  Metrics collection touches no RNG stream, so costs
@@ -325,38 +379,7 @@ def _run_sweep_cell(
     shard_start = (
         time.perf_counter() if metrics.enabled else 0.0  # tcast-lint: disable=TCL002 -- harness profiling (shard wall time), never simulated time
     )
-    # A baseline shard has no model factory: its batch carries the
-    # "pop"/"mac" stream layout and its decider reads the population.
-    batch = QueryBatch.for_cell(
-        seed=task.seed,
-        label=task.label,
-        x=task.x,
-        n=task.n,
-        threshold=task.threshold,
-        run_lo=task.run_lo,
-        run_hi=task.run_hi,
-        model=task.model_factory,
-    )
-    decider = task.factory() if task.baseline else task.factory(task.x)
-    out, path = dispatch_batch(decider, batch, vectorize=task.vectorize)
-    # Parity jobs read which path ran from these counters; baseline
-    # shards keep their own pair so sweep.vectorized_* count query
-    # curves only.
-    if path == "kernel":
-        (_S_BASE_VEC_SHARDS if task.baseline else _S_VEC_SHARDS).inc()
-    elif path == "fallback":
-        (_S_BASE_FALLBACK if task.baseline else _S_VEC_FALLBACK).inc()
-    if task.check_exactness and out.exact:
-        # A from_count population's ground truth is x >= t.
-        truth = task.x >= task.threshold
-        bad = np.flatnonzero(out.decisions != truth)
-        if bad.size:
-            raise AssertionError(
-                f"{task.label}: wrong answer at x={task.x}, "
-                f"t={task.threshold}, run={task.run_lo + int(bad[0])}: "
-                f"got {bool(out.decisions[bad[0]])}, truth {truth}"
-            )
-    costs = [float(q) for q in out.queries]
+    costs = task.costs()
     if metrics.enabled:
         elapsed = time.perf_counter() - shard_start  # tcast-lint: disable=TCL002 -- harness profiling (shard wall time), never simulated time
         _S_SHARD_SECONDS.observe(elapsed)
@@ -366,7 +389,7 @@ def _run_sweep_cell(
     return costs, (metrics.snapshot() if isolate else None)
 
 
-def _run_sweep_cell_guarded(task: _SweepCellTask) -> ShardOutcome:
+def _run_sweep_cell_guarded(task: ShardTask) -> ShardOutcome:
     """Worker-side wrapper: ship in-shard exceptions home as data.
 
     Letting an exception propagate out of a worker either loses the
@@ -385,14 +408,164 @@ def _run_sweep_cell_guarded(task: _SweepCellTask) -> ShardOutcome:
     return ShardOutcome(costs=costs, snapshot=snapshot)
 
 
+def run_shards(
+    tasks: Sequence[ShardTask], *, jobs: int
+) -> List[Optional[List[float]]]:
+    """Execute shards in-process, on the supervised pool or on the farm.
+
+    Every figure's cells run here, one shard per cell.  Every batch runs
+    under a :class:`~repro.experiments.resilience.RunContext`: the
+    installed one, or a journal-less one built for this call.  Shards
+    already in the run journal are skipped (their recorded values slot
+    in, bit-identical by construction).  The rest report through one
+    pair of callbacks, which merge worker metrics snapshots into this
+    process's registry, journal completions and mark quarantined shards
+    degraded; serial, pool and farm differ only in the call that runs
+    the pending shards.
+
+    Args:
+        tasks: The shards, in the order their values are returned.
+        jobs: Resolved worker-process count (:func:`resolve_jobs`).
+
+    Returns:
+        Each shard's values, or ``None`` for a quarantined shard (the
+        caller reports a ``nan`` cell; the run carries a degraded
+        report).  Nobody reads the degraded report of an engine-built
+        context, so there the batch raises once it finishes instead.
+    """
+    installed = resilience.current_context()
+    ctx = installed if installed is not None else resilience.RunContext()
+    tasks = list(tasks)
+    results: List[Optional[List[float]]] = [None] * len(tasks)
+    pending = []
+    for i, task in enumerate(tasks):
+        recorded = ctx.lookup_shard(task)
+        if recorded is not None:
+            results[i] = recorded
+        else:
+            pending.append(i)
+    if not pending:
+        return results
+    reg = get_registry()
+
+    def on_complete(idx: int, task: ShardTask, outcome: ShardOutcome) -> None:
+        assert outcome.costs is not None
+        if outcome.snapshot is not None:
+            reg.absorb(outcome.snapshot)
+        results[idx] = outcome.costs
+        ctx.record_shard(task, outcome.costs)
+
+    def on_quarantine(idx: int, task: ShardTask, reason: str) -> None:
+        _LOG.error(
+            "quarantined shard %s: %s", resilience.shard_id(task).where, reason
+        )
+        ctx.mark_degraded(task, reason)
+
+    # Farm backend: even a single pending shard goes through the farm
+    # so the crash/resume story is uniform.
+    serial = ctx.farm is None and (jobs <= 1 or len(pending) <= 1)
+    if serial:
+        _S_SERIAL_BATCHES.inc()
+    elif ctx.farm is None:
+        try:
+            # A batch may mix curves, so check every pending task; one
+            # dump pickles the factories they share only once.
+            with _S_PICKLE_TIMER.time():
+                pickle.dumps([tasks[i] for i in pending])
+        except Exception:
+            warnings.warn(
+                "sweep factories are not picklable; running serially "
+                "(use repro.api.algorithm_factory / ModelSpec for the "
+                "parallel backend)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            _S_FALLBACK_SERIAL.inc()
+            serial = True
+    if reg.enabled:
+        # Off the serial path workers cannot write this registry, so
+        # each shard returns an isolated snapshot to merge back (exact
+        # integer sums).
+        tasks = [
+            replace(t, collect_metrics=True, snapshot_metrics=not serial)
+            for t in tasks
+        ]
+    items = [(i, tasks[i]) for i in pending]
+    if serial:
+        for idx, task in items:
+            costs, _ = _run_sweep_cell(task)
+            on_complete(idx, task, ShardOutcome(costs=costs))
+    elif ctx.farm is not None:
+        _S_FARM_BATCHES.inc()
+        with _S_DRAIN_TIMER.time():
+            ctx.farm.execute(
+                items,
+                fn=_run_sweep_cell_guarded,
+                on_complete=on_complete,
+                on_quarantine=on_quarantine,
+            )
+    else:
+        _S_PARALLEL_BATCHES.inc()
+        _S_QUEUE_DEPTH.observe(max(0, len(pending) - jobs))
+        with _S_DRAIN_TIMER.time():
+            resilience.run_supervised(
+                _run_sweep_cell_guarded,
+                items,
+                jobs=jobs,
+                context=ctx,
+                on_complete=on_complete,
+                on_quarantine=on_quarantine,
+            )
+    if installed is None and ctx.degraded:
+        raise RuntimeError(
+            f"{len(ctx.degraded)} sweep shard(s) quarantined after "
+            "repeated worker failures: " + "; ".join(ctx.degraded)
+        )
+    return results
+
+
+@dataclass(frozen=True)
+class Curve:
+    """One curve for :meth:`SweepEngine.curves`: a label, a grid and how
+    to compute a cell.
+
+    Attributes:
+        label: Series label (part of every cell's stream derivation).
+        xs: Positive-count grid.
+        factory: An :data:`AlgorithmFactory`, or a
+            :data:`BaselineFactory` for a MAC baseline.
+        model_factory: Builds the query model per run; ``None`` marks a
+            MAC baseline, which reads the population directly.
+        threshold: Override of the engine's threshold.
+        n: Override of the engine's population size.
+        seed: Override of the engine's root seed.
+        check_exactness: Assert exact deciders return the ground truth
+            on every run (disable for noisy models).
+    """
+
+    label: str
+    xs: Sequence[int]
+    factory: Callable[..., ThresholdDecider]
+    model_factory: Optional[ModelFactory] = None
+    threshold: Optional[int] = None
+    n: Optional[int] = None
+    seed: Optional[int] = None
+    check_exactness: bool = True
+
+
 class SweepEngine:
     """Deterministic multi-run sweep executor.
 
+    Every ``(curve, x)`` cell is one shard that computes all of the
+    cell's runs; :meth:`curves` runs a whole figure's cells in one
+    supervised batch (:func:`run_shards`).
+
     Args:
-        n: Population size.
-        threshold: Threshold ``t`` (per-cell overridable in the t-sweep).
+        n: Population size (per-curve overridable).
+        threshold: Threshold ``t`` (per-curve overridable).
         runs: Repetitions per grid cell (paper: 1000).
-        seed: Root seed; every (cell, run) derives its own streams.
+        seed: Root seed; every (cell, run) derives its own streams
+            (per-curve overridable).
         jobs: Worker processes (``1`` = in-process serial; ``0``/``None``
             = one per CPU).  Parallel output is bit-identical to serial;
             factories must be picklable or the engine falls back to
@@ -404,10 +577,6 @@ class SweepEngine:
             the same per-run streams as the scalar path, so this never
             changes results -- only throughput.
     """
-
-    #: Target task count per worker; oversubscription smooths out
-    #: uneven per-shard runtimes (cheap cells finish early).
-    _OVERSUBSCRIBE = 4
 
     def __init__(
         self,
@@ -455,192 +624,50 @@ class SweepEngine:
         """Whether cells may dispatch to the vectorized kernel."""
         return self._vectorize
 
-    def _shards(self, xs: Sequence[int]) -> List[Tuple[int, int, int]]:
-        """Split the sweep grid into ``(x, run_lo, run_hi)`` shards.
+    def curves(self, curves: Sequence[Curve]) -> List[Series]:
+        """Mean cost of every curve, from one batch of whole-cell shards.
 
-        Serial runs get one shard per cell.  Parallel runs split each
-        cell's run range into enough blocks to keep every worker busy
-        even on single-cell curves (the t- and n-sweeps call the engine
-        one cell at a time).  Shard boundaries never affect results --
-        only which process computes which runs.
+        Returns:
+            One mean-cost series with standard errors per curve, in
+            ``curves`` order.
         """
-        if self._jobs <= 1:
-            blocks_per_x = 1
-        else:
-            target = self._jobs * self._OVERSUBSCRIBE
-            blocks_per_x = min(self._runs, max(1, -(-target // len(xs))))
-        shards: List[Tuple[int, int, int]] = []
-        for x in xs:
-            base, extra = divmod(self._runs, blocks_per_x)
-            lo = 0
-            for i in range(blocks_per_x):
-                hi = lo + base + (1 if i < extra else 0)
-                if hi > lo:
-                    shards.append((int(x), lo, hi))
-                lo = hi
-        return shards
-
-    def _run_tasks(
-        self, tasks: List[_SweepCellTask]
-    ) -> List[Optional[List[float]]]:
-        """Execute shards in-process, on the supervised pool or on the farm.
-
-        Every batch runs under a
-        :class:`~repro.experiments.resilience.RunContext`: the installed
-        one, or a journal-less one built for this call.  Shards already
-        in the run journal are skipped (their recorded costs slot in,
-        bit-identical by construction).  The rest report through one
-        pair of callbacks, which merge worker metrics snapshots into
-        this process's registry, journal completions and mark
-        quarantined shards degraded; serial, pool and farm differ only
-        in the call that runs the pending shards.
-
-        A quarantined shard yields ``None`` in the returned list and
-        :meth:`_sweep` degrades explicitly.  Nobody reads the degraded
-        report of an engine-built context, so there the batch raises
-        once it finishes instead of returning ``nan`` cells.
-        """
-        installed = resilience.current_context()
-        ctx = installed if installed is not None else resilience.RunContext()
-        results: List[Optional[List[float]]] = [None] * len(tasks)
-        pending = []
-        for i, task in enumerate(tasks):
-            recorded = ctx.lookup_shard(task)
-            if recorded is not None:
-                results[i] = recorded
-            else:
-                pending.append(i)
-        if not pending:
-            return results
-        reg = get_registry()
-
-        def on_complete(
-            idx: int, task: _SweepCellTask, outcome: ShardOutcome
-        ) -> None:
-            assert outcome.costs is not None
-            if outcome.snapshot is not None:
-                reg.absorb(outcome.snapshot)
-            results[idx] = outcome.costs
-            ctx.record_shard(task, outcome.costs)
-
-        def on_quarantine(
-            idx: int, task: _SweepCellTask, reason: str
-        ) -> None:
-            label, x, lo, hi = resilience.shard_coords(task)
-            _LOG.error(
-                "quarantined shard %r x=%d runs [%d,%d): %s",
-                label, x, lo, hi, reason,
-            )
-            ctx.mark_degraded(task, reason)
-
-        # Farm backend: even a single pending shard goes through the farm
-        # so the crash/resume story is uniform.
-        serial = ctx.farm is None and (self._jobs <= 1 or len(pending) <= 1)
-        if serial:
-            _S_SERIAL_BATCHES.inc()
-        elif ctx.farm is None:
-            try:
-                with _S_PICKLE_TIMER.time():
-                    pickle.dumps(tasks[pending[0]])
-            except Exception:
-                warnings.warn(
-                    "sweep factories are not picklable; running serially "
-                    "(use repro.api.algorithm_factory / ModelSpec for the "
-                    "parallel backend)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                _S_FALLBACK_SERIAL.inc()
-                serial = True
-        if not serial and reg.enabled:
-            # Workers cannot write this registry; ask each shard for an
-            # isolated snapshot to merge back (exact integer sums).
-            tasks = [replace(t, snapshot_metrics=True) for t in tasks]
-        items = [(i, tasks[i]) for i in pending]
-        if serial:
-            for idx, task in items:
-                costs, _ = _run_sweep_cell(task)
-                on_complete(idx, task, ShardOutcome(costs=costs))
-        elif ctx.farm is not None:
-            _S_FARM_BATCHES.inc()
-            with _S_DRAIN_TIMER.time():
-                ctx.farm.execute(
-                    items,
-                    fn=_run_sweep_cell_guarded,
-                    on_complete=on_complete,
-                    on_quarantine=on_quarantine,
-                )
-        else:
-            _S_PARALLEL_BATCHES.inc()
-            _S_QUEUE_DEPTH.observe(max(0, len(pending) - self._jobs))
-            with _S_DRAIN_TIMER.time():
-                resilience.run_supervised(
-                    _run_sweep_cell_guarded,
-                    items,
-                    jobs=self._jobs,
-                    context=ctx,
-                    on_complete=on_complete,
-                    on_quarantine=on_quarantine,
-                )
-        if installed is None and ctx.degraded:
-            raise RuntimeError(
-                f"{len(ctx.degraded)} sweep shard(s) quarantined after "
-                "repeated worker failures: " + "; ".join(ctx.degraded)
-            )
-        return results
-
-    def _sweep(
-        self,
-        label: str,
-        xs: Sequence[int],
-        factory: Callable[..., ThresholdDecider],
-        model_factory: Optional[ModelFactory],
-        threshold: Optional[int],
-        *,
-        baseline: bool,
-        check_exactness: bool = False,
-    ) -> Series:
-        t = self._threshold if threshold is None else threshold
-        shards = self._shards(xs)
-        collect_metrics = get_registry().enabled
         tasks = [
             _SweepCellTask(
-                seed=self._seed,
-                label=label,
-                x=x,
-                n=self._n,
-                threshold=t,
-                run_lo=lo,
-                run_hi=hi,
-                baseline=baseline,
-                factory=factory,
-                model_factory=model_factory,
-                check_exactness=check_exactness,
-                collect_metrics=collect_metrics,
+                seed=self._seed if c.seed is None else int(c.seed),
+                label=c.label,
+                x=int(x),
+                n=self._n if c.n is None else c.n,
+                threshold=self._threshold if c.threshold is None else c.threshold,
+                run_lo=0,
+                run_hi=self._runs,
+                baseline=c.model_factory is None,
+                factory=c.factory,
+                model_factory=c.model_factory,
+                check_exactness=c.check_exactness,
                 vectorize=self._vectorize,
             )
-            for (x, lo, hi) in shards
+            for c in curves
+            for x in c.xs
         ]
-        blocks = self._run_tasks(tasks)
-        by_x: Dict[int, List[float]] = {int(x): [] for x in xs}
-        for (x, _, _), block in zip(shards, blocks):
-            if block is not None:  # None = quarantined (degraded run)
-                by_x[x].extend(block)
-        means: List[float] = []
-        errs: List[float] = []
-        for x in xs:
-            costs = np.asarray(by_x[int(x)], dtype=np.float64)
-            # A cell can come up short (or empty) only when supervision
-            # quarantined shards; the run then carries a degraded report.
-            means.append(float(costs.mean()) if costs.size else float("nan"))
-            errs.append(float(costs.std(ddof=1) / np.sqrt(self._runs))
-                        if self._runs > 1 and costs.size > 1 else 0.0)
-        return Series(
-            label=label,
-            xs=tuple(float(x) for x in xs),
-            ys=tuple(means),
-            stderr=tuple(errs),
-        )
+        cells = iter(run_shards(tasks, jobs=self._jobs))
+        out: List[Series] = []
+        for c in curves:
+            means: List[float] = []
+            errs: List[float] = []
+            for _ in c.xs:
+                # None = quarantined: a degraded run reports a nan cell.
+                block = next(cells)
+                costs = np.asarray(block or [], dtype=np.float64)
+                means.append(float(costs.mean()) if costs.size else float("nan"))
+                errs.append(float(costs.std(ddof=1) / np.sqrt(self._runs))
+                            if costs.size > 1 else 0.0)
+            out.append(Series(
+                label=c.label,
+                xs=tuple(float(x) for x in c.xs),
+                ys=tuple(means),
+                stderr=tuple(errs),
+            ))
+        return out
 
     def query_curve(
         self,
@@ -667,15 +694,10 @@ class SweepEngine:
         Returns:
             The mean-cost series with standard errors.
         """
-        return self._sweep(
-            label,
-            xs,
-            algorithm_factory,
-            model_factory,
-            threshold,
-            baseline=False,
-            check_exactness=check_exactness,
-        )
+        return self.curves([Curve(
+            label, xs, algorithm_factory, model_factory,
+            threshold=threshold, check_exactness=check_exactness,
+        )])[0]
 
     def baseline_curve(
         self,
@@ -690,15 +712,9 @@ class SweepEngine:
         Decisions are checked against ``x >= t`` wherever the baseline
         reports them exact (sequential ordering; CSMA's are not).
         """
-        return self._sweep(
-            label,
-            xs,
-            baseline_factory,
-            None,
-            threshold,
-            baseline=True,
-            check_exactness=True,
-        )
+        return self.curves([Curve(
+            label, xs, baseline_factory, threshold=threshold,
+        )])[0]
 
 
 def mean_query_curve(

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from repro.analytic.bounds import upper_bound_queries
 from repro.api import algorithm_factory
-from repro.experiments.common import ExperimentResult, Series, SweepEngine
+from repro.experiments.common import Curve, ExperimentResult, Series, SweepEngine
 from repro.group_testing.model import ModelSpec
 from repro.mac import SequentialOrdering
 
@@ -44,27 +44,23 @@ def run(
             regime where the scaling gap is widest).
         jobs: Worker processes for the sweep (bit-identical to serial).
     """
-    tcast_ys: List[float] = []
-    prob_ys: List[float] = []
-    seq_ys: List[float] = []
-    bound_ys: List[float] = []
     two_t = algorithm_factory("2tbins")
     prob_abns = algorithm_factory("prob-abns")
 
+    # One batch for the whole figure: every one-cell curve carries its
+    # own n and seed (seed + n), so the engine's n and seed go unused.
+    engine = SweepEngine(0, threshold, runs=runs, seed=seed, jobs=jobs)
+    curves: List[Curve] = []
     for n in ns:
-        engine = SweepEngine(n, threshold, runs=runs, seed=seed + n, jobs=jobs)
         one_plus = ModelSpec(kind="1+", max_queries=100 * max(n, 1))
-
-        tcast_ys.append(
-            engine.query_curve("2tBins", [x], two_t, one_plus).ys[0]
-        )
-        prob_ys.append(
-            engine.query_curve("ProbABNS", [x], prob_abns, one_plus).ys[0]
-        )
-        seq_ys.append(
-            engine.baseline_curve("Sequential", [x], SequentialOrdering).ys[0]
-        )
-        bound_ys.append(float(upper_bound_queries(n, threshold)))
+        curves += [
+            Curve("2tBins", [x], two_t, one_plus, n=n, seed=seed + n),
+            Curve("ProbABNS", [x], prob_abns, one_plus, n=n, seed=seed + n),
+            Curve("Sequential", [x], SequentialOrdering, n=n, seed=seed + n),
+        ]
+    ys = [s.ys[0] for s in engine.curves(curves)]
+    tcast_ys, prob_ys, seq_ys = ys[0::3], ys[1::3], ys[2::3]
+    bound_ys = [float(upper_bound_queries(n, threshold)) for n in ns]
 
     fxs = tuple(float(n) for n in ns)
     return ExperimentResult(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.api import algorithm_factory
-from repro.experiments.common import ExperimentResult, Series, SweepEngine
+from repro.experiments.common import Curve, ExperimentResult, Series, SweepEngine
 from repro.group_testing.model import ModelSpec
 
 DEFAULT_N = 16
@@ -53,27 +53,27 @@ def run(
     ts = threshold_grid(n)
     two_t = algorithm_factory("2tbins")
 
-    curves = {
+    models = {
         "2tBins 1+": ModelSpec(kind="1+", max_queries=80 * n),
         "2tBins 2+": ModelSpec(kind="2+", max_queries=80 * n),
     }
+    # One batch for the whole figure: a one-cell curve per (model, t),
+    # each carrying its own threshold.
+    engine = SweepEngine(n, ts[0], runs=runs, seed=seed, jobs=jobs)
+    cells = engine.curves([
+        Curve(f"{label}/t{t}", [x], two_t, model, threshold=t)
+        for label, model in models.items()
+        for t in ts
+    ])
     series = []
-    for label, model_factory in curves.items():
-        ys = []
-        errs = []
-        for t in ts:
-            engine = SweepEngine(n, t, runs=runs, seed=seed, jobs=jobs)
-            s = engine.query_curve(
-                f"{label}/t{t}", [x], two_t, model_factory
-            )
-            ys.append(s.ys[0])
-            errs.append(s.stderr[0])
+    for i, label in enumerate(models):
+        row = cells[i * len(ts) : (i + 1) * len(ts)]
         series.append(
             Series(
                 label=label,
                 xs=tuple(float(t) for t in ts),
-                ys=tuple(ys),
-                stderr=tuple(errs),
+                ys=tuple(s.ys[0] for s in row),
+                stderr=tuple(s.stderr[0] for s in row),
             )
         )
     return ExperimentResult(

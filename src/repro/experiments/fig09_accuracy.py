@@ -18,14 +18,20 @@ this scale), equal mixture weights.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.analytic.bimodal import BimodalSpec
 from repro.core.probabilistic import ProbabilisticThreshold
-from repro.experiments import resilience
-from repro.experiments.common import ExperimentResult, Series, resolve_jobs
+from repro.experiments.common import (
+    ExperimentResult,
+    Series,
+    ShardTask,
+    resolve_jobs,
+    run_shards,
+)
 from repro.group_testing.model import OnePlusModel
 from repro.sim.rng import derive_seed
 from repro.workloads.bimodal import BimodalWorkload
@@ -68,10 +74,18 @@ def measure_accuracy(
     return correct / runs
 
 
-def _accuracy_cell(task: Tuple[BimodalSpec, int, int, int]) -> float:
-    """One (spec, r) cell for the process pool (module-level: picklable)."""
-    spec, repeats, runs, seed = task
-    return measure_accuracy(spec, repeats, runs=runs, seed=seed)
+@dataclass(frozen=True, kw_only=True)
+class _AccuracyCell(ShardTask):
+    """One ``(d, r)`` cell as a shard: ``x`` is ``d``, the label names
+    ``r``, and the cell's one value (run ``[0, 1)``) is its accuracy."""
+
+    sigma: float
+    repeats: int
+    draws: int
+
+    def costs(self) -> List[float]:
+        spec = BimodalSpec.symmetric(n=self.n, d=float(self.x), sigma=self.sigma)
+        return [measure_accuracy(spec, self.repeats, runs=self.draws, seed=self.seed)]
 
 
 def run(
@@ -97,22 +111,19 @@ def run(
             Carlo estimates, so sharding them is bit-identical to serial.
     """
     tasks = [
-        (
-            BimodalSpec.symmetric(n=n, d=float(d), sigma=sigma),
-            r,
-            runs,
-            derive_seed(seed, f"d{d}"),
+        _AccuracyCell(
+            seed=derive_seed(seed, f"d{d}"), label=f"r={r}", x=d, n=n,
+            threshold=n // 2, run_lo=0, run_hi=1,
+            sigma=sigma, repeats=r, draws=runs,
         )
         for r in repeat_counts
         for d in d_grid
     ]
-    n_jobs = resolve_jobs(jobs)
-    if n_jobs > 1 and len(tasks) > 1:
-        accuracies = list(
-            resilience._get_pool(n_jobs).map(_accuracy_cell, tasks)
-        )
-    else:
-        accuracies = [_accuracy_cell(task) for task in tasks]
+    # None = quarantined: a degraded run reports a nan cell.
+    accuracies = [
+        cell[0] if cell is not None else float("nan")
+        for cell in run_shards(tasks, jobs=resolve_jobs(jobs))
+    ]
     series: List[Series] = []
     for i, r in enumerate(repeat_counts):
         ys = accuracies[i * len(d_grid) : (i + 1) * len(d_grid)]

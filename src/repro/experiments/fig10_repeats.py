@@ -14,11 +14,17 @@ A second, Monte-Carlo series cross-checks the analytic sizing: for each
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.analytic.bimodal import BimodalSpec, analyze_separation
-from repro.experiments import resilience
-from repro.experiments.common import ExperimentResult, Series, resolve_jobs
+from repro.experiments.common import (
+    ExperimentResult,
+    Series,
+    ShardTask,
+    resolve_jobs,
+    run_shards,
+)
 from repro.experiments.fig09_accuracy import measure_accuracy
 from repro.sim.rng import derive_seed
 
@@ -40,19 +46,27 @@ def analytic_repeats(
     return analysis.repeats(delta)
 
 
-def _min_repeats_cell(task: Tuple[BimodalSpec, int, int, float]) -> float:
-    """Search the repeat grid for one ``d`` (module-level: picklable).
+@dataclass(frozen=True, kw_only=True)
+class _MinRepeatsCell(ShardTask):
+    """One ``d`` as a shard (``x`` is ``d``): its one value (run
+    ``[0, 1)``) is the smallest ``r`` on the search grid whose measured
+    accuracy reaches ``1 - delta``, or ``nan`` if none does.
 
-    Runs the same early-exit search the serial path uses, so the result
-    (and the Monte-Carlo evaluations performed) are identical regardless
-    of which process computes it.
+    The early-exit search is the same wherever the shard runs, so the
+    result (and the Monte-Carlo evaluations performed) are too.
     """
-    spec, runs, seed, delta = task
-    for candidate in _SEARCH_GRID:
-        acc = measure_accuracy(spec, candidate, runs=runs, seed=seed)
-        if acc >= 1.0 - delta:
-            return float(candidate)
-    return float("nan")
+
+    sigma: float
+    draws: int
+    delta: float
+
+    def costs(self) -> List[float]:
+        spec = BimodalSpec.symmetric(n=self.n, d=float(self.x), sigma=self.sigma)
+        for candidate in _SEARCH_GRID:
+            acc = measure_accuracy(spec, candidate, runs=self.draws, seed=self.seed)
+            if acc >= 1.0 - self.delta:
+                return [float(candidate)]
+        return [float("nan")]
 
 
 def run(
@@ -87,21 +101,18 @@ def run(
     measured_ys: List[float] = []
     if runs > 0:
         tasks = [
-            (
-                BimodalSpec.symmetric(n=n, d=float(d), sigma=sigma),
-                runs,
-                derive_seed(seed, f"d{d}"),
-                delta,
+            _MinRepeatsCell(
+                seed=derive_seed(seed, f"d{d}"), label="measured min r", x=d,
+                n=n, threshold=n // 2, run_lo=0, run_hi=1,
+                sigma=sigma, draws=runs, delta=delta,
             )
             for d in d_grid
         ]
-        n_jobs = resolve_jobs(jobs)
-        if n_jobs > 1 and len(tasks) > 1:
-            measured_ys = list(
-                resilience._get_pool(n_jobs).map(_min_repeats_cell, tasks)
-            )
-        else:
-            measured_ys = [_min_repeats_cell(task) for task in tasks]
+        # None = quarantined: a degraded run reports a nan cell.
+        measured_ys = [
+            cell[0] if cell is not None else float("nan")
+            for cell in run_shards(tasks, jobs=resolve_jobs(jobs))
+        ]
 
     series = [
         Series(

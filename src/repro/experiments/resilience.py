@@ -10,12 +10,12 @@ appended to an on-disk journal as one CRC32-framed JSON record (see
 :mod:`repro.experiments.atomicio`), flushed to the kernel before the run
 moves on (fsync is batched on a time cadence; see :class:`ShardJournal`).
 ``tcast-experiments run --resume`` reloads the journal and skips every
-cell whose runs are already recorded; because shard costs derive
-statelessly from the shard's identity (:func:`shard_id`: the engine's
-seed, ``n`` and threshold, the cell's label and ``x``, and the run), the
-stitched-together result is byte-identical to an uninterrupted run.
-Records are keyed per *run*, not per shard, so a resume with a different
-``--jobs`` (different shard boundaries) still reuses everything covered.
+recorded shard; because a shard's costs derive statelessly from its
+identity (:func:`shard_id`: the cell's seed, ``n``, threshold, label
+and ``x``, and its run range), the stitched-together result is
+byte-identical to an uninterrupted run.  A shard is always one whole
+cell, so its identity never depends on ``--jobs``: a resume with a
+different ``--jobs`` still reuses every recorded cell.
 A torn tail -- crash mid-append -- fails its CRC and is dropped on load;
 the journal is then compacted with an atomic ``tmp + os.replace``.
 
@@ -108,8 +108,9 @@ _R_JOURNAL_TIMER = _OBS.timer("resilience.journal_write")
 _LOG = logging.getLogger(__name__)
 
 #: Journal file format version (bumped on incompatible record changes;
-#: 2 keys records by the full :class:`ShardId`).
-JOURNAL_FORMAT = 2
+#: 2 keys records by the full :class:`ShardId`; 3 makes a record one
+#: whole cell, looked up by exact identity).
+JOURNAL_FORMAT = 3
 
 #: Cold-start no-progress deadline, in seconds.  Applied by
 #: :meth:`SupervisionPolicy.stall_deadline` when *no* shard duration has
@@ -141,30 +142,23 @@ class GracefulExit(BaseException):
 class ShardExecutionError(RuntimeError):
     """A sweep shard raised inside a worker process.
 
-    Carries the failing ``(label, x, run-block)`` coordinates and the
-    full remote traceback, so the parent's error message is actionable
-    instead of a bare :class:`BrokenProcessPool`.
+    Carries the failing shard's ``(label, x, run range)`` coordinates and
+    the full remote traceback, so the parent's error message is
+    actionable instead of a bare :class:`BrokenProcessPool`.
     """
 
     def __init__(
-        self,
-        label: str,
-        x: int,
-        run_lo: int,
-        run_hi: int,
-        error_type: str,
-        remote_traceback: str,
+        self, shard: ShardId, error_type: str, remote_traceback: str
     ) -> None:
-        self.label = label
-        self.x = x
-        self.run_lo = run_lo
-        self.run_hi = run_hi
+        self.label = shard.label
+        self.x = shard.x
+        self.run_lo = shard.lo
+        self.run_hi = shard.hi
         self.error_type = error_type
         self.remote_traceback = remote_traceback
         super().__init__(
-            f"shard {label!r} x={x} runs [{run_lo},{run_hi}) raised "
-            f"{error_type} in a worker process; remote traceback:\n"
-            f"{remote_traceback}"
+            f"shard {shard.where} raised {error_type} in a worker "
+            f"process; remote traceback:\n{remote_traceback}"
         )
 
 
@@ -183,25 +177,13 @@ class ShardOutcome:
     remote_traceback: Optional[str] = None
 
 
-def shard_coords(task: Any) -> Tuple[str, int, int, int]:
-    """``(label, x, run_lo, run_hi)`` of a sweep task (duck-typed), for
-    messages and descriptive fields; persistence keys a shard by
-    :func:`shard_id`."""
-    return (
-        str(getattr(task, "label", "?")),
-        int(getattr(task, "x", -1)),
-        int(getattr(task, "run_lo", -1)),
-        int(getattr(task, "run_hi", -1)),
-    )
-
-
 class ShardId(NamedTuple):
     """Everything a shard's costs derive from besides the run key.
 
-    One experiment may run several engines that reuse labels
-    (``ext_scaling`` runs one per ``n``), so the engine's seed, ``n`` and
-    threshold belong to the identity along with label, ``x`` and the
-    run block ``[lo, hi)``.
+    A shard is one whole grid cell.  One experiment may reuse labels
+    across cells that differ in seed, ``n`` or threshold (``ext_scaling``
+    sweeps ``n`` with ``seed + n``), so those belong to the identity
+    along with label, ``x`` and the cell's run range ``[lo, hi)``.
     """
 
     seed: int
@@ -213,20 +195,19 @@ class ShardId(NamedTuple):
     hi: int
 
     @property
-    def cell(self) -> Tuple[int, int, int, str, int]:
-        """The identity without the run block: one grid cell's runs."""
-        return (self.seed, self.n, self.threshold, self.label, self.x)
+    def where(self) -> str:
+        """The shard's coordinates for messages and degraded reports."""
+        return f"{self.label!r} x={self.x} runs [{self.lo},{self.hi})"
 
 
 def shard_id(task: Any) -> ShardId:
     """The identity the journal and the farm's
-    :func:`~repro.farm.spool.shard_key` key a task's shard by (duck-typed
-    like :func:`shard_coords`; missing fields read ``-1``)."""
+    :func:`~repro.farm.spool.shard_key` key a task's shard by: its
+    ``seed``, ``n``, ``threshold``, ``label``, ``x``, ``run_lo`` and
+    ``run_hi`` (every submitted task carries all seven)."""
     return ShardId(
-        int(getattr(task, "seed", -1)),
-        int(getattr(task, "n", -1)),
-        int(getattr(task, "threshold", -1)),
-        *shard_coords(task),
+        int(task.seed), int(task.n), int(task.threshold), str(task.label),
+        int(task.x), int(task.run_lo), int(task.run_hi),
     )
 
 
@@ -291,10 +272,6 @@ class ShardJournal:
     created (and compacted after torn-tail repair) via atomic
     ``tmp + os.replace``.
 
-    Records are merged into a per-cell (:attr:`ShardId.cell`) run ->
-    cost map, so :meth:`lookup` can answer for *any* shard boundaries,
-    not just the ones the interrupted run happened to use.
-
     Args:
         path: Journal file location.
         exp_id: Experiment the journal belongs to.
@@ -330,7 +307,7 @@ class ShardJournal:
         self._fsync_interval = fsync_interval
         self._last_fsync = 0.0
         self._fh: Optional[Any] = None
-        self._cells: Dict[Tuple[int, int, int, str, int], Dict[int, float]] = {}
+        self._costs: Dict[ShardId, List[float]] = {}
         self.appended_records = 0
         self.resumed_records = 0
         self.dropped_records = 0
@@ -374,7 +351,7 @@ class ShardJournal:
                 # trail) but do not skip the shard -- resume retries it.
                 self.quarantined_records += 1
             else:
-                self._merge(record.shard, record.costs)
+                self._costs[record.shard] = record.costs
                 self.resumed_records += 1
                 _R_RESUMED_RECORDS.inc()
         if self.dropped_records:
@@ -384,11 +361,6 @@ class ShardJournal:
                 checksum_line(r.payload) for r in records if r is not None
             )
             atomic_write_text(self._path, text, fsync=self._fsync)
-
-    def _merge(self, shard: ShardId, costs: Sequence[float]) -> None:
-        cell = self._cells.setdefault(shard.cell, {})
-        for offset, cost in enumerate(costs):
-            cell[shard.lo + offset] = float(cost)
 
     def _open(self) -> Any:
         if self._fh is None:
@@ -413,9 +385,9 @@ class ShardJournal:
 
     def record(self, shard: ShardId, costs: Sequence[float]) -> None:
         """Durably append one completed shard (flush + batched fsync)."""
-        costs = [float(c) for c in costs]
-        self._append({**shard._asdict(), "costs": costs})
-        self._merge(shard, costs)
+        values = [float(c) for c in costs]
+        self._append({**shard._asdict(), "costs": values})
+        self._costs[shard] = values
         self.appended_records += 1
         _R_JOURNAL_RECORDS.inc()
 
@@ -433,15 +405,9 @@ class ShardJournal:
         self.quarantined_records += 1
 
     def lookup(self, shard: ShardId) -> Optional[List[float]]:
-        """Recorded per-run costs for the shard's run block, or ``None``
-        if any run in it is missing (the shard must then be recomputed)."""
-        cell = self._cells.get(shard.cell)
-        if cell is None:
-            return None
-        try:
-            return [cell[run] for run in range(shard.lo, shard.hi)]
-        except KeyError:
-            return None
+        """The recorded per-run costs of exactly this shard, or ``None``
+        (the shard must then be computed)."""
+        return self._costs.get(shard)
 
     def close(self) -> None:
         """Flush, fsync and close the append handle."""
@@ -480,11 +446,8 @@ def journal_summary(path: os.PathLike | str) -> Optional[Dict[str, Any]]:
         return None
     header, records = read
     shards = [r for r in records if r is not None and r.costs is not None]
-    cells: Dict[Tuple[int, int, int, str, int], set] = {}
-    for record in shards:
-        cells.setdefault(record.shard.cell, set()).update(
-            range(record.shard.lo, record.shard.hi)
-        )
+    # Run count per distinct cell (a duplicate record counts once).
+    cells = {r.shard: r.shard.hi - r.shard.lo for r in shards}
     return {
         "exp_id": header.exp_id,
         "key": header.key,
@@ -495,7 +458,7 @@ def journal_summary(path: os.PathLike | str) -> Optional[Dict[str, Any]]:
         ),
         "corrupt_records": records.count(None),
         "cells": len(cells),
-        "runs": sum(len(runs) for runs in cells.values()),
+        "runs": sum(cells.values()),
     }
 
 
@@ -620,7 +583,7 @@ class RunContext:
     farm: Optional[Any] = None
 
     def lookup_shard(self, task: Any) -> Optional[List[float]]:
-        """Journal hit for ``task``'s run block, or ``None``."""
+        """Journal hit for ``task``'s shard, or ``None``."""
         if self.journal is None:
             return None
         costs = self.journal.lookup(shard_id(task))
@@ -629,7 +592,7 @@ class RunContext:
         return costs
 
     def record_shard(self, task: Any, costs: Sequence[float]) -> None:
-        """Durably journal ``task``'s completed run block."""
+        """Durably journal ``task``'s completed shard."""
         if self.journal is not None:
             self.journal.record(shard_id(task), costs)
 
@@ -640,12 +603,10 @@ class RunContext:
         so ``tcast-experiments journal info`` can report why the run
         was degraded after the process is long gone.
         """
-        label, x, lo, hi = shard_coords(task)
-        self.degraded.append(
-            f"{label!r} x={x} runs [{lo},{hi}): {reason}"
-        )
+        shard = shard_id(task)
+        self.degraded.append(f"{shard.where}: {reason}")
         if self.journal is not None:
-            self.journal.record_quarantine(shard_id(task), reason)
+            self.journal.record_quarantine(shard, reason)
 
 
 _ACTIVE: Optional[RunContext] = None
@@ -675,9 +636,8 @@ def activate(ctx: RunContext) -> Iterator[RunContext]:
 # ---------------------------------------------------------------------------
 
 #: Supervised pools, one per worker count: the harness's only process-pool
-#: cache.  Sweep batches reach them through :func:`run_supervised`, which
-#: kills and replaces a broken or wedged pool; fig09/fig10 map whole cells
-#: on them directly.
+#: cache.  Every parallel batch reaches them through :func:`run_supervised`,
+#: which kills and replaces a broken or wedged pool.
 _POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
@@ -777,8 +737,8 @@ def run_supervised(
     Args:
         fn: Module-level guarded shard function (returns
             :class:`ShardOutcome`, never raises for in-shard errors).
-        items: ``(index, task)`` pairs; ``task`` must expose
-            ``label``/``x``/``run_lo``/``run_hi`` for error reporting.
+        items: ``(index, task)`` pairs; ``task`` must carry its
+            identity (:func:`shard_id`) for error reporting.
         jobs: Worker-process count.
         context: Active run context (policy, journal).
         on_complete: Called in submission-completion order with
@@ -840,11 +800,10 @@ def run_supervised(
                     )
                     continue
                 if outcome.error_type is not None:
-                    label, x, lo, hi = shard_coords(task)
                     for other in in_flight:
                         other.cancel()
                     raise ShardExecutionError(
-                        label, x, lo, hi,
+                        shard_id(task),
                         outcome.error_type,
                         outcome.remote_traceback or "<no traceback captured>",
                     )

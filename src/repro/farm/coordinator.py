@@ -72,7 +72,6 @@ from repro.experiments.resilience import (
     ShardExecutionError,
     ShardOutcome,
     SupervisionPolicy,
-    shard_coords,
     shard_id,
 )
 from repro.farm import lease as leasemod
@@ -329,8 +328,9 @@ class FarmCoordinator:
         """Execute one batch of shards on the farm (see class docstring).
 
         Args:
-            items: ``(index, task)`` pairs; ``task`` must expose
-                ``label``/``x``/``run_lo``/``run_hi`` and be picklable.
+            items: ``(index, task)`` pairs; ``task`` must carry its
+                identity (:func:`~repro.experiments.resilience.shard_id`)
+                and be picklable.
             fn: Module-level guarded shard function workers run
                 (returns :class:`ShardOutcome`, never raises for
                 in-shard errors).
@@ -423,9 +423,8 @@ class FarmCoordinator:
                 # reclaim sweep re-leases if nobody does.
             return False
         if entry.error_type is not None:
-            label, x, lo, hi = shard_coords(state.task)
             raise ShardExecutionError(
-                label, x, lo, hi,
+                shard_id(state.task),
                 entry.error_type,
                 entry.remote_traceback or "<no traceback captured>",
             )

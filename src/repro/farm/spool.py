@@ -74,8 +74,8 @@ def shard_key(run_key: str, shard: ShardId) -> str:
         run_key: The run's content key (config + seed + code
             fingerprint -- :func:`repro.experiments.cache.cache_key`).
         shard: The shard's identity
-            (:func:`repro.experiments.resilience.shard_id`): engine
-            seed, ``n`` and threshold, label, ``x`` and run block.
+            (:func:`repro.experiments.resilience.shard_id`): the
+            cell's seed, ``n``, threshold, label, ``x`` and run range.
 
     Returns:
         A hex digest.  Equal keys guarantee bit-identical shard costs,

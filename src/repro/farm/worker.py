@@ -52,7 +52,7 @@ import traceback
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.experiments.resilience import ShardOutcome, shard_coords
+from repro.experiments.resilience import ShardOutcome, shard_id
 from repro.farm import lease as leasemod
 from repro.farm.spool import Spool, StoreEntry
 
@@ -223,13 +223,13 @@ class FarmWorker:
             )
         finally:
             heartbeat.set_lease(None)
-        label, x, lo, hi = shard_coords(task)
+        shard = shard_id(task)
         self.spool.store.store(StoreEntry(
             key=key,
-            label=label,
-            x=x,
-            lo=lo,
-            hi=hi,
+            label=shard.label,
+            x=shard.x,
+            lo=shard.lo,
+            hi=shard.hi,
             worker=self.worker_id,
             attempt=granted.attempt,
             costs=tuple(outcome.costs) if outcome.costs is not None else None,

@@ -6,15 +6,14 @@ testing: a hidden set of *positive* nodes, queries on arbitrary *bins*
 the pieces shared by every algorithm:
 
 * :mod:`repro.group_testing.population` -- the hidden ground truth.
-* :mod:`repro.group_testing.binning` -- random/deterministic partitioning
-  of a candidate set into bins.
+* :mod:`repro.group_testing.binning` -- random partitioning of a
+  candidate set into bins, and bin sampling.
 * :mod:`repro.group_testing.model` -- the 1+ and 2+ collision models
   together with the query-cost ledger, plus a packet-level adapter
   protocol so the mote emulation can stand in for the abstract model.
 """
 
 from repro.group_testing.binning import (
-    partition_deterministic,
     partition_random,
     sample_bin,
     sample_bins,
@@ -53,7 +52,6 @@ __all__ = [
     "TwoPlusModel",
     "UnsupportedBatch",
     "dispatch_batch",
-    "partition_deterministic",
     "partition_random",
     "run_lockstep",
     "run_probes",

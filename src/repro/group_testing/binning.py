@@ -1,9 +1,8 @@
 """Partitioning a candidate set into bins.
 
 The 2tBins family re-partitions the surviving candidates *randomly* into
-equal-sized bins at the start of every round (the companion theory paper
-used a deterministic partition; both are provided).  Bin sizes differ by at
-most one.  When the requested bin count exceeds the candidate count, the
+equal-sized bins at the start of every round.  Bin sizes differ by at most
+one.  When the requested bin count exceeds the candidate count, the
 excess bins receive zero members; per Sec IV-C such bins are skipped free
 of charge by the algorithms, so partition functions may simply return
 fewer than ``bins`` groups.
@@ -55,39 +54,6 @@ def partition_random(
     for i in range(effective):
         size = base + (1 if i < extra else 0)
         out.append(arr[start : start + size].tolist())
-        start += size
-    return out
-
-
-def partition_deterministic(
-    candidates: Sequence[int],
-    bins: int,
-) -> List[List[int]]:
-    """Deterministic balanced partition (sorted ids, contiguous slices).
-
-    This is the variant used by the companion theory paper; useful for
-    worst-case analyses and exact-replay tests.
-
-    Args:
-        candidates: Node ids to distribute.
-        bins: Requested number of bins (``>= 1``).
-
-    Returns:
-        Non-empty balanced bins over the *sorted* candidate ids.
-    """
-    if bins < 1:
-        raise ValueError(f"bin count must be >= 1, got {bins}")
-    ordered = sorted(candidates)
-    n = len(ordered)
-    if n == 0:
-        return []
-    effective = min(bins, n)
-    base, extra = divmod(n, effective)
-    out: List[List[int]] = []
-    start = 0
-    for i in range(effective):
-        size = base + (1 if i < extra else 0)
-        out.append(ordered[start : start + size])
         start += size
     return out
 

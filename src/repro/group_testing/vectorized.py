@@ -537,15 +537,9 @@ def _model_spec(batch: QueryBatch) -> ModelSpec:
     return batch.model
 
 
-def _validate_lockstep(
-    batch: QueryBatch, partition_strategy: str
-) -> Tuple[ModelSpec, int]:
+def _validate_lockstep(batch: QueryBatch) -> Tuple[ModelSpec, int]:
     """Common feasibility checks; returns the model spec and the evidence
     resolution ``k``."""
-    if partition_strategy != "random":
-        raise UnsupportedBatch(
-            f"partition strategy {partition_strategy!r} is not vectorized"
-        )
     spec = _model_spec(batch)
     if spec.detection_failure is not None:
         raise UnsupportedBatch("detection-failure hooks are not vectorized")
@@ -564,7 +558,6 @@ def run_lockstep(
     batch: QueryBatch,
     schedule: Schedule,
     *,
-    partition_strategy: str = "random",
     algorithm: str = "vectorized",
 ) -> BatchDecision:
     """Execute a cell of round-structured exact trials.
@@ -584,8 +577,6 @@ def run_lockstep(
             algorithms whose bin policy depends on nothing but the round
             index (2tBins, Exponential Increase) can be expressed this
             way -- adaptive policies stay on the scalar path.
-        partition_strategy: Must be ``"random"`` (the only vectorized
-            partitioner).
         algorithm: Name used in error messages.
 
     Returns:
@@ -593,12 +584,12 @@ def run_lockstep(
 
     Raises:
         UnsupportedBatch: If the model factory is not a
-            :class:`ModelSpec`, or the model or partitioning cannot be
-            reproduced bit-exactly.
+            :class:`ModelSpec`, or the model cannot be reproduced
+            bit-exactly.
         ValueError: If the threshold is negative (mirroring ``decide``),
             or a queried collision's capture probability is out of range.
     """
-    spec, k = _validate_lockstep(batch, partition_strategy)
+    spec, k = _validate_lockstep(batch)
     if batch.threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {batch.threshold}")
     tally = _CellTally() if _OBS.enabled else None

@@ -12,6 +12,7 @@ from repro.lint.engine import Finding, LintContext, Rule
 #: ``engine.query_curve(...)`` and ``query_curve(...)`` hit.
 BOUNDARY_CALLS = {
     "AlgorithmSpec",
+    "Curve",
     "ModelSpec",
     "RegistryFactory",
     "query_curve",

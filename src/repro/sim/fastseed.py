@@ -29,7 +29,7 @@ returns ``False``.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -162,12 +162,7 @@ def pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
     last two its stream, through PCG's two-step ``srandom`` advance.
     """
     arr = np.asarray(seeds, dtype=np.uint64)
-    state_hi, state_lo, inc_hi, inc_lo = _srandom_batch(_generate_state8(arr))
-    # Widening to python ints through object arrays beats a per-row
-    # shift/or comprehension ~4x.
-    states = (state_hi.astype(object) << 64) | state_lo.astype(object)
-    incs = (inc_hi.astype(object) << 64) | inc_lo.astype(object)
-    return list(zip(states.tolist(), incs.tolist()))
+    return _widen(_srandom_batch(_generate_state8(arr)))
 
 
 def pcg64_raw(
@@ -187,6 +182,20 @@ def pairs_from_raw(
     raw: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> List[Tuple[int, int]]:
     """``(state, inc)`` python-int pairs from :func:`pcg64_raw` output."""
+    return _widen(raw)
+
+
+def _widen(
+    raw: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> List[Tuple[int, int]]:
+    """Join uint64 halves into ``(state, inc)`` python-int pairs.
+
+    Shared by :func:`pcg64_states` and :func:`pairs_from_raw`; neither
+    public function calls the other, so perfbench's span tracing counts
+    each call once.
+    Widening through object arrays beats a per-row shift/or
+    comprehension ~4x.
+    """
     state_hi, state_lo, inc_hi, inc_lo = raw
     states = (state_hi.astype(object) << 64) | state_lo.astype(object)
     incs = (inc_hi.astype(object) << 64) | inc_lo.astype(object)
@@ -799,11 +808,3 @@ class GeneratorPool:
         inner["inc"] = inc
         self._bits[slot].state = template
         return self._gens[slot]
-
-    def loaded(
-        self, states: Sequence[Tuple[int, int]], base: int = 0
-    ) -> Iterator[np.random.Generator]:
-        """Generators for ``states``, loaded into consecutive slots."""
-        self.reserve(base + len(states))
-        for i, (state, inc) in enumerate(states):
-            yield self.load(base + i, state, inc)

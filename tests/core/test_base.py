@@ -116,11 +116,20 @@ class TestHooks:
 
 class TestCandidateHygiene:
     def test_duplicate_free_candidate_list_preserved_order(self):
-        """The surviving candidate list keeps its original id order so
-        deterministic partitioning stays deterministic across rounds."""
-        algo = RecordingAlgorithm()
-        algo.partition_strategy = "deterministic"
-        pop = Population(size=12, positives=frozenset({3, 9}))
+        """The surviving candidate list keeps its original id order and
+        never repeats an id: the next round's random partition permutes
+        it, so its order is part of the stream contract."""
+        rounds = []
+
+        class Watching(RecordingAlgorithm):
+            def _bins_for_round(self, state):
+                rounds.append(list(state.candidates))
+                return super()._bins_for_round(state)
+
+        pop = Population(size=32, positives=frozenset({3, 9}))
         model = OnePlusModel(pop, np.random.default_rng(1))
-        result = algo.decide(model, 2, np.random.default_rng(2))
-        assert result.decision
+        result = Watching().decide(model, 3, np.random.default_rng(2))
+        assert not result.decision
+        assert len(rounds) >= 2
+        for candidates in rounds:
+            assert candidates == sorted(set(candidates))

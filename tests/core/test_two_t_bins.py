@@ -99,38 +99,3 @@ def test_name():
 def test_history_indices_are_sequential():
     result, _ = run(256, 10, 8, seed=11)
     assert [rec.index for rec in result.history] == list(range(result.rounds))
-
-
-class TestDeterministicPartitioning:
-    """The companion theory paper's deterministic-binning variant."""
-
-    def test_runs_are_identical_regardless_of_rng(self):
-        pop = Population.from_count(64, 10)
-        costs = set()
-        for seed in range(5):
-            algo = TwoTBins()
-            algo.partition_strategy = "deterministic"
-            model = OnePlusModel(pop, np.random.default_rng(0))
-            result = algo.decide(model, 4, np.random.default_rng(seed))
-            assert result.decision
-            costs.add(result.queries)
-        assert len(costs) == 1
-
-    def test_still_always_correct(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            x = int(rng.integers(0, 49))
-            pop = Population.from_count(48, x, rng)
-            algo = TwoTBins()
-            algo.partition_strategy = "deterministic"
-            model = OnePlusModel(pop, np.random.default_rng(seed))
-            result = algo.decide(model, 8, np.random.default_rng(seed))
-            assert result.decision == pop.truth(8), f"seed={seed}"
-
-    def test_unknown_strategy_rejected(self):
-        pop = Population.from_count(8, 2)
-        algo = TwoTBins()
-        algo.partition_strategy = "zigzag"
-        model = OnePlusModel(pop, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="partition strategy"):
-            algo.decide(model, 2, np.random.default_rng(1))

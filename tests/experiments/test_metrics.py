@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import cli, fig01_one_plus
+from repro.experiments import cli, fig01_one_plus, fig09_accuracy, fig10_repeats
 from repro.experiments.common import shutdown_executors
 from repro.obs import get_registry
 from repro.workloads.scenarios import x_sweep
@@ -96,6 +96,34 @@ class TestCrossProcessMerge:
         # The parallel run really took the pool path.
         assert parallel.counter("sweep.parallel_batches") > 0
         assert serial.counter("sweep.parallel_batches") == 0
+
+
+class TestWholeCellFigureMerge:
+    @pytest.mark.parametrize(
+        "figure", [fig09_accuracy, fig10_repeats], ids=["fig09", "fig10"]
+    )
+    def test_parallel_model_counters_equal_serial(self, figure):
+        """fig09/fig10 cells run on the supervised runner, so their
+        workers' counters merge back like an engine sweep's."""
+        registry = get_registry()
+        registry.enable()
+
+        figure.run(runs=RUNS, jobs=1)
+        serial = registry.snapshot()
+        registry.reset()
+        figure.run(runs=RUNS, jobs=2)
+        parallel = registry.snapshot()
+
+        def model(snapshot):
+            return {
+                k: v for k, v in snapshot.counters.items()
+                if k.startswith("model.")
+            }
+
+        assert model(serial).get("model.queries", 0) > 0
+        assert model(parallel) == model(serial)
+        assert parallel.counter("sweep.shards") == serial.counter("sweep.shards")
+        assert parallel.counter("sweep.parallel_batches") == 1
 
 
 class TestBaselinePathCounters:

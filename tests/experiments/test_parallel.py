@@ -24,6 +24,7 @@ from repro.experiments import (
     fig10_repeats,
 )
 from repro.experiments.common import (
+    Curve,
     SweepEngine,
     resolve_jobs,
     shutdown_executors,
@@ -77,7 +78,8 @@ class TestEngineIdentity:
         assert serial == parallel
 
     def test_single_x_curve_still_shards(self):
-        """fig03-style curves (one x, many runs) must also parallelize."""
+        """A one-cell curve is one whole-cell shard at any ``jobs`` and
+        matches serial (fig03 and ext_scaling batch many such curves)."""
         factory = algorithm_factory("2tbins")
         spec = ModelSpec(kind="1+", max_queries=64 * 50)
         serial = _engine(1).query_curve("one-x", [8], factory, spec)
@@ -93,6 +95,20 @@ class TestEngineIdentity:
         with pytest.warns(RuntimeWarning, match="serial"):
             curve = _engine(2).query_curve("closure", [0, 8], closure, spec)  # tcast-lint: disable=TCL003 -- the fallback under test
         assert curve == _engine(1).query_curve("closure", [0, 8], closure, spec)  # tcast-lint: disable=TCL003 -- the fallback under test
+
+    def test_unpicklable_factory_in_a_later_curve_falls_back_to_serial(self):
+        """One batch mixes curves, so the pickle check covers every
+        task, not only the first."""
+        spec = ModelSpec(kind="1+", max_queries=64 * 50)
+        local = algorithm_factory("2tbins")
+        closure = lambda x: local(x)  # noqa: E731 - deliberately unpicklable
+        curves = [
+            Curve("plain", [0, 8], local, spec),
+            Curve("closure", [0, 8], closure, spec),  # tcast-lint: disable=TCL003 -- the fallback under test
+        ]
+        with pytest.warns(RuntimeWarning, match="serial"):
+            mixed = _engine(2).curves(curves)
+        assert mixed == _engine(1).curves(curves)
 
 
 class TestFigureIdentity:
@@ -112,7 +128,7 @@ class TestFigureIdentity:
         "figure", [fig09_accuracy, fig10_repeats], ids=["fig09", "fig10"]
     )
     def test_whole_cell_figure_parallel_identical(self, figure):
-        """fig09/fig10 map whole cells on the shared worker pool."""
+        """fig09/fig10 run their cells as shards on the supervised runner."""
         serial = figure.run(runs=10, jobs=1)
         parallel = figure.run(runs=10, jobs=2)
         # fig10's unreachable cells are nan, which never compares equal;

@@ -36,6 +36,9 @@ class _Task:
     x: int
     run_lo: int
     run_hi: int
+    seed: int = 7
+    n: int = 16
+    threshold: int = 2
 
 
 def _echo(task):

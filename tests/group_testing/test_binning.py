@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.group_testing.binning import (
-    partition_deterministic,
-    partition_random,
-    sample_bin,
-)
+from repro.group_testing.binning import partition_random, sample_bin
 
 
 def _flatten(bins):
@@ -86,29 +82,6 @@ class TestPartitionRandom:
             sizes = [len(b) for b in out]
             assert max(sizes) - min(sizes) <= 1
             assert min(sizes) >= 1
-
-
-class TestPartitionDeterministic:
-    def test_contiguous_sorted_slices(self):
-        bins = partition_deterministic([5, 1, 3, 2, 4], 2)
-        assert bins == [[1, 2, 3], [4, 5]]
-
-    def test_exact_cover(self):
-        cands = list(range(23))
-        bins = partition_deterministic(cands, 7)
-        assert sorted(_flatten(bins)) == cands
-
-    def test_repeatable(self):
-        a = partition_deterministic(range(10), 3)
-        b = partition_deterministic(range(10), 3)
-        assert a == b
-
-    def test_rejects_zero_bins(self):
-        with pytest.raises(ValueError):
-            partition_deterministic([1], 0)
-
-    def test_empty(self):
-        assert partition_deterministic([], 3) == []
 
 
 class TestSampleBin:

@@ -433,13 +433,6 @@ class TestKernelEdgeCases:
         with pytest.raises(UnsupportedBatch):
             run_lockstep(self._batch(spec=spec), lambda r: 8)
 
-    def test_non_random_partitioning_unsupported(self):
-        with pytest.raises(UnsupportedBatch):
-            run_lockstep(
-                self._batch(), lambda r: 8,
-                partition_strategy="deterministic",
-            )
-
     def test_batch_protocol_membership(self):
         assert isinstance(TwoTBins(), BatchThresholdDecider)
         assert isinstance(make_algorithm("exponential"), BatchThresholdDecider)

@@ -7,6 +7,8 @@ through an exclusive-create sentinel file: the first worker to create
 the sentinel injects, every later attempt behaves normally.  That gives
 each scenario a deterministic "fail once, then recover" shape regardless
 of scheduling.  :class:`KillAlwaysFactory` never recovers.
+:class:`KillOnceAccuracyCell` does the same to a fig09 cell, which has no
+factory to wrap.
 """
 
 from __future__ import annotations
@@ -14,8 +16,18 @@ from __future__ import annotations
 import os
 import signal
 import time
+from dataclasses import dataclass
+from typing import List
 
 from repro.api import algorithm_factory
+from repro.experiments.fig09_accuracy import _AccuracyCell
+
+#: Environment variable holding :class:`KillOnceAccuracyCell`'s sentinel
+#: path; set it before the worker pool starts.
+KILL_ONCE_ENV = "TCAST_CHAOS_KILL_ONCE"
+
+#: The test process, which a worker-side fault must never hit.
+_TEST_PROCESS = os.getpid()
 
 
 class KillOnceFactory:
@@ -73,5 +85,24 @@ class KillAlwaysFactory:
     """
 
     def __call__(self, x: int):
+        os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("unreachable")  # pragma: no cover
+
+
+@dataclass(frozen=True, kw_only=True)
+class KillOnceAccuracyCell(_AccuracyCell):
+    """fig09's cell, but SIGKILLs the first worker process computing one.
+
+    Substituted for ``fig09_accuracy._AccuracyCell`` so ``fig09.run``
+    builds these; the sentinel path comes from :data:`KILL_ONCE_ENV`.
+    """
+
+    def costs(self) -> List[float]:
+        if os.getpid() == _TEST_PROCESS:
+            raise AssertionError("a chaos cell must run in a worker process")
+        try:
+            open(os.environ[KILL_ONCE_ENV], "x").close()
+        except FileExistsError:
+            return super().costs()
         os.kill(os.getpid(), signal.SIGKILL)
         raise AssertionError("unreachable")  # pragma: no cover

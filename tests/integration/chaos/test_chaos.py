@@ -5,8 +5,10 @@ the recovered output is **byte-identical** to an uninterrupted golden
 run:
 
 * a worker SIGKILLed mid-sweep (supervised requeue, same process),
+  for an engine curve and for fig09's accuracy cells,
 * a worker hung mid-sweep (stall detection, same process),
-* the CLI SIGINT'd at a seeded-random journal point, then ``--resume``,
+* the CLI SIGINT'd at a seeded-random journal point, then ``--resume``
+  (fig01, and fig09 resumed with a different ``--jobs``),
 * the CLI SIGTERM'd (the PR-4 atexit path must still flush metrics),
 * a result-cache entry truncated on disk (quarantine + recompute).
 
@@ -27,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import algorithm_factory
-from repro.experiments import resilience
+from repro.experiments import fig09_accuracy, resilience
 from repro.experiments.common import SweepEngine, shutdown_executors
 from repro.experiments.resilience import (
     RunContext,
@@ -35,10 +37,13 @@ from repro.experiments.resilience import (
     SupervisionPolicy,
 )
 from repro.group_testing.model import ModelSpec
+from repro.obs import get_registry
 from repro.sim.rng import RngRegistry
 from tests.integration.chaos.helpers import (
+    KILL_ONCE_ENV,
     HangOnceFactory,
     KillAlwaysFactory,
+    KillOnceAccuracyCell,
     KillOnceFactory,
 )
 
@@ -49,6 +54,8 @@ REPO = Path(__file__).resolve().parents[3]
 RUNS, SEED, JOBS = "60", "7", "2"
 CLI_ARGS = ["run", "fig01", "--runs", RUNS, "--seed", SEED,
             "--jobs", JOBS, "--no-cache"]
+#: fig09 (32 accuracy cells) with enough draws per cell to interrupt.
+FIG09_ARGS = ["run", "fig09", "--runs", "400", "--seed", SEED, "--no-cache"]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -93,7 +100,7 @@ def golden_csv(tmp_path_factory):
     return cwd / "golden" / "fig01.csv"
 
 
-def _interrupt_at_seeded_point(cwd, signum, extra_args=()):
+def _interrupt_at_seeded_point(cwd, signum, extra_args=(), cli_args=CLI_ARGS):
     """Start a CLI run and deliver ``signum`` once the journal holds a
     seeded-random number of records; returns (records_seen, stdout)."""
     # Seeded injection discipline: the chaos point derives from the run
@@ -102,7 +109,7 @@ def _interrupt_at_seeded_point(cwd, signum, extra_args=()):
     target_records = int(chaos_rng.integers(1, 4))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.experiments.cli",
-         *CLI_ARGS, "--out", "out", *extra_args],
+         *cli_args, "--out", "out", *extra_args],
         cwd=cwd,
         env=_env(),
         stdout=subprocess.PIPE,
@@ -228,6 +235,61 @@ class TestWorkerFaults:
         assert chaotic == baseline
 
 
+class TestWholeCellFigures:
+    """fig09's (d, r) cells are supervised, journalled shards too."""
+
+    def test_fig09_worker_killed_once_result_identical(
+        self, tmp_path, monkeypatch
+    ):
+        serial = fig09_accuracy.run(runs=20, jobs=1)
+        sentinel = tmp_path / "killed"
+        monkeypatch.setenv(KILL_ONCE_ENV, str(sentinel))
+        monkeypatch.setattr(
+            fig09_accuracy, "_AccuracyCell", KillOnceAccuracyCell
+        )
+        shutdown_executors()  # fresh workers see the sentinel variable
+        reg = get_registry()
+        reg.reset()
+        reg.enable()
+        try:
+            ctx = RunContext(
+                journal=_journal(tmp_path / "j"), policy=_chaos_policy()
+            )
+            with resilience.activate(ctx):
+                chaotic = fig09_accuracy.run(runs=20, jobs=2)
+            snap = reg.snapshot()
+        finally:
+            reg.disable()
+            reg.reset()
+        assert sentinel.exists()  # the fault really fired
+        assert ctx.degraded == []
+        assert snap.counter("resilience.requeues") >= 1
+        assert chaotic.to_csv() == serial.to_csv()
+
+    def test_fig09_sigint_then_resume_is_byte_identical(self, tmp_path):
+        golden = _cli([*FIG09_ARGS, "--jobs", "1", "--out", "golden"], tmp_path)
+        assert golden.returncode == 0, golden.stdout + golden.stderr
+        records, out = _interrupt_at_seeded_point(
+            tmp_path, signal.SIGINT, cli_args=[*FIG09_ARGS, "--jobs", JOBS]
+        )
+        assert "interrupted by SIGINT" in out
+        journals = list((tmp_path / "results" / "journal").glob("*.journal"))
+        assert len(journals) == 1
+        assert len(journals[0].read_text().splitlines()) - 1 >= records
+
+        # Shard identity does not depend on --jobs: a serial resume
+        # reuses the parallel run's records.
+        resumed = _cli(
+            [*FIG09_ARGS, "--jobs", "1", "--out", "out", "--resume"], tmp_path
+        )
+        assert resumed.returncode == 0, resumed.stdout + resumed.stderr
+        assert "resuming" in resumed.stdout
+        assert (
+            (tmp_path / "out" / "fig09.csv").read_bytes()
+            == (tmp_path / "golden" / "fig09.csv").read_bytes()
+        )
+
+
 class TestContextFreeSupervision:
     """With no RunContext installed the engine still supervises: it
     builds a journal-less context for each batch."""
@@ -255,15 +317,16 @@ class TestContextFreeSupervision:
         with pytest.raises(RuntimeError, match="quarantined") as ei:
             engine.query_curve(
                 "2tBins",
-                [4],
+                [4, 8],
                 KillAlwaysFactory(),
                 ModelSpec(kind="1+", max_queries=64 * 50),
                 check_exactness=False,
             )
         message = str(ei.value)
-        # Two run blocks, both given up after 1 + max_retries attempts.
-        assert "'2tBins' x=4 runs [0,1)" in message
-        assert "'2tBins' x=4 runs [1,2)" in message
+        # Two cells, so the batch runs on the pool, never in this
+        # process; both are given up after 1 + max_retries attempts.
+        assert "'2tBins' x=4 runs [0,2)" in message
+        assert "'2tBins' x=8 runs [0,2)" in message
         assert message.count("gave up after 4 attempts") == 2
 
 
