@@ -42,16 +42,16 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.base import ThresholdDecider
 from repro.experiments import resilience
-from repro.experiments.resilience import ShardOutcome
+from repro.experiments.resilience import ShardRecord, shard_id
 from repro.group_testing.model import ModelFactory
 from repro.group_testing.vectorized import QueryBatch, dispatch_batch
-from repro.obs import MetricsSnapshot, get_registry
+from repro.obs import get_registry
 from repro.viz.ascii import ascii_chart, render_table
 
 _LOG = logging.getLogger(__name__)
@@ -352,21 +352,19 @@ class _SweepCellTask(ShardTask):
         return [float(q) for q in out.queries]
 
 
-def _run_sweep_cell(
-    task: ShardTask,
-) -> Tuple[List[float], Optional[MetricsSnapshot]]:
+def _run_sweep_cell(task: ShardTask) -> ShardRecord:
     """Compute one shard's values (module-level: picklable).
 
     This is the single envelope behind the serial, pool and farm
     backends, which is what makes them bit-identical by construction.
 
     Returns:
-        ``(costs, snapshot)``.  ``snapshot`` is ``None`` unless the task
-        asks for metrics isolation (``snapshot_metrics``, off the serial
-        path): then the worker's registry is reset before the shard and
-        snapshotted after it, and the caller merges the snapshot into its
-        own registry.  Metrics collection touches no RNG stream, so costs
-        are identical with metrics on or off.
+        The shard's record: its costs, and a metrics snapshot if the
+        task asks for metrics isolation (``snapshot_metrics``, off the
+        serial path): then the worker's registry is reset before the
+        shard and snapshotted after it, and the caller merges the
+        snapshot into its own registry.  Metrics collection touches no
+        RNG stream, so costs are identical with metrics on or off.
     """
     metrics = get_registry()
     if metrics.enabled is not task.collect_metrics:
@@ -386,26 +384,31 @@ def _run_sweep_cell(
         _S_SHARD_TIMER.add_seconds(elapsed)
         _S_SHARDS.inc()
         _S_RUNS.inc(len(costs))
-    return costs, (metrics.snapshot() if isolate else None)
+    return ShardRecord(
+        shard_id(task),
+        costs=costs,
+        snapshot=metrics.snapshot() if isolate else None,
+    )
 
 
-def _run_sweep_cell_guarded(task: ShardTask) -> ShardOutcome:
+def _run_sweep_cell_guarded(task: ShardTask) -> ShardRecord:
     """Worker-side wrapper: ship in-shard exceptions home as data.
 
     Letting an exception propagate out of a worker either loses the
     traceback or -- when the exception is unpicklable -- takes the whole
     pool down as a bare ``BrokenProcessPool``.  Catching here turns any
-    in-shard failure into a :class:`ShardOutcome` the parent can report
-    with the shard's exact coordinates and the full remote traceback.
+    in-shard failure into an error :class:`ShardRecord` the parent can
+    report with the shard's exact coordinates and the full remote
+    traceback.
     """
     try:
-        costs, snapshot = _run_sweep_cell(task)
+        return _run_sweep_cell(task)
     except Exception as exc:
-        return ShardOutcome(
+        return ShardRecord(
+            shard_id(task),
             error_type=type(exc).__name__,
             remote_traceback=traceback.format_exc(),
         )
-    return ShardOutcome(costs=costs, snapshot=snapshot)
 
 
 def run_shards(
@@ -448,17 +451,14 @@ def run_shards(
         return results
     reg = get_registry()
 
-    def on_complete(idx: int, task: ShardTask, outcome: ShardOutcome) -> None:
-        assert outcome.costs is not None
-        if outcome.snapshot is not None:
-            reg.absorb(outcome.snapshot)
-        results[idx] = outcome.costs
-        ctx.record_shard(task, outcome.costs)
+    def on_complete(idx: int, task: ShardTask, record: ShardRecord) -> None:
+        if record.snapshot is not None:
+            reg.absorb(record.snapshot)
+        results[idx] = record.costs
+        ctx.record_shard(record)
 
     def on_quarantine(idx: int, task: ShardTask, reason: str) -> None:
-        _LOG.error(
-            "quarantined shard %s: %s", resilience.shard_id(task).where, reason
-        )
+        _LOG.error("quarantined shard %s: %s", shard_id(task).where, reason)
         ctx.mark_degraded(task, reason)
 
     # Farm backend: even a single pending shard goes through the farm
@@ -493,8 +493,7 @@ def run_shards(
     items = [(i, tasks[i]) for i in pending]
     if serial:
         for idx, task in items:
-            costs, _ = _run_sweep_cell(task)
-            on_complete(idx, task, ShardOutcome(costs=costs))
+            on_complete(idx, task, _run_sweep_cell(task))
     elif ctx.farm is not None:
         _S_FARM_BATCHES.inc()
         with _S_DRAIN_TIMER.time():

@@ -89,6 +89,7 @@ from repro.experiments.atomicio import (
     parse_checksum_line,
 )
 from repro.obs import MetricsSnapshot, get_registry
+from repro.sim import fastseed
 
 #: Import-time instruments (inert until metrics are enabled).
 _OBS = get_registry()
@@ -111,6 +112,15 @@ _LOG = logging.getLogger(__name__)
 #: 2 keys records by the full :class:`ShardId`; 3 makes a record one
 #: whole cell, looked up by exact identity).
 JOURNAL_FORMAT = 3
+
+#: Minimum seconds between the journal's fsyncs.  Every append is
+#: flushed to the kernel immediately (so a completed shard survives any
+#: *process* death, ``kill -9`` included); the fsync -- which guards
+#: against host/power failure -- is batched to at most one per
+#: interval, plus one on close, keeping the fault-free journal overhead
+#: bounded.  A record lost to a host crash inside the interval simply
+#: fails its CRC (or is absent) and gets recomputed on ``--resume``.
+_FSYNC_INTERVAL = 2.0
 
 #: Cold-start no-progress deadline, in seconds.  Applied by
 #: :meth:`SupervisionPolicy.stall_deadline` when *no* shard duration has
@@ -142,39 +152,26 @@ class GracefulExit(BaseException):
 class ShardExecutionError(RuntimeError):
     """A sweep shard raised inside a worker process.
 
-    Carries the failing shard's ``(label, x, run range)`` coordinates and
-    the full remote traceback, so the parent's error message is
-    actionable instead of a bare :class:`BrokenProcessPool`.
+    Built from the shard's error :class:`ShardRecord`; carries the
+    failing shard's ``(label, x, run range)`` coordinates and the full
+    remote traceback, so the parent's error message is actionable
+    instead of a bare :class:`BrokenProcessPool`.
     """
 
-    def __init__(
-        self, shard: ShardId, error_type: str, remote_traceback: str
-    ) -> None:
+    def __init__(self, record: ShardRecord) -> None:
+        shard = record.shard
         self.label = shard.label
         self.x = shard.x
         self.run_lo = shard.lo
         self.run_hi = shard.hi
-        self.error_type = error_type
-        self.remote_traceback = remote_traceback
-        super().__init__(
-            f"shard {shard.where} raised {error_type} in a worker "
-            f"process; remote traceback:\n{remote_traceback}"
+        self.error_type = record.error_type
+        self.remote_traceback = (
+            record.remote_traceback or "<no traceback captured>"
         )
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """What one guarded shard execution produced (picklable).
-
-    Exactly one of ``costs`` / ``error_type`` is set: workers catch every
-    in-shard exception and ship it home as a formatted traceback rather
-    than letting an unpicklable exception take down the pool channel.
-    """
-
-    costs: Optional[List[float]] = None
-    snapshot: Optional[MetricsSnapshot] = None
-    error_type: Optional[str] = None
-    remote_traceback: Optional[str] = None
+        super().__init__(
+            f"shard {shard.where} raised {self.error_type} in a worker "
+            f"process; remote traceback:\n{self.remote_traceback}"
+        )
 
 
 class ShardId(NamedTuple):
@@ -211,44 +208,134 @@ def shard_id(task: Any) -> ShardId:
     )
 
 
+def _optional(convert: Callable[[Any], Any], value: Any) -> Any:
+    return None if value is None else convert(value)
+
+
+@dataclass(frozen=True)
+class ShardRecord:
+    """What one shard became, from the worker to the journal and the store.
+
+    A record names its shard and holds exactly one outcome: the per-run
+    ``costs`` of a completed shard; the ``error_type`` and
+    ``remote_traceback`` of a shard that raised (workers ship in-shard
+    exceptions home as data rather than letting an unpicklable exception
+    take down the pool channel); or the ``quarantine`` reason of a shard
+    given up on.  The worker's metrics ``snapshot`` and the farm's
+    provenance (the ``worker`` and lease ``attempt`` that computed it)
+    ride along where they exist.
+
+    ``__post_init__`` is the one validation and :meth:`to_payload` /
+    :meth:`from_payload` the one codec: a journal line and a farm store
+    entry are both a record's payload, so neither can hold a record the
+    other would reject.
+    """
+
+    shard: ShardId
+    costs: Optional[List[float]] = None
+    error_type: Optional[str] = None
+    remote_traceback: Optional[str] = None
+    quarantine: Optional[str] = None
+    snapshot: Optional[MetricsSnapshot] = None
+    worker: Optional[str] = None
+    attempt: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        outcomes = sum(
+            v is not None for v in (self.costs, self.error_type, self.quarantine)
+        )
+        if outcomes != 1:
+            raise ValueError(
+                f"shard {self.shard.where}: {outcomes} outcomes; a record "
+                "holds exactly one of costs, error or quarantine"
+            )
+        if self.costs is not None:
+            # Floats on every path: the journal line of a shard is then
+            # the same whichever backend computed it.
+            costs = [float(c) for c in self.costs]
+            if len(costs) != self.shard.hi - self.shard.lo:
+                raise ValueError(
+                    f"shard {self.shard.where}: {len(costs)} costs"
+                )
+            object.__setattr__(self, "costs", costs)
+
+    def to_payload(self, *, provenance: bool = True) -> Dict[str, Any]:
+        """The record as JSON-ready data: the :class:`ShardId` fields,
+        then ``costs``, ``quarantine`` or ``error_type`` plus
+        ``remote_traceback``, then any ``snapshot``, ``worker`` and
+        ``attempt``.  ``provenance=False`` leaves those last three out:
+        a journal line is the shard and its outcome only."""
+        payload: Dict[str, Any] = dict(self.shard._asdict())
+        if self.costs is not None:
+            payload["costs"] = self.costs
+        elif self.quarantine is not None:
+            payload["quarantine"] = self.quarantine
+        else:
+            payload["error_type"] = self.error_type
+            payload["remote_traceback"] = self.remote_traceback
+        if provenance:
+            if self.snapshot is not None:
+                payload["snapshot"] = self.snapshot.to_dict()
+            if self.worker is not None:
+                payload["worker"] = self.worker
+            if self.attempt is not None:
+                payload["attempt"] = self.attempt
+        return payload
+
+    @classmethod
+    def from_payload(cls, data: Any) -> "ShardRecord":
+        """Inverse of :meth:`to_payload`.
+
+        Raises:
+            ValueError: A missing or mistyped field, or a payload that
+                fails validation; the journal drops such a line and the
+                store quarantines such an entry.
+        """
+        try:
+            return cls(
+                ShardId(
+                    int(data["seed"]), int(data["n"]), int(data["threshold"]),
+                    str(data["label"]), int(data["x"]), int(data["lo"]),
+                    int(data["hi"]),
+                ),
+                costs=data.get("costs"),
+                error_type=_optional(str, data.get("error_type")),
+                remote_traceback=_optional(str, data.get("remote_traceback")),
+                quarantine=_optional(str, data.get("quarantine")),
+                snapshot=_optional(MetricsSnapshot.from_dict, data.get("snapshot")),
+                worker=_optional(str, data.get("worker")),
+                attempt=_optional(int, data.get("attempt")),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed shard record: {exc!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Shard journal
 # ---------------------------------------------------------------------------
 
 
-class _Record(NamedTuple):
-    """One valid journal line; ``costs is None`` marks a quarantine."""
+def _journal_line(record: ShardRecord) -> str:
+    """The CRC32-framed journal line of ``record`` (no provenance)."""
+    return checksum_line(
+        json.dumps(record.to_payload(provenance=False), separators=(",", ":"))
+    )
 
-    payload: str
-    shard: ShardId
-    costs: Optional[List[float]]
 
-
-def _parse_record(line: str) -> Optional[_Record]:
-    """Classify one journal line; ``None`` if torn or corrupt."""
+def _parse_line(line: str) -> Optional[ShardRecord]:
+    """The record of one journal line; ``None`` if torn or corrupt."""
     payload = parse_checksum_line(line)
     if payload is None:
         return None
     try:
-        data = json.loads(payload)
-        shard = ShardId(
-            int(data["seed"]), int(data["n"]), int(data["threshold"]),
-            str(data["label"]), int(data["x"]), int(data["lo"]),
-            int(data["hi"]),
-        )
-        if "quarantine" in data:
-            return _Record(payload, shard, None)
-        costs = [float(c) for c in data["costs"]]
-    except (ValueError, KeyError, TypeError):
+        return ShardRecord.from_payload(json.loads(payload))
+    except ValueError:
         return None
-    if shard.hi - shard.lo != len(costs):
-        return None
-    return _Record(payload, shard, costs)
 
 
 def _read_journal(
     path: Path,
-) -> Optional[Tuple[Optional[RunHeader], List[Optional[_Record]]]]:
+) -> Optional[Tuple[Optional[RunHeader], List[Optional[ShardRecord]]]]:
     """The header and every record line of a journal (``None`` where a
     line is torn or corrupt); ``None`` if the file is missing or empty."""
     try:
@@ -257,18 +344,19 @@ def _read_journal(
         return None
     if not lines:
         return None
-    return RunHeader.parse(lines[0]), [_parse_record(ln) for ln in lines[1:]]
+    return RunHeader.parse(lines[0]), [_parse_line(ln) for ln in lines[1:]]
 
 
 class ShardJournal:
     """A crash-safe, append-only record of completed sweep shards.
 
     File layout: a :class:`~repro.experiments.atomicio.RunHeader` line
-    followed by one CRC32-framed JSON record per completed shard (the
-    :class:`ShardId` fields plus per-run ``costs``) or quarantined shard
-    (the fields plus a ``quarantine`` reason).  Appends are flushed so a
-    completed shard survives ``kill -9`` of the run, with fsync batched
-    per ``fsync_interval`` against host failure; the file itself is
+    followed by one CRC32-framed :class:`ShardRecord` payload per
+    completed shard (the :class:`ShardId` fields plus per-run
+    ``costs``) or quarantined shard (the fields plus a ``quarantine``
+    reason).  Appends are flushed so a completed shard survives
+    ``kill -9`` of the run, with fsync batched per
+    :data:`_FSYNC_INTERVAL` against host failure; the file itself is
     created (and compacted after torn-tail repair) via atomic
     ``tmp + os.replace``.
 
@@ -281,14 +369,6 @@ class ShardJournal:
         resume: Load existing records (``--resume``); otherwise any
             existing file for this key is discarded.
         fsync: Fsync the journal (disable only in tests).
-        fsync_interval: Minimum seconds between fsyncs.  Every append is
-            flushed to the kernel immediately (so a completed shard
-            survives any *process* death, ``kill -9`` included); the
-            fsync -- which guards against host/power failure -- is
-            batched to at most one per interval, plus one on close,
-            keeping the fault-free journal overhead bounded.  A record
-            lost to a host crash inside the interval simply fails its
-            CRC (or is absent) and gets recomputed on ``--resume``.
     """
 
     def __init__(
@@ -299,13 +379,13 @@ class ShardJournal:
         key: str,
         resume: bool = False,
         fsync: bool = True,
-        fsync_interval: float = 2.0,
     ) -> None:
         self._path = Path(path)
         self._header = RunHeader(JOURNAL_FORMAT, exp_id, key)
         self._fsync = fsync
-        self._fsync_interval = fsync_interval
-        self._last_fsync = 0.0
+        # The interval starts now: the file's first write, the header,
+        # is an fsync'd atomic write, so the first record need not fsync.
+        self._last_fsync = time.monotonic()
         self._fh: Optional[Any] = None
         self._costs: Dict[ShardId, List[float]] = {}
         self.appended_records = 0
@@ -358,7 +438,7 @@ class ShardJournal:
             # Compact: rewrite only the valid records atomically so the
             # next append lands on a clean file.
             text = self._header.line() + "".join(
-                checksum_line(r.payload) for r in records if r is not None
+                _journal_line(r) for r in records if r is not None
             )
             atomic_write_text(self._path, text, fsync=self._fsync)
 
@@ -371,23 +451,24 @@ class ShardJournal:
             self._fh = open(self._path, "a", encoding="utf-8")
         return self._fh
 
-    def _append(self, record: Dict[str, Any]) -> None:
+    def _append(self, record: ShardRecord) -> None:
         """Frame one record and append it: flush now, fsync on cadence."""
-        line = checksum_line(json.dumps(record, separators=(",", ":")))
+        line = _journal_line(record)
         with _R_JOURNAL_TIMER.time():
             fh = self._open()
             fh.write(line)
             fh.flush()
             now = time.monotonic()
-            if self._fsync and now - self._last_fsync >= self._fsync_interval:
+            if self._fsync and now - self._last_fsync >= _FSYNC_INTERVAL:
                 os.fsync(fh.fileno())
                 self._last_fsync = now
 
-    def record(self, shard: ShardId, costs: Sequence[float]) -> None:
-        """Durably append one completed shard (flush + batched fsync)."""
-        values = [float(c) for c in costs]
-        self._append({**shard._asdict(), "costs": values})
-        self._costs[shard] = values
+    def record(self, record: ShardRecord) -> None:
+        """Durably append one completed shard (flush + batched fsync);
+        its snapshot and provenance are not written."""
+        assert record.costs is not None
+        self._append(record)
+        self._costs[record.shard] = record.costs
         self.appended_records += 1
         _R_JOURNAL_RECORDS.inc()
 
@@ -401,7 +482,7 @@ class ShardJournal:
         info`` so an operator can see *why* a crashed run was degraded
         without reconstructing it from logs.
         """
-        self._append({**shard._asdict(), "quarantine": str(reason)})
+        self._append(ShardRecord(shard, quarantine=str(reason)))
         self.quarantined_records += 1
 
     def lookup(self, shard: ShardId) -> Optional[List[float]]:
@@ -591,10 +672,10 @@ class RunContext:
             _R_RESUME_SKIPS.inc()
         return costs
 
-    def record_shard(self, task: Any, costs: Sequence[float]) -> None:
-        """Durably journal ``task``'s completed shard."""
+    def record_shard(self, record: ShardRecord) -> None:
+        """Durably journal a completed shard's record."""
         if self.journal is not None:
-            self.journal.record(shard_id(task), costs)
+            self.journal.record(record)
 
     def mark_degraded(self, task: Any, reason: str) -> None:
         """Record a quarantined shard for the degraded report.
@@ -644,6 +725,9 @@ _POOLS: Dict[int, ProcessPoolExecutor] = {}
 def _get_pool(jobs: int) -> ProcessPoolExecutor:
     pool = _POOLS.get(jobs)
     if pool is None:
+        # Probe numpy once, here: forked workers inherit the cached
+        # verdict, so none pays the whole battery in its first shard.
+        fastseed.available()
         pool = ProcessPoolExecutor(max_workers=jobs)
         _POOLS[jobs] = pool
     return pool
@@ -702,8 +786,8 @@ def _requeue_or_quarantine(
 
 
 def _drain_in_flight(
-    in_flight: Dict["Future[ShardOutcome]", Tuple[int, Any, int, float]],
-    on_complete: Callable[[int, Any, ShardOutcome], None],
+    in_flight: Dict["Future[ShardRecord]", Tuple[int, Any, int, float]],
+    on_complete: Callable[[int, Any, ShardRecord], None],
     grace: float,
 ) -> None:
     """Best-effort drain during graceful shutdown: journal what finishes."""
@@ -713,36 +797,36 @@ def _drain_in_flight(
     for fut in done:
         idx, task, _, _ = in_flight[fut]
         try:
-            outcome = fut.result()
+            record = fut.result()
         except (CancelledError, Exception):
             # Shutdown already in progress: a shard lost here is simply
             # not journalled and will be recomputed on --resume.
             _R_DRAIN_LOSSES.inc()
             continue
-        if outcome.error_type is None and outcome.costs is not None:
-            on_complete(idx, task, outcome)
+        if record.costs is not None:
+            on_complete(idx, task, record)
 
 
 def run_supervised(
-    fn: Callable[[Any], ShardOutcome],
+    fn: Callable[[Any], ShardRecord],
     items: Sequence[Tuple[int, Any]],
     *,
     jobs: int,
     context: RunContext,
-    on_complete: Callable[[int, Any, ShardOutcome], None],
+    on_complete: Callable[[int, Any, ShardRecord], None],
     on_quarantine: Callable[[int, Any, str], None],
 ) -> None:
     """Execute shards on a supervised process pool.
 
     Args:
-        fn: Module-level guarded shard function (returns
-            :class:`ShardOutcome`, never raises for in-shard errors).
+        fn: Module-level guarded shard function (returns a
+            :class:`ShardRecord`, never raises for in-shard errors).
         items: ``(index, task)`` pairs; ``task`` must carry its
             identity (:func:`shard_id`) for error reporting.
         jobs: Worker-process count.
         context: Active run context (policy, journal).
         on_complete: Called in submission-completion order with
-            ``(index, task, outcome)`` for every successful shard --
+            ``(index, task, record)`` for every successful shard --
             the caller journals and aggregates there.
         on_quarantine: Called with ``(index, task, reason)`` when a
             shard exhausts its retries.
@@ -758,7 +842,7 @@ def run_supervised(
     pending: Deque[Tuple[int, Any, int]] = deque(
         (idx, task, 0) for idx, task in items
     )
-    in_flight: Dict["Future[ShardOutcome]", Tuple[int, Any, int, float]] = {}
+    in_flight: Dict["Future[ShardRecord]", Tuple[int, Any, int, float]] = {}
     observed_max = 0.0
     consecutive_recycles = 0
     pool = _get_pool(jobs)
@@ -788,7 +872,7 @@ def run_supervised(
             for fut in done:
                 idx, task, attempts, submitted = in_flight.pop(fut)
                 try:
-                    outcome = fut.result()
+                    record = fut.result()
                 except (BrokenProcessPool, CancelledError):
                     # The worker died (kill -9, OOM) or the future fell
                     # victim to a recycle race; either way the shard did
@@ -799,20 +883,16 @@ def run_supervised(
                         on_quarantine, "worker process crashed",
                     )
                     continue
-                if outcome.error_type is not None:
+                if record.error_type is not None:
                     for other in in_flight:
                         other.cancel()
-                    raise ShardExecutionError(
-                        shard_id(task),
-                        outcome.error_type,
-                        outcome.remote_traceback or "<no traceback captured>",
-                    )
+                    raise ShardExecutionError(record)
                 observed_max = max(
                     observed_max, time.monotonic() - submitted
                 )
                 last_progress = time.monotonic()
                 consecutive_recycles = 0
-                on_complete(idx, task, outcome)
+                on_complete(idx, task, record)
             if pool_broken:
                 _R_WORKER_FAILURES.inc()
                 for fut, (idx, task, attempts, _) in list(in_flight.items()):
@@ -845,6 +925,11 @@ def run_supervised(
                 last_progress = time.monotonic()
     except GracefulExit:
         _drain_in_flight(in_flight, on_complete, policy.drain_grace)
+        # The signal may have landed inside ``pool.submit`` and left a
+        # work item the pool never queues, and interpreter exit would
+        # wait for it forever; the shutting-down run needs no pool.
+        _POOLS.pop(jobs, None)
+        _kill_pool(pool)
         raise
 
 

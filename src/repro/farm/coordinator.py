@@ -70,14 +70,14 @@ from typing import (
 
 from repro.experiments.resilience import (
     ShardExecutionError,
-    ShardOutcome,
+    ShardRecord,
     SupervisionPolicy,
     shard_id,
 )
 from repro.farm import lease as leasemod
 from repro.farm.lease import Lease, LeaseState
-from repro.farm.spool import Spool, StoreEntry, shard_key
-from repro.obs import MetricsSnapshot, get_registry
+from repro.farm.spool import Spool, shard_key
+from repro.obs import get_registry
 
 _LOG = logging.getLogger(__name__)
 
@@ -322,7 +322,7 @@ class FarmCoordinator:
         items: Sequence[Tuple[int, Any]],
         *,
         fn: Callable[[Any], Any],
-        on_complete: Callable[[int, Any, ShardOutcome], None],
+        on_complete: Callable[[int, Any, ShardRecord], None],
         on_quarantine: Callable[[int, Any, str], None],
     ) -> None:
         """Execute one batch of shards on the farm (see class docstring).
@@ -332,10 +332,11 @@ class FarmCoordinator:
                 identity (:func:`~repro.experiments.resilience.shard_id`)
                 and be picklable.
             fn: Module-level guarded shard function workers run
-                (returns :class:`ShardOutcome`, never raises for
+                (returns a :class:`ShardRecord`, never raises for
                 in-shard errors).
             on_complete: Called in collection order with
-                ``(index, task, outcome)`` for every finished shard.
+                ``(index, task, record)`` for every finished shard, the
+                record as loaded from the store.
             on_quarantine: Called with ``(index, task, reason)`` when a
                 shard exhausts its retry budget.
 
@@ -386,23 +387,10 @@ class FarmCoordinator:
 
     # -- tick phases -------------------------------------------------------
 
-    def _entry_outcome(self, entry: StoreEntry) -> ShardOutcome:
-        snapshot = (
-            MetricsSnapshot.from_dict(entry.snapshot)
-            if entry.snapshot is not None
-            else None
-        )
-        return ShardOutcome(
-            costs=list(entry.costs) if entry.costs is not None else None,
-            snapshot=snapshot,
-            error_type=entry.error_type,
-            remote_traceback=entry.remote_traceback,
-        )
-
     def _try_collect(
         self,
         state: _ShardState,
-        on_complete: Callable[[int, Any, ShardOutcome], None],
+        on_complete: Callable[[int, Any, ShardRecord], None],
         *,
         leased: bool,
     ) -> bool:
@@ -411,8 +399,8 @@ class FarmCoordinator:
         if not path.is_file():
             return False
         before = self.spool.store.corrupt
-        entry = self.spool.store.load(state.key)
-        if entry is None:
+        record = self.spool.store.load(state.key)
+        if record is None:
             if self.spool.store.corrupt > before:
                 _F_STORE_CORRUPT.inc()
                 _LOG.warning(
@@ -422,12 +410,8 @@ class FarmCoordinator:
                 # A leased worker may still be writing a fresh one; the
                 # reclaim sweep re-leases if nobody does.
             return False
-        if entry.error_type is not None:
-            raise ShardExecutionError(
-                shard_id(state.task),
-                entry.error_type,
-                entry.remote_traceback or "<no traceback captured>",
-            )
+        if record.error_type is not None:
+            raise ShardExecutionError(record)
         try:
             state.collected_mtime_ns = path.stat().st_mtime_ns
         except FileNotFoundError:  # pragma: no cover - collect/quarantine race
@@ -439,8 +423,8 @@ class FarmCoordinator:
             )
             _F_LEASE_SECONDS.observe(time.monotonic() - state.granted_at)
             if (
-                entry.worker != state.lease_worker
-                or entry.attempt != state.attempts - 1
+                record.worker != state.lease_worker
+                or record.attempt != state.attempts - 1
             ):
                 # A reclaimed holder finished anyway and beat the
                 # current one to the store: the grant still resolves.
@@ -450,7 +434,7 @@ class FarmCoordinator:
             _F_STORE_HITS.inc()
         state.state = LeaseState.COMPLETED
         state.lease_worker = None
-        on_complete(state.idx, state.task, self._entry_outcome(entry))
+        on_complete(state.idx, state.task, record)
         return True
 
     def _reap_workers(

@@ -10,7 +10,7 @@ and every worker (same host, or any host mounting the same filesystem)::
         shards/<key>.task   framed pickle of one shard descriptor
         leases/<key>.lease  JSON lease; mtime = worker heartbeat
         workers/<id>.reg    JSON registration; mtime = worker liveness
-        store/<key>.json    completed-shard result entry (checksummed)
+        store/<key>.json    a finished shard's record (checksummed)
         store/.quarantine/  corrupt entries, parked with unique names
 
 Everything durable goes through :mod:`repro.experiments.atomicio`:
@@ -28,7 +28,9 @@ restarted coordinator regenerates byte-identical file names.
 
 The :class:`ShardStore` is the result cache's
 :class:`~repro.experiments.atomicio.ChecksummedStore` at shard
-granularity: entries embed a SHA-256 checksum verified on every read,
+granularity, holding :class:`~repro.experiments.resilience.ShardRecord`
+payloads (the journal's record plus the worker's metrics snapshot and
+provenance): entries embed a SHA-256 checksum verified on every read,
 and a rejected entry is counted, quarantined (with a unique,
 never-clobbered name) and recomputed instead of crashing the run or
 silently poisoning it.
@@ -41,9 +43,8 @@ import json
 import os
 import pickle
 import shutil
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.experiments.atomicio import (
     ChecksummedStore,
@@ -51,11 +52,12 @@ from repro.experiments.atomicio import (
     atomic_write_bytes,
     atomic_write_text,
 )
-from repro.experiments.resilience import ShardId
+from repro.experiments.resilience import ShardId, ShardRecord
 
 #: Spool layout version (bumped on incompatible changes; a mismatched
-#: manifest discards the spool instead of resuming from it).
-SPOOL_FORMAT = 1
+#: manifest discards the spool instead of resuming from it; 2 stores
+#: :class:`~repro.experiments.resilience.ShardRecord` payloads).
+SPOOL_FORMAT = 2
 
 #: File names inside a spool directory.
 MANIFEST_NAME = "MANIFEST"
@@ -89,103 +91,11 @@ def shard_key(run_key: str, shard: ShardId) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
-class StoreEntry:
-    """One completed (or failed) shard in the result store (picklable).
-
-    Exactly one of ``costs`` / ``error_type`` is set, mirroring
-    :class:`repro.experiments.resilience.ShardOutcome`: a worker ships
-    an in-shard exception home as data so the coordinator can abort
-    with the remote traceback instead of a silent hang.
-
-    Attributes:
-        key: The shard's content key (:func:`shard_key`).
-        label: Sweep curve label.
-        x: Grid point.
-        lo: First run index (inclusive).
-        hi: Last run index (exclusive).
-        worker: Id of the worker that produced the entry.
-        attempt: Lease attempt the worker was serving when it computed.
-        costs: Per-run query costs (``None`` on error).
-        snapshot: Worker metrics snapshot as a JSON dict (``None`` when
-            metrics are disabled).
-        error_type: Exception class name when the shard raised.
-        remote_traceback: Formatted worker-side traceback on error.
-    """
-
-    key: str
-    label: str
-    x: int
-    lo: int
-    hi: int
-    worker: str
-    attempt: int
-    costs: Optional[Tuple[float, ...]] = None
-    snapshot: Optional[Dict[str, Any]] = None
-    error_type: Optional[str] = None
-    remote_traceback: Optional[str] = None
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serialisable rendering (checksummed by the store)."""
-        return {
-            "key": self.key,
-            "label": self.label,
-            "x": int(self.x),
-            "lo": int(self.lo),
-            "hi": int(self.hi),
-            "worker": self.worker,
-            "attempt": int(self.attempt),
-            "costs": list(self.costs) if self.costs is not None else None,
-            "snapshot": self.snapshot,
-            "error_type": self.error_type,
-            "remote_traceback": self.remote_traceback,
-        }
-
-    @staticmethod
-    def from_payload(data: Dict[str, Any]) -> "StoreEntry":
-        """Inverse of :meth:`to_payload`.
-
-        Raises:
-            ValueError: On structurally invalid payloads (missing keys,
-                wrong types, cost-count/range mismatch) -- the store
-                treats that as corruption and quarantines the file.
-        """
-        try:
-            costs = data["costs"]
-            entry = StoreEntry(
-                key=str(data["key"]),
-                label=str(data["label"]),
-                x=int(data["x"]),
-                lo=int(data["lo"]),
-                hi=int(data["hi"]),
-                worker=str(data["worker"]),
-                attempt=int(data["attempt"]),
-                costs=tuple(float(c) for c in costs)
-                if costs is not None
-                else None,
-                snapshot=data.get("snapshot"),
-                error_type=data.get("error_type"),
-                remote_traceback=data.get("remote_traceback"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed store entry: {exc}") from exc
-        if entry.costs is not None and entry.hi - entry.lo != len(entry.costs):
-            raise ValueError(
-                f"store entry {entry.key[:16]}: {len(entry.costs)} costs "
-                f"for run range [{entry.lo},{entry.hi})"
-            )
-        if entry.costs is None and entry.error_type is None:
-            raise ValueError(
-                f"store entry {entry.key[:16]}: neither costs nor error"
-            )
-        return entry
-
-
 class ShardStore(ChecksummedStore):
     """Content-addressed, checksummed store of completed shards.
 
     The farm's source of truth (together with the run journal): workers
-    write entries with :meth:`store`, the coordinator collects them with
+    write records with :meth:`store`, the coordinator collects them with
     :meth:`load`, and a coordinator restarted after a crash rebuilds its
     state purely from what it finds here.  Writes are atomic, reads are
     checksum-verified, and rejected files are quarantined under unique
@@ -197,25 +107,25 @@ class ShardStore(ChecksummedStore):
         directory: Store root (created lazily on first write).
     """
 
-    def store(self, entry: StoreEntry) -> Path:
-        """Atomically write ``entry`` under its content key.
+    def store(self, key: str, record: ShardRecord) -> Path:
+        """Atomically write ``record`` under its content key ``key``.
 
         Concurrent writers (a reclaimed worker racing its replacement)
         are harmless: shard costs derive statelessly from the shard
-        identity, so every correct writer produces the same payload and
-        the last atomic ``os.replace`` wins with identical bytes.
+        identity, so every correct writer produces the same costs and
+        the last atomic ``os.replace`` wins with a whole record.
         """
-        return self.write(entry.key, entry.to_payload())
+        return self.write(key, record.to_payload())
 
-    def load(self, key: str) -> Optional[StoreEntry]:
-        """Return the verified entry for ``key``, or ``None``.
+    def load(self, key: str) -> Optional[ShardRecord]:
+        """Return the verified record for ``key``, or ``None``.
 
         A missing file is a plain miss.  An unreadable, unparseable or
         checksum-mismatched file is counted in :attr:`corrupt`,
         quarantined (unique name) and reported as a miss -- the
         coordinator then re-leases the shard.
         """
-        return self.read(key, StoreEntry.from_payload)
+        return self.read(key, ShardRecord.from_payload)
 
 
 class Spool:

@@ -11,9 +11,10 @@ launched by hand -- ``python -m repro.farm.worker DIR`` /
 3. executes each leased shard (unpickling the spooled descriptor,
    verifying its frame first) while a daemon thread heartbeats the
    lease file,
-4. publishes the outcome to the content-addressed store -- including
-   in-shard exceptions, shipped home as data exactly like the local
-   backend's :class:`~repro.experiments.resilience.ShardOutcome` -- and
+4. publishes the shard's
+   :class:`~repro.experiments.resilience.ShardRecord` -- the one the
+   local backend hands home, in-shard exceptions included, plus this
+   worker's id and lease attempt -- to the content-addressed store, and
    releases the lease.
 
 Crash-safety properties:
@@ -49,12 +50,13 @@ import signal
 import threading
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.experiments.resilience import ShardOutcome, shard_id
+from repro.experiments.resilience import ShardRecord, shard_id
 from repro.farm import lease as leasemod
-from repro.farm.spool import Spool, StoreEntry
+from repro.farm.spool import Spool
 
 _LOG = logging.getLogger(__name__)
 
@@ -215,32 +217,18 @@ class FarmWorker:
         fn, task = descriptor
         heartbeat.set_lease(self.spool.lease_path(key))
         try:
-            outcome: ShardOutcome = fn(task)
+            record: ShardRecord = fn(task)
         except Exception as exc:  # the guarded fn itself failed to load/run
-            outcome = ShardOutcome(
+            record = ShardRecord(
+                shard_id(task),
                 error_type=type(exc).__name__,
                 remote_traceback=traceback.format_exc(),
             )
         finally:
             heartbeat.set_lease(None)
-        shard = shard_id(task)
-        self.spool.store.store(StoreEntry(
-            key=key,
-            label=shard.label,
-            x=shard.x,
-            lo=shard.lo,
-            hi=shard.hi,
-            worker=self.worker_id,
-            attempt=granted.attempt,
-            costs=tuple(outcome.costs) if outcome.costs is not None else None,
-            snapshot=(
-                outcome.snapshot.to_dict()
-                if outcome.snapshot is not None
-                else None
-            ),
-            error_type=outcome.error_type,
-            remote_traceback=outcome.remote_traceback,
-        ))
+        self.spool.store.store(
+            key, replace(record, worker=self.worker_id, attempt=granted.attempt)
+        )
         self.completed += 1
         self._release(granted)
 

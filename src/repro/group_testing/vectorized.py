@@ -515,11 +515,9 @@ def mark_positives(
     large draws (x beyond ~n/2) stay on per-run generators.
     """
     rows, width = hit.shape
-    idx = (
-        fastseed.choice_bulk(pop, n, x)
-        if 2 * x <= n + 16 and fastseed.choice_available()
-        else None
-    )
+    # ``pop`` comes from fast_states, which already required
+    # fastseed.available().
+    idx = fastseed.choice_bulk(pop, n, x) if 2 * x <= n + 16 else None
     if idx is not None:
         hit.ravel()[idx + (np.arange(rows, dtype=np.int64) * width)[:, None]] = True
         return
@@ -568,7 +566,7 @@ def run_lockstep(
     ``_BLOCK_CELLS // (n + 1)`` runs, so a cell's transient memory is
     bounded whatever ``runs`` and ``n`` are; rows are independent, so
     blocking changes no answer.  Smaller 2+ cells, and every 2+ cell
-    when :func:`fastseed.pulls_available` fails, run per run
+    when :func:`fastseed.available` fails, run per run
     (:func:`_run_one_capture`).
 
     Args:
@@ -603,7 +601,7 @@ def run_lockstep(
             else default_capture_probability
         )
     if p_cap is not None and (
-        batch.runs < _CAPTURE_LOCKSTEP_RUNS or not fastseed.pulls_available()
+        batch.runs < _CAPTURE_LOCKSTEP_RUNS or not fastseed.available()
     ):
         states = fast_states(batch, ("pop", "model", "bins"))
         if states is not None:

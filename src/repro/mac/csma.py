@@ -240,7 +240,7 @@ class CsmaBaseline:
                 draws a full 64-bit ``random()``), windows that are not
                 powers of two up to ``2**32``, a batch without the
                 registry seed contract or a numpy whose pull stream
-                fails :func:`~repro.sim.fastseed.pulls_available`, and
+                fails :func:`~repro.sim.fastseed.available`, and
                 any run that would pass ``max_slots`` -- the scalar loop
                 then raises its own ``RuntimeError``.
             ValueError: If the threshold is negative (as :meth:`decide`).
@@ -276,11 +276,7 @@ class CsmaBaseline:
                 raise UnsupportedBatch("the quiet period passes max_slots")
             queries[:] = quiet
             return BatchDecision(decisions=decisions, queries=queries, exact=False)
-        states = (
-            fast_states(batch, ("mac",), raw=("mac",))
-            if fastseed.pulls_available()
-            else None
-        )
+        states = fast_states(batch, ("mac",), raw=("mac",))
         if states is None:
             raise UnsupportedBatch("the mac streams cannot be replayed in bulk")
         for lo in range(0, batch.runs, _BLOCK_ROWS):

@@ -183,13 +183,17 @@ class MetricsSnapshot:
 
         Raises:
             KeyError: On a malformed payload.
+            TypeError: A section that is not a mapping.
         """
         counters_raw = data.get("counters", {})
         hists_raw = data.get("histograms", {})
         timers_raw = data.get("timers", {})
-        assert isinstance(counters_raw, Mapping)
-        assert isinstance(hists_raw, Mapping)
-        assert isinstance(timers_raw, Mapping)
+        if not (
+            isinstance(counters_raw, Mapping)
+            and isinstance(hists_raw, Mapping)
+            and isinstance(timers_raw, Mapping)
+        ):
+            raise TypeError("malformed snapshot: a section is not a mapping")
         return MetricsSnapshot(
             counters={k: int(v) for k, v in counters_raw.items()},
             histograms={

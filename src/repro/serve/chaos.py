@@ -30,7 +30,8 @@ can cut a JSON line anywhere -- exactly the damage the server's
 survive.
 
 :func:`chaos_in_thread` mirrors
-:func:`~repro.serve.server.serve_in_thread`: it runs a proxy on a
+:func:`~repro.serve.server.serve_in_thread` (both handles are a
+:class:`~repro.serve.background.BackgroundLoop`): it runs a proxy on a
 background thread's event loop so blocking clients (the tests, the
 benchmark) can dial through it.
 """
@@ -38,11 +39,12 @@ benchmark) can dial through it.
 from __future__ import annotations
 
 import asyncio
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.serve.background import BackgroundLoop
 
 #: Forwarding chunk size; small enough that multi-frame pipelines span
 #: several chunks (giving per-chunk faults several chances to fire).
@@ -241,24 +243,21 @@ class ChaosProxy:
             pass
 
 
-class ChaosHandle:
+class ChaosHandle(BackgroundLoop):
     """A proxy running on a background thread's event loop.
 
     Built by :func:`chaos_in_thread`; exposes the bound port, the live
     injected-fault counts, and a blocking :meth:`stop`.
     """
 
-    def __init__(
-        self,
-        thread: threading.Thread,
-        loop: asyncio.AbstractEventLoop,
-        proxy: ChaosProxy,
-        stop_event: "asyncio.Event",
-    ) -> None:
-        self._thread = thread
-        self._loop = loop
+    _what = "chaos proxy"
+    _thread_name = "tcast-chaos"
+    _stop_timeout = 10.0
+
+    _stop_event: asyncio.Event
+
+    def __init__(self, proxy: ChaosProxy) -> None:
         self.proxy = proxy
-        self._stop_event = stop_event
 
     @property
     def port(self) -> int:
@@ -270,20 +269,16 @@ class ChaosHandle:
         """Ground-truth injected-fault counts so far."""
         return self.proxy.injected
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Shut the proxy down and join its thread."""
-        self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("chaos proxy thread did not stop in time")
+    async def _start(self) -> None:
+        self._stop_event = asyncio.Event()
+        await self.proxy.start()
 
-    def __enter__(self) -> "ChaosHandle":
-        """Context-manager entry: the handle itself."""
-        return self
+    async def _serve(self) -> None:
+        await self._stop_event.wait()
+        await self.proxy.stop()
 
-    def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: stop the proxy."""
-        self.stop()
+    def _request_stop(self) -> None:
+        self._stop_event.set()
 
 
 def chaos_in_thread(
@@ -296,46 +291,6 @@ def chaos_in_thread(
     client at :attr:`ChaosHandle.port` and every byte flows through the
     fault mix.
     """
-    proxy = ChaosProxy(upstream_host, upstream_port, spec)
-    started = threading.Event()
-    boot_error: Dict[str, BaseException] = {}
-    box: Dict[str, object] = {}
-
-    def _thread_main() -> None:
-        async def _amain() -> None:
-            box["loop"] = asyncio.get_running_loop()
-            stop_event = asyncio.Event()
-            box["stop"] = stop_event
-            try:
-                await proxy.start()
-            except BaseException as exc:
-                boot_error["error"] = exc
-                started.set()
-                raise
-            started.set()
-            await stop_event.wait()
-            await proxy.stop()
-
-        try:
-            asyncio.run(_amain())
-        except BaseException:
-            if not started.is_set():
-                started.set()
-
-    thread = threading.Thread(
-        target=_thread_main, name="tcast-chaos", daemon=True
-    )
-    thread.start()
-    started.wait(timeout=30.0)
-    if "error" in boot_error:
-        thread.join(timeout=5.0)
-        raise RuntimeError(
-            f"chaos proxy failed to start: {boot_error['error']!r}"
-        ) from boot_error["error"]
-    loop = box.get("loop")
-    stop_event = box.get("stop")
-    if not isinstance(loop, asyncio.AbstractEventLoop) or not isinstance(
-        stop_event, asyncio.Event
-    ):
-        raise RuntimeError("chaos proxy thread did not start in time")
-    return ChaosHandle(thread, loop, proxy, stop_event)
+    handle = ChaosHandle(ChaosProxy(upstream_host, upstream_port, spec))
+    handle._launch()
+    return handle

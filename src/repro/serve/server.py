@@ -52,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
@@ -62,6 +61,7 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
 )
+from repro.serve.background import BackgroundLoop
 from repro.serve.errors import ServeError
 from repro.serve.request import QueryRequest, RequestError
 from repro.serve.scheduler import BatchScheduler
@@ -552,21 +552,18 @@ class ThresholdQueryService:
         )
 
 
-class ServiceHandle:
+class ServiceHandle(BackgroundLoop):
     """A service running on a background thread's event loop.
 
     Built by :func:`serve_in_thread`; exposes the bound port and a
     blocking :meth:`stop` that performs the full graceful drain.
     """
 
-    def __init__(
-        self,
-        thread: threading.Thread,
-        loop: asyncio.AbstractEventLoop,
-        service: ThresholdQueryService,
-    ) -> None:
-        self._thread = thread
-        self._loop = loop
+    _what = "service"
+    _thread_name = "tcast-serve"
+    _stop_timeout = 30.0
+
+    def __init__(self, service: ThresholdQueryService) -> None:
         self.service = service
 
     @property
@@ -574,20 +571,15 @@ class ServiceHandle:
         """The service's bound TCP port."""
         return self.service.port
 
-    def stop(self, timeout: float = 30.0) -> None:
-        """Request shutdown and join the service thread (drains first)."""
-        self._loop.call_soon_threadsafe(self.service.request_shutdown)
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("service thread did not stop in time")
+    async def _start(self) -> None:
+        await self.service.start()
 
-    def __enter__(self) -> "ServiceHandle":
-        """Context-manager entry: the handle itself."""
-        return self
+    async def _serve(self) -> None:
+        await self.service.wait_stopped()
+        await self.service.shutdown()
 
-    def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: graceful stop."""
-        self.stop()
+    def _request_stop(self) -> None:
+        self.service.request_shutdown()
 
 
 def serve_in_thread(config: ServeConfig) -> ServiceHandle:
@@ -597,40 +589,6 @@ def serve_in_thread(config: ServeConfig) -> ServiceHandle:
     valid immediately), which makes it the natural harness for tests and
     the benchmark: real TCP, real scheduler, no subprocess.
     """
-    service = ThresholdQueryService(config)
-    started = threading.Event()
-    boot_error: Dict[str, BaseException] = {}
-    loop_box: Dict[str, asyncio.AbstractEventLoop] = {}
-
-    def _thread_main() -> None:
-        async def _amain() -> None:
-            loop_box["loop"] = asyncio.get_running_loop()
-            try:
-                await service.start()
-            except BaseException as exc:  # surface bind errors to the caller
-                boot_error["error"] = exc
-                started.set()
-                raise
-            started.set()
-            await service.wait_stopped()
-            await service.shutdown()
-
-        try:
-            asyncio.run(_amain())
-        except BaseException:
-            if not started.is_set():
-                started.set()
-
-    thread = threading.Thread(
-        target=_thread_main, name="tcast-serve", daemon=True
-    )
-    thread.start()
-    started.wait(timeout=30.0)
-    if "error" in boot_error:
-        thread.join(timeout=5.0)
-        raise RuntimeError(
-            f"service failed to start: {boot_error['error']!r}"
-        ) from boot_error["error"]
-    if "loop" not in loop_box:
-        raise RuntimeError("service thread did not start in time")
-    return ServiceHandle(thread, loop_box["loop"], service)
+    handle = ServiceHandle(ThresholdQueryService(config))
+    handle._launch()
+    return handle

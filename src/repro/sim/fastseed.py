@@ -19,11 +19,12 @@ The reconstructed ``(state, inc)`` pairs are loaded into pooled
 ``BitGenerator.state`` property, so every downstream draw is made by
 numpy's own PCG64, not a reimplementation.
 
-Because the mixing constants are numpy implementation details (stable
-since numpy 1.17, but not a documented API), :func:`available` replays a
-fixed probe set against real ``SeedSequence``/``PCG64`` objects once per
-process and callers must fall back to ordinary construction when it
-returns ``False``.
+Because the mixing constants, and the way numpy's draws read PCG64's
+output stream, are numpy implementation details (stable since numpy
+1.17, but not a documented API), :func:`available` replays one probe
+battery against real ``SeedSequence``/``PCG64``/``Generator`` objects
+once per process, and callers must fall back to ordinary construction
+and per-run draws when it returns ``False``.
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def pull_block(
     does not know how many pulls it needs grows its buffer block by
     block without recomputing the prefix.  Whether numpy's bounded draws
     read this stream the way such callers assume is checked by
-    :func:`pulls_available`.
+    :func:`available`.
     """
     state_hi, state_lo, inc_hi, inc_lo = raw
     s: Sequence[np.ndarray] = _half_limbs(state_hi, state_lo)
@@ -373,7 +374,7 @@ class DrawReplay:
     :data:`_REPLAY_BLOCK` at a time), so the pull computation follows
     each row's own consumption; callers that know a bound on their next
     draws :meth:`reserve` it up front, so rows grow in few steps.
-    :func:`pulls_available` checks the contract against this numpy.
+    :func:`available` checks the contract against this numpy.
 
     Attributes:
         used: 64-bit outputs each row has consumed.
@@ -534,7 +535,7 @@ def choice_bulk(
     Reproduces numpy's algorithm -- Floyd's sampling followed by a
     Fisher-Yates shuffle of the result, every bound drawn with 32-bit
     Lemire rejection over PCG64's buffered ``next_uint32`` stream
-    (verified by :func:`choice_available`) -- in lockstep across rows.
+    (verified by :func:`available`) -- in lockstep across rows.
     Returns the ``(rows, x)`` index matrix, or ``None`` when this
     ``(n, x)`` is out of scope or an (astronomically rare) rejection
     streak outruns the pull buffer; callers then draw per run.
@@ -604,49 +605,23 @@ def choice_bulk(
     return chosen
 
 
-_choice_verified: Optional[bool] = None
+def _choice_matches(seeds: Sequence[int]) -> bool:
+    """:func:`choice_bulk` equals real ``Generator.choice`` calls: Floyd
+    + shuffle + Lemire, the ``x == n`` full permutation and the
+    one-element draw included."""
+    raw = pcg64_raw(seeds)
+    for n, x in [(128, 10), (128, 128), (16, 16), (7, 3), (5, 1), (1, 1), (200, 199)]:
+        got = choice_bulk(raw, n, x)
+        if got is None:
+            return False
+        for i, seed in enumerate(seeds):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            if not np.array_equal(got[i], gen.choice(n, size=x, replace=False)):
+                return False
+    return True
 
 
-def choice_available() -> bool:
-    """Whether :func:`choice_bulk` matches this numpy, checked empirically.
-
-    Replays Floyd + shuffle + Lemire probes (including the ``x == n``
-    full-permutation case and the one-element draw) against real
-    ``Generator.choice`` calls.  Cached per process.
-    """
-    global _choice_verified
-    if _choice_verified is None:
-        try:
-            if not available():
-                _choice_verified = False
-            else:
-                seeds = [0, 1, 7, 2011, 123456789, (1 << 63) - 1]
-                raw = pcg64_raw(seeds)
-                ok = True
-                for n, x in [(128, 10), (128, 128), (16, 16), (7, 3), (5, 1), (1, 1), (200, 199)]:
-                    got = choice_bulk(raw, n, x)
-                    if got is None:
-                        ok = False
-                        break
-                    for i, seed in enumerate(seeds):
-                        gen = np.random.Generator(
-                            np.random.PCG64(np.random.SeedSequence(seed))
-                        )
-                        want = gen.choice(n, size=x, replace=False)
-                        if not np.array_equal(got[i], want):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                _choice_verified = ok
-        except Exception:
-            _choice_verified = False
-    return _choice_verified
-
-
-_pulls_verified: Optional[bool] = None
-
-#: The interleaved draws :func:`pulls_available` replays: ``None`` is a
+#: The interleaved draws :func:`available` replays: ``None`` is a
 #: ``random()``, an int ``c`` an ``integers(c)``.  ``2**31 + 1`` rejects
 #: about half its pulls, so rows fall out of step and grow their buffers
 #: apart; runs of ``random()`` after an odd number of pulls leave a high
@@ -715,55 +690,52 @@ def _replayed_draws_match(seeds: Sequence[int]) -> bool:
     )
 
 
-def pulls_available() -> bool:
-    """Whether numpy's draws read :func:`pull_block`'s stream as assumed.
+def _states_match() -> bool:
+    """:func:`pcg64_states` equals real ``SeedSequence``/``PCG64`` states
+    over probe seeds spanning one- and two-word entropy."""
+    probe = [0, 1, 7, 2011, 2**31, 2**32 - 1, 2**32, 3 << 40, (1 << 63) - 1]
+    want = []
+    for s in probe:
+        st = np.random.PCG64(np.random.SeedSequence(s)).state["state"]
+        want.append((st["state"], st["inc"]))
+    return pcg64_states(probe) == want
 
-    Two contracts, both replayed against real generators once per
-    process (cached):
 
-    * Power-of-two bounds: with ``w`` a power of two no larger than
+def available() -> bool:
+    """Whether this numpy's PCG64 behaves as this module replays it.
+
+    One battery, replayed against real ``SeedSequence``/``PCG64``/
+    ``Generator`` objects once per process (cached):
+
+    * state reconstruction: :func:`pcg64_states` over seeds spanning
+      one- and two-word entropy;
+    * bulk choice: :func:`choice_bulk` against ``Generator.choice``;
+    * power-of-two bounds: with ``w`` a power of two no larger than
       ``2**32``, ``Generator.integers(0, w)`` consumes exactly one
       buffered 32-bit pull and returns ``(pull * w) >> 32`` (Lemire's
       rejection threshold ``(2**32 - w) % w`` is zero), and
       ``integers(0, 1)`` consumes none.  Checked over sized fills of odd
       length (so the buffered high half carries into the next call),
-      scalar calls and a block read past a skip.
+      scalar calls and a block read past a skip;
     * :class:`DrawReplay`: interleaved ``random()`` and
       non-power-of-two ``integers(c)``, with bounds that force Lemire
       rejections and high halves left waiting across ``random()``
       calls, give the same values and leave the same generator states.
-    """
-    global _pulls_verified
-    if _pulls_verified is None:
-        seeds = [0, 1, 7, 2011, 123456789, (1 << 63) - 1]
-        try:
-            _pulls_verified = (
-                available()
-                and _power_of_two_draws_match(seeds)
-                and _replayed_draws_match(seeds)
-            )
-        except Exception:
-            _pulls_verified = False
-    return _pulls_verified
 
-
-def available() -> bool:
-    """Whether the reconstruction matches this numpy, checked empirically.
-
-    Replays a probe set spanning one- and two-word entropy against real
-    ``SeedSequence``/``PCG64`` objects.  Cached per process; ``False``
-    (a numpy whose mixing schedule changed) means callers must construct
-    generators the ordinary way.
+    ``False`` (a numpy whose mixing schedule or stream consumption
+    changed) means callers construct generators and draw the ordinary
+    way.
     """
     global _verified
     if _verified is None:
-        probe = [0, 1, 7, 2011, 2**31, 2**32 - 1, 2**32, 3 << 40, (1 << 63) - 1]
+        seeds = [0, 1, 7, 2011, 123456789, (1 << 63) - 1]
         try:
-            want = []
-            for s in probe:
-                st = np.random.PCG64(np.random.SeedSequence(s)).state["state"]
-                want.append((st["state"], st["inc"]))
-            _verified = pcg64_states(probe) == want
+            _verified = (
+                _states_match()
+                and _choice_matches(seeds)
+                and _power_of_two_draws_match(seeds)
+                and _replayed_draws_match(seeds)
+            )
         except Exception:
             _verified = False
     return _verified

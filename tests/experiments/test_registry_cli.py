@@ -9,7 +9,7 @@ import pytest
 from repro.experiments import ext_scaling
 from repro.experiments.cli import _resume_command, build_parser, main
 from repro.experiments.registry import get_experiment, list_experiments
-from repro.experiments.resilience import ShardId, ShardJournal
+from repro.experiments.resilience import ShardId, ShardJournal, ShardRecord
 
 
 class TestRegistry:
@@ -139,8 +139,8 @@ class TestJournalInfoCli:
             key="k" * 64,
             fsync=False,
         )
-        journal.record(ShardId(7, 16, 2, "a", 1, 0, 2), [1.0, 2.0])
-        journal.record(ShardId(7, 16, 2, "a", 2, 0, 2), [3.0, 4.0])
+        journal.record(ShardRecord(ShardId(7, 16, 2, "a", 1, 0, 2), costs=[1.0, 2.0]))
+        journal.record(ShardRecord(ShardId(7, 16, 2, "a", 2, 0, 2), costs=[3.0, 4.0]))
         journal.record_quarantine(
             ShardId(7, 16, 2, "a", 3, 0, 2), "worker died twice"
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import signal
 import time
@@ -44,14 +45,14 @@ from repro.experiments.resilience import (
     ShardExecutionError,
     ShardId,
     ShardJournal,
-    ShardOutcome,
+    ShardRecord,
     SupervisionPolicy,
     run_supervised,
     shard_id,
 )
-from repro.farm.spool import ShardStore, StoreEntry, shard_key
+from repro.farm.spool import ShardStore, shard_key
 from repro.group_testing.model import ModelSpec
-from repro.obs import get_registry
+from repro.obs import MetricsSnapshot, get_registry
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -124,10 +125,15 @@ def _shard(label, x, lo, hi):
     return ShardId(7, 16, 2, label, x, lo, hi)
 
 
+def _done(label, x, lo, hi, costs):
+    """A completed shard's record on that engine."""
+    return ShardRecord(_shard(label, x, lo, hi), costs=costs)
+
+
 class TestShardJournal:
     def test_record_lookup_roundtrip(self, tmp_path):
         j = _journal(tmp_path / "j")
-        j.record(_shard("algo", 4, 0, 3), [1.0, 2.0, 3.0])
+        j.record(_done("algo", 4, 0, 3, [1.0, 2.0, 3.0]))
         assert j.lookup(_shard("algo", 4, 0, 3)) == [1.0, 2.0, 3.0]
         assert j.lookup(_shard("algo", 4, 0, 4)) is None  # other run range
         assert j.lookup(_shard("algo", 5, 0, 3)) is None
@@ -137,8 +143,8 @@ class TestShardJournal:
         """A record answers for exactly its own shard: records are never
         stitched into another run range."""
         j = _journal(tmp_path / "j")
-        j.record(_shard("algo", 4, 0, 4), [0.0, 1.0, 2.0, 3.0])
-        j.record(_shard("algo", 4, 4, 8), [4.0, 5.0, 6.0, 7.0])
+        j.record(_done("algo", 4, 0, 4, [0.0, 1.0, 2.0, 3.0]))
+        j.record(_done("algo", 4, 4, 8, [4.0, 5.0, 6.0, 7.0]))
         assert j.lookup(_shard("algo", 4, 4, 8)) == [4.0, 5.0, 6.0, 7.0]
         assert j.lookup(_shard("algo", 4, 2, 6)) is None
         assert j.lookup(_shard("algo", 4, 0, 8)) is None
@@ -147,7 +153,7 @@ class TestShardJournal:
     def test_resume_replays_records(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record(_shard("algo", 4, 0, 2), [1.5, 2.5])
+        j1.record(_done("algo", 4, 0, 2, [1.5, 2.5]))
         j1.close()
         j2 = _journal(path, resume=True)
         assert j2.resumed_records == 1
@@ -157,8 +163,8 @@ class TestShardJournal:
     def test_torn_tail_dropped_and_compacted(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
-        j1.record(_shard("algo", 8, 0, 2), [3.0, 4.0])
+        j1.record(_done("algo", 4, 0, 2, [1.0, 2.0]))
+        j1.record(_done("algo", 8, 0, 2, [3.0, 4.0]))
         j1.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('deadbeef {"label":"algo","x":12,"lo":0,"hi')  # torn
@@ -175,7 +181,7 @@ class TestShardJournal:
     def test_key_mismatch_starts_fresh(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path, key="a" * 64)
-        j1.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
+        j1.record(_done("algo", 4, 0, 2, [1.0, 2.0]))
         j1.close()
         j2 = _journal(path, key="b" * 64, resume=True)
         assert j2.resumed_records == 0
@@ -185,7 +191,7 @@ class TestShardJournal:
     def test_no_resume_discards_existing(self, tmp_path):
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
+        j1.record(_done("algo", 4, 0, 2, [1.0, 2.0]))
         j1.close()
         j2 = _journal(path, resume=False)
         assert j2.lookup(_shard("algo", 4, 0, 2)) is None
@@ -194,9 +200,23 @@ class TestShardJournal:
     def test_discard_removes_file(self, tmp_path):
         path = tmp_path / "j"
         j = _journal(path)
-        j.record(_shard("algo", 4, 0, 2), [1.0, 2.0])
+        j.record(_done("algo", 4, 0, 2, [1.0, 2.0]))
         j.discard()
         assert not path.exists()
+
+    def test_first_records_ride_on_the_header_fsync(self, tmp_path, monkeypatch):
+        """The header is an fsync'd atomic write and the fsync interval
+        starts with the journal, so records right after it add no fsync
+        until close."""
+        fsyncs = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real(fd)))
+        j = _journal(tmp_path / "j", fsync=True)
+        j.record(_done("algo", 4, 0, 2, [1.0, 2.0]))
+        j.record(_done("algo", 8, 0, 2, [3.0, 4.0]))
+        assert len(fsyncs) == 1  # the header's atomic write
+        j.close()
+        assert len(fsyncs) == 2
 
 
 class TestJournalQuarantineRecords:
@@ -205,7 +225,7 @@ class TestJournalQuarantineRecords:
         satisfy a lookup: the resumed run retries the shard."""
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record(_shard("algo", 1, 0, 2), [1.0, 2.0])
+        j1.record(_done("algo", 1, 0, 2, [1.0, 2.0]))
         j1.record_quarantine(_shard("algo", 2, 0, 2), "worker died twice")
         assert j1.quarantined_records == 1
         j1.close()
@@ -222,7 +242,7 @@ class TestJournalQuarantineRecords:
         be preserved in the rewritten file."""
         path = tmp_path / "j"
         j1 = _journal(path)
-        j1.record(_shard("algo", 1, 0, 2), [1.0, 2.0])
+        j1.record(_done("algo", 1, 0, 2, [1.0, 2.0]))
         j1.record_quarantine(_shard("algo", 2, 0, 2), "hung pool")
         j1.close()
         with open(path, "a", encoding="utf-8") as fh:
@@ -245,8 +265,8 @@ class TestJournalQuarantineRecords:
     def test_journal_summary_counts(self, tmp_path):
         path = tmp_path / "j"
         j = _journal(path)
-        j.record(_shard("algo", 1, 0, 2), [1.0, 2.0])
-        j.record(_shard("algo", 2, 0, 3), [1.0, 2.0, 3.0])
+        j.record(_done("algo", 1, 0, 2, [1.0, 2.0]))
+        j.record(_done("algo", 2, 0, 3, [1.0, 2.0, 3.0]))
         j.record_quarantine(_shard("algo", 3, 0, 2), "sick host")
         j.close()
         info = resilience.journal_summary(path)
@@ -263,6 +283,76 @@ class TestJournalQuarantineRecords:
         bad = tmp_path / "bad"
         bad.write_text("not a header\n")
         assert resilience.journal_summary(bad) is None
+
+
+#: A format-3 journal as the previous encoder wrote it, byte for byte: a
+#: sweep-cell record, a fig09 ``[0, 1)`` accuracy cell, a fig10-style
+#: ``NaN`` cell and a quarantine record.
+_GOLDEN_KEY = "0123456789abcdef" * 4
+_GOLDEN_JOURNAL = (
+    'e12501d4 {"exp_id":"golden","format":3,"key":"' + _GOLDEN_KEY + '"}\n'
+    '03701e6f {"seed":2011,"n":128,"threshold":16,"label":"2tBins","x":4,'
+    '"lo":0,"hi":5,"costs":[29.0,31.0,27.0,33.5,29.0]}\n'
+    '4104926d {"seed":4451653042228183614,"n":128,"threshold":64,'
+    '"label":"r=3","x":4,"lo":0,"hi":1,"costs":[0.9875]}\n'
+    '8ec2ea1e {"seed":77,"n":64,"threshold":32,"label":"delta=0.05","x":2,'
+    '"lo":0,"hi":1,"costs":[NaN]}\n'
+    '0aa2d1c1 {"seed":2011,"n":128,"threshold":16,"label":"CSMA","x":9,'
+    '"lo":0,"hi":5,"quarantine":"worker process crashed; gave up after 4 '
+    'attempts"}\n'
+)
+_GOLDEN_CELL = ShardId(2011, 128, 16, "2tBins", 4, 0, 5)
+_GOLDEN_FIG09 = ShardId(4451653042228183614, 128, 64, "r=3", 4, 0, 1)
+_GOLDEN_NAN = ShardId(77, 64, 32, "delta=0.05", 2, 0, 1)
+_GOLDEN_QUARANTINE = ShardId(2011, 128, 16, "CSMA", 9, 0, 5)
+
+
+class TestGoldenJournal:
+    """A journal written by the previous encoder loads, compacts and
+    resumes unchanged, and today's encoder writes the same bytes."""
+
+    def _golden(self, path):
+        return ShardJournal(
+            path, exp_id="golden", key=_GOLDEN_KEY, resume=True, fsync=False
+        )
+
+    def test_loads_compacts_and_resumes_unchanged(self, tmp_path):
+        path = tmp_path / "j"
+        torn = '5a1c03e2 {"seed":2011,"n":128,"threshold":16,"label":"2tB'
+        path.write_text(_GOLDEN_JOURNAL + torn)
+        for dropped in (1, 0):  # compacted on the first load
+            j = self._golden(path)
+            assert (j.resumed_records, j.quarantined_records) == (3, 1)
+            assert j.dropped_records == dropped
+            assert j.lookup(_GOLDEN_CELL) == [29.0, 31.0, 27.0, 33.5, 29.0]
+            assert j.lookup(_GOLDEN_FIG09) == [0.9875]
+            nan = j.lookup(_GOLDEN_NAN)
+            assert nan is not None and math.isnan(nan[0])
+            assert j.lookup(_GOLDEN_QUARANTINE) is None
+            j.close()
+            assert path.read_text() == _GOLDEN_JOURNAL
+        info = resilience.journal_summary(path)
+        assert info is not None
+        assert (info["shard_records"], info["quarantined_records"]) == (3, 1)
+        assert (info["cells"], info["runs"], info["format"]) == (3, 7, 3)
+
+    def test_encoder_writes_the_golden_bytes(self, tmp_path):
+        path = tmp_path / "j"
+        j = ShardJournal(path, exp_id="golden", key=_GOLDEN_KEY, fsync=False)
+        j.record(ShardRecord(_GOLDEN_CELL, costs=[29, 31, 27, 33.5, 29]))
+        # Snapshot and provenance never reach a journal line.
+        j.record(ShardRecord(
+            _GOLDEN_FIG09, costs=[0.9875],
+            snapshot=MetricsSnapshot(counters={"model.queries": 3}),
+            worker="w1", attempt=2,
+        ))
+        j.record(ShardRecord(_GOLDEN_NAN, costs=[float("nan")]))
+        j.record_quarantine(
+            _GOLDEN_QUARANTINE,
+            "worker process crashed; gave up after 4 attempts",
+        )
+        j.close()
+        assert path.read_text() == _GOLDEN_JOURNAL
 
 
 class TestShardIdentity:
@@ -286,7 +376,7 @@ class TestShardIdentity:
         a, b = self._task(), self._task(**change)
         for i, (mine, other) in enumerate(((a, b), (b, a))):
             ctx = RunContext(journal=_journal(tmp_path / f"j{i}"))
-            ctx.record_shard(mine, [1.0, 2.0, 3.0])
+            ctx.record_shard(ShardRecord(shard_id(mine), costs=[1.0, 2.0, 3.0]))
             assert ctx.lookup_shard(mine) == [1.0, 2.0, 3.0]
             assert ctx.lookup_shard(other) is None
             ctx.journal.close()
@@ -352,12 +442,11 @@ def _rejecting_cache(tmp_path):
 
 def _rejecting_shard_store(tmp_path):
     store = ShardStore(tmp_path)
-    entry = StoreEntry(
-        key="k" * 64, label="a", x=1, lo=0, hi=2, worker="w1", attempt=0,
-        costs=(1.0, 2.0),
+    record = ShardRecord(
+        _shard("a", 1, 0, 2), costs=[1.0, 2.0], worker="w1", attempt=0
     )
-    path = store.store(entry)
-    return store, path, lambda: store.load(entry.key)
+    path = store.store("k" * 64, record)
+    return store, path, lambda: store.load("k" * 64)
 
 
 class TestRejectedEntryPolicy:
@@ -405,13 +494,14 @@ class _Task:
 
 
 def _echo(task):
-    return ShardOutcome(
-        costs=[float(task.x)] * (task.run_hi - task.run_lo)
+    return ShardRecord(
+        shard_id(task), costs=[float(task.x)] * (task.run_hi - task.run_lo)
     )
 
 
 def _error(task):
-    return ShardOutcome(
+    return ShardRecord(
+        shard_id(task),
         error_type="ValueError",
         remote_traceback="Traceback (most recent call last): boom",
     )
@@ -419,7 +509,7 @@ def _error(task):
 
 def _kill_self(task):
     os.kill(os.getpid(), signal.SIGKILL)
-    return ShardOutcome(costs=[])  # pragma: no cover - never reached
+    return _echo(task)  # pragma: no cover - never reached
 
 
 def _kill_once(task):
@@ -429,7 +519,7 @@ def _kill_once(task):
     except FileExistsError:
         return _echo(task)
     os.kill(os.getpid(), signal.SIGKILL)
-    return ShardOutcome(costs=[])  # pragma: no cover - never reached
+    return _echo(task)  # pragma: no cover - never reached
 
 
 def _hang_once(task):
@@ -439,7 +529,7 @@ def _hang_once(task):
     except FileExistsError:
         return _echo(task)
     time.sleep(60)
-    return ShardOutcome(costs=[])  # pragma: no cover - killed first
+    return _echo(task)  # pragma: no cover - killed first
 
 
 def _policy(**kwargs):
@@ -503,6 +593,29 @@ class TestRunSupervised:
         )
         assert quarantined == {}
         assert completed == {0: [5.0, 5.0]}
+
+    def test_graceful_exit_tears_the_pool_down(self):
+        """A run stopped by SIGINT/SIGTERM leaves no pool behind: the
+        signal may land inside ``pool.submit`` and orphan a work item,
+        on which interpreter exit would otherwise wait forever."""
+        tasks = [_Task("a", x, 0, 2) for x in range(6)]
+        stopped = []
+
+        def stop_once(i, t, record):
+            if not stopped:
+                stopped.append(i)
+                raise GracefulExit(signal.SIGTERM)
+
+        pool = resilience._get_pool(2)
+        with pytest.raises(GracefulExit):
+            run_supervised(
+                _echo, list(enumerate(tasks)), jobs=2,
+                context=RunContext(policy=_policy()),
+                on_complete=stop_once, on_quarantine=lambda *a: None,
+            )
+        assert 2 not in resilience._POOLS
+        with pytest.raises(RuntimeError):
+            pool.submit(_echo, tasks[0])  # shut down, not merely idle
 
     def test_stall_deadline_from_policy_and_observations(self):
         assert _policy(stall_timeout=7.0).stall_deadline(100.0) == 7.0

@@ -21,8 +21,9 @@ from repro.experiments.resilience import (
     RunContext,
     ShardExecutionError,
     ShardJournal,
-    ShardOutcome,
+    ShardRecord,
     SupervisionPolicy,
+    shard_id,
 )
 from repro.farm import FarmCoordinator, FarmPolicy, FarmWorker
 from repro.farm import lease as leasemod
@@ -42,7 +43,9 @@ class _Task:
 
 
 def _echo(task):
-    return ShardOutcome(costs=[float(task.x)] * (task.run_hi - task.run_lo))
+    return ShardRecord(
+        shard_id(task), costs=[float(task.x)] * (task.run_hi - task.run_lo)
+    )
 
 
 def _boom(task):

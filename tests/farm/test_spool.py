@@ -7,9 +7,15 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.experiments.atomicio import quarantine_file
-from repro.experiments.resilience import ShardId
-from repro.farm.spool import ShardStore, Spool, StoreEntry, shard_key
+from repro.experiments.atomicio import RunHeader, checksum_line, quarantine_file
+from repro.experiments.resilience import (
+    JOURNAL_FORMAT,
+    ShardId,
+    ShardJournal,
+    ShardRecord,
+)
+from repro.farm.spool import ShardStore, Spool, shard_key
+from repro.obs import MetricsSnapshot
 
 
 @dataclass(frozen=True)
@@ -24,20 +30,24 @@ def _double(task):
     return [2.0 * task.x] * (task.run_hi - task.run_lo)
 
 
-def _entry(key="k" * 64, **kwargs):
-    kwargs.setdefault("label", "algo")
-    kwargs.setdefault("x", 4)
-    kwargs.setdefault("lo", 0)
-    kwargs.setdefault("hi", 3)
+#: seed, n, threshold, label, x, lo, hi
+_SHARD = ShardId(7, 16, 2, "a", 1, 0, 4)
+
+_KEY = "k" * 64
+
+
+def _entry(**kwargs):
+    """A worker's record as the store holds it: costs (or an error)
+    plus provenance."""
     kwargs.setdefault("worker", "w1")
     kwargs.setdefault("attempt", 0)
     if "costs" not in kwargs and "error_type" not in kwargs:
-        kwargs["costs"] = (1.0, 2.0, 3.0)
-    return StoreEntry(key=key, **kwargs)
+        kwargs["costs"] = [1.0, 2.0, 3.0]
+    return ShardRecord(ShardId(7, 16, 2, "algo", 4, 0, 3), **kwargs)
 
 
-#: seed, n, threshold, label, x, lo, hi
-_SHARD = ShardId(7, 16, 2, "a", 1, 0, 4)
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
 
 
 class TestShardKey:
@@ -62,37 +72,67 @@ class TestShardKey:
 
 
 class TestStoreEntry:
+    """A store entry is a :class:`ShardRecord` payload with the worker's
+    snapshot and provenance; a journal line is the same payload without
+    them.  One codec and one validation serve both."""
+
     def test_payload_roundtrip(self):
-        entry = _entry(snapshot={"counters": {"a": 1}})
-        assert StoreEntry.from_payload(entry.to_payload()) == entry
+        entry = _entry(snapshot=MetricsSnapshot(counters={"a": 1}))
+        assert ShardRecord.from_payload(entry.to_payload()) == entry
 
     def test_error_entry_roundtrip(self):
         entry = _entry(error_type="ValueError", remote_traceback="boom")
-        assert StoreEntry.from_payload(entry.to_payload()) == entry
+        assert ShardRecord.from_payload(entry.to_payload()) == entry
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda p: p.pop("key"),  # missing field
-            lambda p: p.__setitem__("x", "not-an-int"),
-            lambda p: p.__setitem__("costs", [1.0]),  # count/range mismatch
-            lambda p: (p.__setitem__("costs", None),
-                       p.__setitem__("error_type", None)),
+            lambda p: _without(p, "seed"),  # missing identity field
+            lambda p: {**p, "x": "not-an-int"},  # mistyped identity field
+            lambda p: {**p, "costs": [1.0]},  # count/range mismatch
+            lambda p: _without(p, "costs"),  # neither costs nor error
+            lambda p: _without(p, "label"),
+            lambda p: _without(p, "hi"),
+            lambda p: {**p, "lo": None},
+            lambda p: {**p, "costs": [1.0, "two", 3.0]},  # mistyped cost
+            lambda p: {**p, "costs": 3.0},  # costs not a list
+            lambda p: {**p, "quarantine": "sick"},  # two outcomes
+            lambda p: {**p, "error_type": "ValueError"},  # two outcomes
+            lambda p: {**p, "attempt": "first"},  # mistyped provenance
+            lambda p: {**p, "snapshot": [1, 2]},  # mistyped snapshot
+            lambda p: {**p, "snapshot": {"counters": [1]}},
+            lambda p: list(p.items()),  # not an object
+            lambda p: "costs",
         ],
     )
-    def test_malformed_payload_rejected(self, mutate):
-        payload = _entry().to_payload()
-        mutate(payload)
+    def test_malformed_payload_rejected(self, tmp_path, mutate):
+        payload = mutate(_entry().to_payload())
         with pytest.raises(ValueError):
-            StoreEntry.from_payload(payload)
+            ShardRecord.from_payload(payload)
+        # The store quarantines such an entry ...
+        store = ShardStore(tmp_path / "store")
+        store.write(_KEY, payload)
+        assert store.load(_KEY) is None
+        assert store.corrupt == 1
+        # ... and a resumed journal drops such a line.
+        path = tmp_path / "j"
+        path.write_text(
+            RunHeader(JOURNAL_FORMAT, "figX", _KEY).line()
+            + checksum_line(json.dumps(payload))
+        )
+        journal = ShardJournal(
+            path, exp_id="figX", key=_KEY, resume=True, fsync=False
+        )
+        assert (journal.dropped_records, journal.resumed_records) == (1, 0)
+        assert journal.quarantined_records == 0
 
 
 class TestShardStore:
     def test_store_load_roundtrip(self, tmp_path):
         store = ShardStore(tmp_path)
         entry = _entry()
-        store.store(entry)
-        assert store.load(entry.key) == entry
+        store.store(_KEY, entry)
+        assert store.load(_KEY) == entry
         assert store.entry_count() == 1
         assert store.quarantine_count() == 0
 
@@ -103,12 +143,11 @@ class TestShardStore:
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         store = ShardStore(tmp_path)
-        entry = _entry()
-        path = store.store(entry)
+        path = store.store(_KEY, _entry())
         data = json.loads(path.read_text())
         data["payload"]["costs"] = [9.0, 9.0, 9.0]  # tamper, keep checksum
         path.write_text(json.dumps(data))
-        assert store.load(entry.key) is None
+        assert store.load(_KEY) is None
         assert store.corrupt == 1
         assert not path.exists()
         assert store.quarantine_count() == 1
@@ -117,17 +156,14 @@ class TestShardStore:
         """A recomputed replacement that is also corrupt quarantines
         again under a fresh name (the satellite-4 contract)."""
         store = ShardStore(tmp_path)
-        entry = _entry()
         for generation in range(3):
-            path = store.store(entry)
+            path = store.store(_KEY, _entry())
             path.write_text("garbage generation %d" % generation)
-            assert store.load(entry.key) is None
+            assert store.load(_KEY) is None
         assert store.corrupt == 3
         assert store.quarantine_count() == 3
         names = sorted(p.name for p in store.quarantine_dir.iterdir())
-        assert names == [
-            f"{entry.key}.json", f"{entry.key}.json.1", f"{entry.key}.json.2",
-        ]
+        assert names == [f"{_KEY}.json", f"{_KEY}.json.1", f"{_KEY}.json.2"]
         # Every generation's bytes survived for post-mortem.
         contents = {p.read_text() for p in store.quarantine_dir.iterdir()}
         assert contents == {
@@ -138,10 +174,9 @@ class TestShardStore:
 
     def test_truncated_entry_quarantined(self, tmp_path):
         store = ShardStore(tmp_path)
-        entry = _entry()
-        path = store.store(entry)
+        path = store.store(_KEY, _entry())
         path.write_text(path.read_text()[:20])
-        assert store.load(entry.key) is None
+        assert store.load(_KEY) is None
         assert store.quarantine_count() == 1
 
 

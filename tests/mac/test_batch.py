@@ -135,11 +135,11 @@ class TestCsmaDeclines:
         # A numpy whose bounded draws read the stream differently: the
         # probe must notice, and CSMA must decline rather than diverge.
         real = fastseed.pull_block
-        monkeypatch.setattr(fastseed, "_pulls_verified", None)
+        monkeypatch.setattr(fastseed, "_verified", None)
         monkeypatch.setattr(
             fastseed, "pull_block", lambda raw, count, skip=0: real(raw, count, skip + 1)
         )
-        assert not fastseed.pulls_available()
+        assert not fastseed.available()
         batch = _batch(32, 12, 8)
         with pytest.raises(UnsupportedBatch):
             CsmaBaseline().decide_batch(batch)
@@ -193,7 +193,7 @@ class TestSequentialParity:
 
 class TestPullStream:
     def test_probe_passes_on_this_numpy(self):
-        assert fastseed.pulls_available()
+        assert fastseed.available()
 
     @pytest.mark.parametrize("skip", [0, 1, 7, 300])
     def test_blocks_match_real_generators(self, skip):

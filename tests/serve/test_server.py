@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -160,3 +161,11 @@ class TestShutdownOp:
             assert reply["ok"]
         handle._thread.join(timeout=10.0)
         assert not handle._thread.is_alive()
+
+    def test_bind_failure_is_raised_to_the_caller(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(RuntimeError, match="service failed to start"):
+                serve_in_thread(ServeConfig(host="127.0.0.1", port=port, workers=1))

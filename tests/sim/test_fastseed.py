@@ -50,7 +50,7 @@ def _replay_and_compare(script, replay_gens):
 
 class TestDrawReplay:
     def test_probe_passes_on_this_numpy(self):
-        assert fastseed.pulls_available()
+        assert fastseed.available()
 
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_interleaved_draws_and_states_match(self, bound):
@@ -113,12 +113,27 @@ class TestDrawReplay:
 
     def test_failed_probe_reports_unavailable(self, monkeypatch):
         real = fastseed.DrawReplay.integers
-        monkeypatch.setattr(fastseed, "_pulls_verified", None)
+        monkeypatch.setattr(fastseed, "_verified", None)
         monkeypatch.setattr(
             fastseed.DrawReplay, "integers",
             lambda self, rows, bounds: real(self, rows, bounds + 1),
         )
-        assert not fastseed.pulls_available()
+        assert not fastseed.available()
+
+
+class TestChoiceProbe:
+    def test_failed_choice_emulation_reports_unavailable(self, monkeypatch):
+        # The one probe also replays bulk choice: a numpy whose choice()
+        # ordering differs must turn off every fastseed replay.
+        real = fastseed.choice_bulk
+
+        def reversed_choice(raw, n, x):
+            got = real(raw, n, x)
+            return None if got is None else got[:, ::-1]
+
+        monkeypatch.setattr(fastseed, "_verified", None)
+        monkeypatch.setattr(fastseed, "choice_bulk", reversed_choice)
+        assert not fastseed.available()
 
 
 class TestPullBlockSkips:
