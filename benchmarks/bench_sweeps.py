@@ -402,7 +402,8 @@ def bench_farm(runs: int, jobs: int, enforce_gate: bool) -> dict:
     ``--backend farm`` CLI path) and routes fig01 through it.  Three
     gates: the CSV must match the serial run byte for byte, the lease
     accounting must balance (granted = completed + expired +
-    quarantined), and on a multi-core host the farm's wall time must
+    quarantined; fault-free, each shard is granted exactly once and
+    none expires), and on a multi-core host the farm's wall time must
     stay under :data:`FARM_OVERHEAD_FACTOR` times the serial run's.
     """
     from repro.farm import FarmCoordinator, FarmPolicy
@@ -450,6 +451,14 @@ def bench_farm(runs: int, jobs: int, enforce_gate: bool) -> dict:
     if granted == 0 or granted != resolved:
         raise AssertionError(
             f"farm lease accounting off: granted={granted} resolved={resolved}"
+        )
+    # Fault-free, every shard is leased exactly once.
+    shards = snapshot.counters.get("sweep.shards", 0)
+    expired = snapshot.counters.get("farm.leases_expired", 0)
+    if granted != shards or expired:
+        raise AssertionError(
+            f"fault-free farm run re-leased: granted={granted} for "
+            f"{shards} shards, expired={expired}"
         )
     overhead_factor = farm_s / plain_s if plain_s > 0 else 0.0
     if enforce_gate and overhead_factor > FARM_OVERHEAD_FACTOR:

@@ -556,9 +556,8 @@ def threshold_query_batch(
         return plan.wrap_model(model_spec(population, rng))
 
     batch = QueryBatch.spawned(
-        segments=[(seed, runs)],
+        segments=[(seed, runs, x)],
         n=population_size,
-        x=x,
         threshold=threshold,
         model=faulted_model if plan else model_spec,
     )

@@ -523,6 +523,11 @@ class FarmCoordinator:
             age = leasemod.age_seconds(self.spool.lease_path(state.key), now)
             held = time.monotonic() - state.granted_at
             if age is None:
+                if self.spool.store.path(state.key).is_file():
+                    # The worker stored its record and then released the
+                    # lease after this tick's collect pass: the next
+                    # tick collects it.
+                    continue
                 # Lease gone without a store entry: the worker declined
                 # (damaged descriptor) or the file was lost; re-lease.
                 self.spool.write_shard(state.key, state.fn, state.task)

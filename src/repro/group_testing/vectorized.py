@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import threading
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -52,6 +53,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -72,9 +74,31 @@ if TYPE_CHECKING:
 
 _OBS = get_registry()
 
-#: Pooled generators for state-loaded streams (slot 0 is the scratch
-#: slot for transient draws; per-run bins streams start at slot 1).
-_POOL = fastseed.GeneratorPool()
+#: One counter pair per silent size or capability choice the kernel
+#: makes; each pair partitions the batches that reach its choice
+#: (DESIGN.md section 11.3).
+_SEED_FUSED = _OBS.counter("kernel.seeding.fused")
+_SEED_PER_RUN = _OBS.counter("kernel.seeding.per_run")
+_DRAW_BULK = _OBS.counter("kernel.draw.bulk")
+_DRAW_PER_RUN = _OBS.counter("kernel.draw.per_run")
+_CAPTURE_LOCKSTEP = _OBS.counter("kernel.capture.lockstep")
+_CAPTURE_PER_RUN = _OBS.counter("kernel.capture.per_run")
+
+#: Each thread's pooled generators for state-loaded streams (slot 0 is
+#: the scratch slot for transient draws; per-run bins streams start at
+#: slot 1).  A slot must not be reloaded while a borrower still draws
+#: from it, and the query service runs the kernel on several executor
+#: threads, so every thread gets its own pool.
+_POOLS = threading.local()
+
+
+def _pool() -> fastseed.GeneratorPool:
+    """The calling thread's :class:`fastseed.GeneratorPool`."""
+    pool = getattr(_POOLS, "pool", None)
+    if pool is None:
+        pool = _POOLS.pool = fastseed.GeneratorPool()
+    return pool
+
 
 #: Bucket edges of the ``model.bin_size`` histogram (must match
 #: :mod:`repro.group_testing.model`).
@@ -96,6 +120,21 @@ _BLOCK_CELLS = 1 << 20
 #: array costs are shared by too few runs (DESIGN.md section 14.2).
 _CAPTURE_LOCKSTEP_RUNS = 32
 
+#: Smallest spawned batch whose streams are rebuilt in one fused
+#: :func:`fastseed.pcg64_raw` pass.  Below it each run builds its
+#: generators: the pass has a fixed cost that a few runs' construction
+#: undercuts (DESIGN.md section 14.3).
+_FUSED_SEED_RUNS = 6
+
+#: Fewest rows of one x value whose population draw runs through
+#: :func:`fastseed.choice_bulk`.  Its lockstep Floyd and shuffle loops
+#: cost about a millisecond whatever the row count, which fewer rows
+#: drawing per run undercut (DESIGN.md section 14.3).
+_CHOICE_BULK_ROWS = 48
+
+#: The stream order of a spawned run: ``spawn_key=(r, j)`` for stream j.
+_SPAWN_STREAMS = ("pop", "model", "bins")
+
 #: One run's generators: ``(pop, model, bins)`` for a model-backed
 #: batch, ``(pop, mac)`` for a MAC-baseline batch (``model`` is ``None``).
 RunStreams = Tuple[np.random.Generator, ...]
@@ -116,11 +155,12 @@ class UnsupportedBatch(Exception):
 
 @dataclass(frozen=True)
 class QueryBatch:
-    """One (label, x)-cell of Monte-Carlo trials, ready for the kernel.
+    """A batch of Monte-Carlo trials, ready for the kernel.
 
     Attributes:
         n: Population size.
-        x: True positive count of every trial's population.
+        x: True positive count of every trial's population; for a batch
+            whose runs differ in x (``run_x`` set), the largest of them.
         threshold: The queried threshold ``t``.
         run_lo: First run index (inclusive).
         run_hi: Last run index (exclusive).
@@ -139,6 +179,13 @@ class QueryBatch:
             kernel reconstructs the generator states in bulk instead of
             calling ``streams`` -- same streams, a fraction of the
             construction cost.
+        run_x: Each run's x (int64, indexed ``run - run_lo``) when the
+            runs' populations differ in x; ``None`` when every run has
+            ``x``.  x enters a trial only through its population draw.
+        spawn_seeds: Optional ``(seeds, keys)`` pair declaring that run
+            ``r``'s stream ``j`` is ``SeedSequence(seeds[r - run_lo],
+            spawn_key=(keys[r - run_lo], j))`` (uint64 seeds, int64
+            keys), the spawned counterpart of ``seed_info``.
     """
 
     n: int
@@ -149,11 +196,21 @@ class QueryBatch:
     model: Optional[ModelFactory]
     streams: Callable[[int], RunStreams]
     seed_info: Optional[Tuple[int, str]] = field(default=None)
+    run_x: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    spawn_seeds: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def runs(self) -> int:
         """Number of trials in the cell."""
         return self.run_hi - self.run_lo
+
+    def xs(self, lo: int, hi: int) -> np.ndarray:
+        """The x of runs ``run_lo + lo .. run_lo + hi`` (int64)."""
+        if self.run_x is None:
+            return np.full(hi - lo, self.x, dtype=np.int64)
+        return self.run_x[lo:hi]
 
     @classmethod
     def for_cell(
@@ -198,22 +255,24 @@ class QueryBatch:
     def spawned(
         cls,
         *,
-        segments: Sequence[Tuple[int, int]],
+        segments: Sequence[Tuple[int, int, int]],
         n: int,
-        x: int,
         threshold: int,
         model: ModelFactory,
     ) -> "QueryBatch":
         """A batch over ``Generator.spawn``-derived per-run streams.
 
-        ``segments`` lists ``(seed, runs)`` pairs laid end to end.  Run
-        ``r`` of a segment gets the ``(pop, model, bins)`` triple
+        ``segments`` lists ``(seed, runs, x)`` triples laid end to end.
+        Run ``r`` of a segment draws a population of ``x`` positives and
+        gets the ``(pop, model, bins)`` triple
         ``default_rng(seed).spawn(runs)[r].spawn(3)`` -- the stream
-        layout of :func:`repro.api.threshold_query_batch` -- derived on
-        demand as ``SeedSequence(seed, spawn_key=(r, j))``, which is how
-        numpy spawns.  A run's streams therefore depend on its segment's
-        seed and its index within the segment alone, whatever else
-        shares the batch.
+        layout of :func:`repro.api.threshold_query_batch` -- derived as
+        ``SeedSequence(seed, spawn_key=(r, j))``, which is how numpy
+        spawns.  A run's streams therefore depend on its segment's seed
+        and its index within the segment alone, whatever else shares the
+        batch, and its x enters only its population draw.  The kernel
+        rebuilds the streams in bulk (``spawn_seeds``) when every seed
+        is below ``2**64``, and otherwise builds them per run.
 
         Raises:
             ValueError: If a seed is negative, as ``default_rng`` would;
@@ -222,12 +281,16 @@ class QueryBatch:
         """
         seeds: List[int] = []
         offsets: List[int] = []
+        counts: List[int] = []
+        xs: List[int] = []
         total = 0
-        for seed, runs in segments:
+        for seed, runs, x in segments:
             if seed < 0:
                 raise ValueError(f"seed must be >= 0, got {seed}")
             seeds.append(seed)
             offsets.append(total)
+            counts.append(runs)
+            xs.append(x)
             total += runs
 
         def streams(run: int) -> RunStreams:
@@ -239,17 +302,30 @@ class QueryBatch:
                         np.random.SeedSequence(seed, spawn_key=(local, j))
                     )
                 )
-                for j in range(3)
+                for j in range(len(_SPAWN_STREAMS))
             )
 
+        spawn_seeds = None
+        if max(seeds, default=0) < 1 << 64 and max(counts, default=0) <= 1 << 32:
+            spawn_seeds = (
+                np.repeat(np.array(seeds, dtype=np.uint64), counts),
+                np.arange(total, dtype=np.int64)
+                - np.repeat(np.array(offsets, dtype=np.int64), counts),
+            )
         return cls(
             n=n,
-            x=x,
+            x=max(xs, default=0),
             threshold=threshold,
             run_lo=0,
             run_hi=total,
             model=model,
             streams=streams,
+            run_x=(
+                np.repeat(np.array(xs, dtype=np.int64), counts)
+                if len(set(xs)) > 1
+                else None
+            ),
+            spawn_seeds=spawn_seeds,
         )
 
 
@@ -307,10 +383,11 @@ def dispatch_batch(
     decisions = np.zeros(batch.runs, dtype=bool)
     queries = np.zeros(batch.runs, dtype=np.int64)
     exact = True
+    xs = batch.xs(0, batch.runs).tolist()
     for i, run in enumerate(range(batch.run_lo, batch.run_hi)):
         try:
             pop_rng, *rest = batch.streams(run)
-            population = Population.from_count(batch.n, batch.x, pop_rng)
+            population = Population.from_count(batch.n, xs[i], pop_rng)
             if batch.model is None:
                 (mac_rng,) = rest
                 result = decider.decide(population, batch.threshold, mac_rng)
@@ -451,30 +528,24 @@ def _draw_population(
 #: Cached ASCII forms of run indices (shared by every cell's seed loop).
 _RUN_DIGITS: List[bytes] = []
 
+#: Serialises growth of :data:`_RUN_DIGITS` across kernel threads.
+_RUN_DIGITS_LOCK = threading.Lock()
+
 
 def _run_digits(lo: int, hi: int) -> List[bytes]:
     """``b"%d" % r`` for ``r`` in ``lo..hi``, from a growing cache."""
-    while len(_RUN_DIGITS) < hi:
-        _RUN_DIGITS.append(b"%d" % len(_RUN_DIGITS))
+    if len(_RUN_DIGITS) < hi:
+        with _RUN_DIGITS_LOCK:
+            while len(_RUN_DIGITS) < hi:
+                _RUN_DIGITS.append(b"%d" % len(_RUN_DIGITS))
     return _RUN_DIGITS[lo:hi]
 
 
-def fast_states(
-    batch: QueryBatch, names: Sequence[str], raw: Sequence[str] = ()
-) -> Optional[Dict[str, Any]]:
-    """Bulk-reconstructed PCG64 states for the named per-run streams.
-
-    ``None`` when the batch carries no registry seed contract or this
-    numpy defeats :mod:`repro.sim.fastseed`; callers then fall back to
-    ``batch.streams``.  Otherwise ``out[name][i]`` is the ``(state,
-    inc)`` of run ``run_lo + i``'s stream ``name`` -- exactly the
-    generator ``RngRegistry(root).fork(f"{cell}/r{r}").stream(name)``
-    would hold, reproduced via the same two SHA-256 derivations.
-    Streams listed in ``raw`` come back as :func:`fastseed.pcg64_raw`
-    half arrays instead, ready for the bulk output emulation.
-    """
-    if batch.seed_info is None or not fastseed.available():
-        return None
+def _registry_seeds(batch: QueryBatch, names: Sequence[str]) -> List[int]:
+    """Every named stream's ``SeedSequence`` seed for every run of a
+    ``seed_info`` batch, name-major, via the registry's two SHA-256
+    derivations (the fork, then the stream name)."""
+    assert batch.seed_info is not None
     root, cell = batch.seed_info
     sha = hashlib.sha256
     from_bytes = int.from_bytes
@@ -488,42 +559,112 @@ def fast_states(
         fork = b"%d" % (from_bytes(h.digest()[:8], "big") >> 1)
         for append, suffix in appends_suffixes:
             append(from_bytes(sha(fork + suffix).digest()[:8], "big") >> 1)
-    return {
-        name: (
-            fastseed.pcg64_raw(s) if name in raw else fastseed.pcg64_states(s)
-        )
-        for name, s in zip(names, seeds)
-    }
+    return [seed for per_name in seeds for seed in per_name]
+
+
+def _spawn_keys(
+    batch: QueryBatch, names: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every named stream's seed and ``(r, j)`` spawn key for every run
+    of a ``spawn_seeds`` batch, name-major."""
+    assert batch.spawn_seeds is not None
+    seeds, keys = batch.spawn_seeds
+    runs = batch.runs
+    spawn_keys = np.empty((len(names) * runs, 2), dtype=np.uint32)
+    spawn_keys[:, 0] = np.tile(keys, len(names))
+    spawn_keys[:, 1] = np.repeat([_SPAWN_STREAMS.index(n) for n in names], runs)
+    return np.tile(seeds, len(names)), spawn_keys
+
+
+def fast_states(
+    batch: QueryBatch, names: Sequence[str], raw: Sequence[str] = ()
+) -> Optional[Dict[str, Any]]:
+    """Bulk-reconstructed PCG64 states for the named per-run streams.
+
+    One fused :func:`fastseed.pcg64_raw` pass rebuilds every named
+    stream of every run, in either seed contract: ``seed_info`` (the
+    two SHA-256 derivations of ``RngRegistry(root).fork(f"{cell}/r{r}")
+    .stream(name)``) or ``spawn_seeds`` (``SeedSequence(seed,
+    spawn_key=(r, j))``).  ``out[name][i]`` is then the ``(state, inc)``
+    of run ``run_lo + i``'s stream ``name``; streams listed in ``raw``
+    come back as :func:`fastseed.pcg64_raw` half arrays instead, ready
+    for the bulk output emulation.
+
+    ``None`` -- callers then build each run's generators from
+    ``batch.streams`` -- when the batch carries no seed contract, this
+    numpy defeats :mod:`repro.sim.fastseed`, or a spawned batch has
+    fewer than :data:`_FUSED_SEED_RUNS` runs.
+    """
+    spawned = batch.spawn_seeds is not None and batch.runs >= _FUSED_SEED_RUNS
+    if not (batch.seed_info is not None or spawned) or not fastseed.available():
+        _SEED_PER_RUN.inc()
+        return None
+    _SEED_FUSED.inc()
+    if batch.seed_info is not None:
+        halves = fastseed.pcg64_raw(_registry_seeds(batch, names))
+    else:
+        halves = fastseed.pcg64_raw(*_spawn_keys(batch, names))
+    runs = batch.runs
+    out: Dict[str, Any] = {}
+    for i, name in enumerate(names):
+        part = tuple(a[i * runs:(i + 1) * runs] for a in halves)
+        out[name] = part if name in raw else fastseed.pairs_from_raw(part)
+    return out
 
 
 def mark_positives(
     hit: np.ndarray,
     pop: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     n: int,
-    x: int,
+    xs: Union[int, np.ndarray],
 ) -> None:
     """Mark each run's population draw in the rows of ``hit``.
 
     ``hit`` is a zeroed, C-contiguous boolean ``(rows, width >= n)``
-    matrix and ``pop`` the rows' ``"pop"`` stream states as
-    :func:`fastseed.pcg64_raw` halves; row ``i`` gets ``True`` at the
-    ``x >= 1`` node ids :meth:`Population.from_count` draws.  The pop
+    matrix, ``pop`` the rows' ``"pop"`` stream states as
+    :func:`fastseed.pcg64_raw` halves and ``xs`` each row's x (or one x
+    for every row); row ``i`` gets ``True`` at the node ids
+    :meth:`Population.from_count` draws, none when its x is 0.  The pop
     stream is consumed by this one draw and nothing else, so
-    result-equality suffices: all the ``choice`` calls are emulated in
-    lockstep and scattered into the flat matrix.  Bulk cost grows with
-    the pull count (~2x) while the per-run loop's is nearly flat, so
-    large draws (x beyond ~n/2) stay on per-run generators.
+    result-equality suffices.  The rows of each x value are drawn
+    together: all their ``choice`` calls are emulated in lockstep
+    (:func:`fastseed.choice_bulk`) and scattered into the flat matrix
+    when there are at least :data:`_CHOICE_BULK_ROWS` of them and
+    ``2 * x <= n + 16``, and made per run on a pooled generator
+    otherwise.  Bulk cost grows with the pull count (~2x) while the
+    per-run loop's is nearly flat, so large draws (x beyond ~n/2) stay
+    per run, as do small groups, which cannot pay the bulk loops' fixed
+    cost.
     """
     rows, width = hit.shape
-    # ``pop`` comes from fast_states, which already required
-    # fastseed.available().
-    idx = fastseed.choice_bulk(pop, n, x) if 2 * x <= n + 16 else None
-    if idx is not None:
-        hit.ravel()[idx + (np.arange(rows, dtype=np.int64) * width)[:, None]] = True
-        return
-    _POOL.reserve(1)
-    for i, (st, inc) in enumerate(fastseed.pairs_from_raw(pop)):
-        hit[i, _POOL.load(0, st, inc).choice(n, size=x, replace=False)] = True
+    xs = np.broadcast_to(np.asarray(xs, dtype=np.int64), (rows,))
+    # A set, not np.unique: its first call in a process costs ~17 ms,
+    # which every fresh sweep worker would pay in its first shard.
+    values = sorted(set(xs.tolist()))
+    for x in values:
+        if not x:
+            continue
+        if len(values) == 1:
+            at, part = np.arange(rows, dtype=np.int64), pop
+        else:
+            at = np.flatnonzero(xs == x)
+            part = tuple(a[at] for a in pop)
+        # ``pop`` comes from fast_states, which already required
+        # fastseed.available().
+        idx = (
+            fastseed.choice_bulk(part, n, x)
+            if at.size >= _CHOICE_BULK_ROWS and 2 * x <= n + 16
+            else None
+        )
+        if idx is not None:
+            _DRAW_BULK.inc()
+            hit.ravel()[idx + (at * width)[:, None]] = True
+            continue
+        _DRAW_PER_RUN.inc()
+        pool = _pool()
+        pool.reserve(1)
+        for i, (st, inc) in zip(at.tolist(), fastseed.pairs_from_raw(part)):
+            hit[i, pool.load(0, st, inc).choice(n, size=x, replace=False)] = True
 
 
 def _model_spec(batch: QueryBatch) -> ModelSpec:
@@ -603,17 +744,20 @@ def run_lockstep(
     if p_cap is not None and (
         batch.runs < _CAPTURE_LOCKSTEP_RUNS or not fastseed.available()
     ):
+        _CAPTURE_PER_RUN.inc()
         states = fast_states(batch, ("pop", "model", "bins"))
+        pool = _pool()
         if states is not None:
-            _POOL.reserve(3)
+            pool.reserve(3)
+        xs = batch.xs(0, batch.runs).tolist()
         for i in range(batch.runs):
             if states is not None:
-                pop_rng = _POOL.load(0, *states["pop"][i])
-                model_rng = _POOL.load(1, *states["model"][i])
-                bins_rng = _POOL.load(2, *states["bins"][i])
+                pop_rng = pool.load(0, *states["pop"][i])
+                model_rng = pool.load(1, *states["model"][i])
+                bins_rng = pool.load(2, *states["bins"][i])
             else:
                 pop_rng, model_rng, bins_rng = batch.streams(batch.run_lo + i)
-            mask = _draw_population(batch.n, batch.x, pop_rng)
+            mask = _draw_population(batch.n, xs[i], pop_rng)
             decisions[i], queries[i] = _run_one_capture(
                 batch.n, batch.threshold, mask, model_rng, bins_rng,
                 schedule, p_cap, spec.max_queries, algorithm, tally,
@@ -622,7 +766,8 @@ def run_lockstep(
         odds = _CaptureOdds(p_cap) if p_cap is not None else None
         names = ["pop"] if batch.x else []
         if odds is not None and batch.x >= 2:
-            # Only a 2+ cell with collisions draws on the model stream.
+            # Only a 2+ cell with collisions (a run with x >= 2; batch.x
+            # is the largest) draws on the model stream.
             names.append("model")
         states = fast_states(batch, names + ["bins"], raw=("pop", "model"))
         block = max(1, _BLOCK_CELLS // (batch.n + 1))
@@ -728,6 +873,7 @@ def _run_block(
     per run on those same generators instead.
     """
     n, runs = batch.n, hi - lo
+    xs = batch.xs(lo, hi)
     # Positive masks double as round-0 hit flags: the candidate list
     # starts as 0..n-1 in order, so flags are indexed by candidate id.
     # The extra always-False sentinel column lets padded permutation
@@ -737,10 +883,11 @@ def _run_block(
     model_gens: List[np.random.Generator] = []
     bins_gens: List[np.random.Generator]
     if states is not None:
-        _POOL.reserve(1 + runs)
-        load = _POOL.load
+        pool = _pool()
+        pool.reserve(1 + runs)
+        load = pool.load
         if batch.x:
-            mark_positives(hit, tuple(a[lo:hi] for a in states["pop"]), n, batch.x)
+            mark_positives(hit, tuple(a[lo:hi] for a in states["pop"]), n, xs)
         bins_gens = [
             load(1 + i, st, inc) for i, (st, inc) in enumerate(states["bins"][lo:hi])
         ]
@@ -750,16 +897,17 @@ def _run_block(
         # Model generators are kept only when the block draws on them.
         draws = odds is not None and batch.x >= 2
         bins_gens = []
-        for i in range(runs):
+        for i, x in enumerate(xs.tolist()):
             pop_rng, model_rng, bins_rng = batch.streams(batch.run_lo + lo + i)
-            if batch.x:
-                hit[i, pop_rng.choice(n, size=batch.x, replace=False)] = True
+            if x:
+                hit[i, pop_rng.choice(n, size=x, replace=False)] = True
             if draws:
                 model_gens.append(model_rng)
             bins_gens.append(bins_rng)
         if odds is not None and draws:
             replay = fastseed.DrawReplay.from_generators(model_gens)
             if replay is None:
+                _CAPTURE_PER_RUN.inc()
                 for i in range(runs):
                     decisions[i], queries[i] = _run_one_capture(
                         n, batch.threshold, hit[i, :n], model_gens[i],
@@ -767,6 +915,8 @@ def _run_block(
                         algorithm, tally,
                     )
                 return
+    if odds is not None:
+        _CAPTURE_LOCKSTEP.inc()
     _run_rounds(
         n, batch.threshold, hit, bins_gens, replay, schedule, k, odds,
         max_queries, algorithm, tally, decisions, queries,
@@ -817,6 +967,10 @@ def _run_rounds(
         return
     if n < threshold:
         return
+    # Slot-sized arrays (permutations, prefix sums, slot -> bin maps and
+    # flat indices into ``rows x (width + 1)`` matrices) are int32: a
+    # block holds at most max(_BLOCK_CELLS, n + 1) cells, so every
+    # index fits, at half the memory of int64.
     active = np.arange(runs, dtype=np.int64)
     m = np.full(runs, n, dtype=np.int64)
     need = np.full(runs, threshold, dtype=np.int64)
@@ -835,18 +989,19 @@ def _run_rounds(
         # ``take``/fancy assignment on raveled arrays, which skips the
         # python-level index plumbing of ``take_along_axis``.  ``hit``
         # rows are ``width + 1`` wide (sentinel column at ``width``).
-        row_i = np.arange(rows, dtype=np.int64)
-        off_w1 = (row_i * (width + 1))[:, None]
-        off_b = row_i * n_bins
+        row_i = np.arange(rows, dtype=np.int32)
+        off_w1 = (row_i * np.int32(width + 1))[:, None]
+        off_b = row_i * np.int32(n_bins)
         # The only per-run work: each run's single permutation draw,
         # done as an in-place shuffle of a prefilled 0..m-1 row (same
-        # stream consumption as ``permutation``, no per-run arange
-        # allocation).  Padded slots point at the sentinel column.
+        # stream consumption and values as ``permutation``, whatever
+        # the dtype; no per-run arange allocation).  Padded slots point
+        # at the sentinel column.
         perm = np.broadcast_to(
-            np.arange(width, dtype=np.int64), (rows, width)
+            np.arange(width, dtype=np.int32), (rows, width)
         ).copy()
         if width > 1:
-            perm[np.arange(width, dtype=np.int64) >= m[:, None]] = width
+            perm[np.arange(width, dtype=np.int32) >= m[:, None]] = width
             act = active.tolist()
             for j, mj in enumerate(m.tolist()):
                 bins_gens[act[j]].shuffle(perm[j, :mj])
@@ -864,7 +1019,7 @@ def _run_rounds(
         )
         sizes = starts_ext[:, 1:] - starts_ext[:, :-1]
         hits_slot = hit.ravel().take(perm + off_w1)
-        cum = np.zeros((rows, width + 1), dtype=np.int64)
+        cum = np.zeros((rows, width + 1), dtype=np.int32)
         np.cumsum(hits_slot, axis=1, out=cum[:, 1:])
         cum_at = cum.ravel().take(starts_ext + off_w1)
         counts = cum_at[:, 1:] - cum_at[:, :-1]
@@ -955,9 +1110,9 @@ def _run_rounds(
             hit = hit[live]
             need = need[live]
             rows = active.size
-            row_i = np.arange(rows, dtype=np.int64)
-            off_w1 = (row_i * (width + 1))[:, None]
-            off_b = row_i * n_bins
+            row_i = np.arange(rows, dtype=np.int32)
+            off_w1 = (row_i * np.int32(width + 1))[:, None]
+            off_b = row_i * np.int32(n_bins)
         # Slot -> bin without per-slot division: scatter a marker at
         # each bin's start and prefix-sum.  Bins below a row's ``eff``
         # are non-empty (``base >= 1``) so markers below ``m`` never
@@ -965,7 +1120,7 @@ def _run_rounds(
         # slots there map through the sentinel column anyway.
         bound = np.zeros((rows, width + 1), dtype=np.int16)
         bound.ravel()[starts_ext[:, 1:n_bins] + off_w1] = 1
-        bin_of = np.cumsum(bound[:, :width], axis=1)
+        bin_of = np.cumsum(bound[:, :width], axis=1, dtype=np.int32)
         slot_keep = ~silent.ravel().take(bin_of + off_b[:, None])
         if odds is not None:
             slot_keep[conf_r, conf_slot] = False
@@ -979,8 +1134,10 @@ def _run_rounds(
         offsets = np.concatenate(([0], np.cumsum(m)[:-1]))
         flat = np.zeros(rows * (width_next + 1), dtype=bool)
         flat[
-            np.arange(kept_flags.size)
-            + np.repeat(row_i * (width_next + 1) - offsets, m)
+            np.arange(kept_flags.size, dtype=np.int32)
+            + np.repeat(
+                (row_i * (width_next + 1) - offsets).astype(np.int32), m
+            )
         ] = kept_flags
         hit = flat.reshape(rows, width_next + 1)
     raise RuntimeError(
@@ -1200,15 +1357,17 @@ def run_probes(
     decisions = np.zeros(batch.runs, dtype=bool)
     queries = np.full(batch.runs, repeats, dtype=np.int64)
     states = fast_states(batch, ("pop", "bins"))
+    pool = _pool()
     if states is not None:
-        _POOL.reserve(2)
+        pool.reserve(2)
+    xs = batch.xs(0, batch.runs).tolist()
     for i in range(batch.runs):
         if states is not None:
-            pop_rng = _POOL.load(0, *states["pop"][i])
-            bins_rng = _POOL.load(1, *states["bins"][i])
+            pop_rng = pool.load(0, *states["pop"][i])
+            bins_rng = pool.load(1, *states["bins"][i])
         else:
             pop_rng, _model_rng, bins_rng = batch.streams(batch.run_lo + i)
-        mask = _draw_population(batch.n, batch.x, pop_rng)
+        mask = _draw_population(batch.n, xs[i], pop_rng)
         if batch.n == 0 or inclusion == 0.0:
             # sample_bins short-circuits without a draw: all probes empty.
             sizes = np.zeros(repeats, dtype=np.int64)

@@ -2,17 +2,18 @@
 
 The scheduler hands this module a *group*: one or more admitted requests
 agreeing on :attr:`~repro.serve.request.QueryRequest.coalesce_key`
-(population shape, threshold, algorithm, collision model, reliability).
-:func:`execute_group` answers all of them at once:
+(population size, threshold, algorithm, collision model, reliability;
+not x).  :func:`execute_group` answers all of them at once:
 
 * The group is one
   :meth:`~repro.group_testing.vectorized.QueryBatch.spawned` batch with
-  one ``(seed, runs)`` segment per request.  Each request keeps its
+  one ``(seed, runs, x)`` segment per request.  Each request keeps its
   *own* ``seed``-rooted spawn tree (the exact stream layout of
-  :func:`repro.api.threshold_query_batch`), so run ``r`` of request
-  ``q`` consumes the same generators whether ``q`` rides alone, with
-  nine strangers, or on the scalar path -- coalescing is invisible in
-  the answers, bit for bit.
+  :func:`repro.api.threshold_query_batch`) and its own x, which enters
+  only its runs' population draws, so run ``r`` of request ``q``
+  consumes the same generators whether ``q`` rides alone, with nine
+  strangers, or on the scalar path -- coalescing is invisible in the
+  answers, bit for bit.
 * :func:`~repro.group_testing.vectorized.dispatch_batch` answers the
   batch in one call: on the vectorized kernel when the caller allows it
   and the decider has ``decide_batch`` (and the kernel accepts the
@@ -116,9 +117,8 @@ def execute_group(
     _BATCHES.inc()
     _BATCH_RUNS.observe(float(offsets[-1]))
     batch = QueryBatch.spawned(
-        segments=[(r.seed, r.runs) for r in requests],
+        segments=[(r.seed, r.runs, r.x) for r in requests],
         n=lead.n,
-        x=lead.x,
         threshold=lead.threshold,
         model=ModelSpec(kind=lead.collision_model),
     )

@@ -107,18 +107,18 @@ class QueryRequest:
     deadline_ms: Optional[int] = None
 
     @property
-    def coalesce_key(self) -> Tuple[int, int, int, str, str, Optional[str]]:
+    def coalesce_key(self) -> Tuple[int, int, str, str, Optional[str]]:
         """Everything that must match for two requests to share a batch.
 
-        Requests agreeing on this key describe the same population
-        shape, threshold, algorithm and model family; their per-run
-        randomness still differs (each request owns a private
-        ``seed``-rooted spawn tree), so coalescing them into one
-        vectorized round changes no answer.
+        Requests agreeing on this key run the same query program:
+        population size, threshold, algorithm and model family.  x is
+        not part of it -- as in the paper, the initiator never knows x,
+        and a run's x enters only its population draw -- and each
+        request owns a private ``seed``-rooted spawn tree, so coalescing
+        them into one vectorized round changes no answer.
         """
         return (
             self.n,
-            self.x,
             self.threshold,
             self.algorithm,
             self.collision_model,

@@ -11,7 +11,9 @@ once:
 * ``SeedSequence(seed).generate_state(4, uint64)`` -- O'Neill's entropy
   pool mixing plus the output hash, all 32-bit multiply/xor/shift
   operations whose hash-constant schedule is data-independent, hence
-  trivially vectorizable across seeds; and
+  trivially vectorizable across seeds -- and likewise
+  ``SeedSequence(seed, spawn_key=key)``, the children
+  ``Generator.spawn`` builds; and
 * PCG64's ``srandom`` seeding -- two 128-bit multiply-adds per seed.
 
 The reconstructed ``(state, inc)`` pairs are loaded into pooled
@@ -54,48 +56,93 @@ _MASK128 = (1 << 128) - 1
 _verified: bool | None = None
 
 
-def _generate_state8(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(8, uint32)`` for every seed.
+def _hash_schedule(init: int, mult: int, calls: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``calls`` successive hash steps.
+
+    Step ``k`` xors with ``H_k`` and multiplies by ``H_{k+1}``, where
+    ``H_0 = init`` and ``H_{k+1} = H_k * mult mod 2**32``: the schedule
+    depends on the step count alone, never on the data.
+    """
+    consts = [init]
+    for _ in range(calls):
+        consts.append((consts[-1] * mult) & _U32)
+    table = np.array(consts, dtype=np.uint32)
+    return table[:-1, None], table[1:, None]
+
+
+#: Hash steps of one seeding: the pool fill, the pool mixing and each
+#: spawn-key word's mix into the pool (up to two key words).
+_MIX_XOR, _MIX_MUL = _hash_schedule(
+    _INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 2 * _POOL_SIZE
+)
+#: Hash steps of ``generate_state(8, uint32)``.
+_OUT_XOR, _OUT_MUL = _hash_schedule(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _generate_state8(
+    seeds: np.ndarray, keys: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(8, uint32)``.
 
     ``seeds`` must be non-negative and ``< 2**64``.  Seeds below ``2**32``
     coerce to a single entropy word; hashing the absent second word is
     identical to hashing an explicit zero, so one fixed-shape pass covers
-    both layouts.
+    both layouts.  ``keys`` (``None`` for no spawn key) is a ``(seeds,
+    words)`` uint32 matrix, at most two words, one spawn-key element per
+    column, each below ``2**32``.  With a spawn key numpy pads the run
+    entropy with zeros to the four-word pool, which is the same ``(lo,
+    hi, 0, 0)`` pool, and mixes each key word into every pool word after
+    the pool mixing, on the same data-independent constant schedule.
+
+    The pool is one ``(4, seeds)`` array.  Steps that read the same
+    source word with consecutive constants run as one array operation:
+    the fill, each source word's mix into the three other pool words
+    (which leaves the source word itself unchanged), each key word's
+    mix into all four, and the eight output words.
     """
-    lo = (seeds & np.uint64(_U32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros(seeds.size, dtype=np.uint32)
-    entropy = (lo, hi, zero, zero)
+    pool = np.zeros((_POOL_SIZE, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_U32)
+    pool[1] = seeds >> np.uint64(32)
+    step = 0
 
-    # hash_const advances once per hashmix call regardless of the data,
-    # so it stays a (python-int) scalar threaded through the schedule.
-    hash_const = _INIT_A
+    def hashmix(value: np.ndarray, count: int) -> np.ndarray:
+        nonlocal step
+        value = value ^ _MIX_XOR[step:step + count]
+        value *= _MIX_MUL[step:step + count]
+        value ^= value >> _XSHIFT
+        step += count
+        return value
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _U32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L
+        result -= y * _MIX_MULT_R
+        result ^= result >> _XSHIFT
+        return result
 
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    pool = hashmix(pool, _POOL_SIZE)
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        pool[dst] = mix(pool[dst], hashmix(pool[i_src], _POOL_SIZE - 1))
+    if keys is not None:
+        for word in keys.T:
+            pool = mix(pool, hashmix(word, _POOL_SIZE))
 
-    out = np.empty((seeds.size, 2 * _POOL_SIZE), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i_dst in range(2 * _POOL_SIZE):
-        data = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _U32
-        data = data * np.uint32(hash_const)
-        out[:, i_dst] = data ^ (data >> _XSHIFT)
-    return out
+    out = np.concatenate((pool, pool)) ^ _OUT_XOR
+    out *= _OUT_MUL
+    out ^= out >> _XSHIFT
+    return out.T
+
+
+#: The limb products ``t[i] * MULT[j]`` with ``i + j <= 3`` (the rest
+#: wrap away mod 2**128), ordered by column ``i + j``: column ``c``'s
+#: products are rows ``_COLUMNS[c]``.  A product's high half carries
+#: into column ``c + 1``.
+_PRODUCT_T = np.array([0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
+_PRODUCT_MULT = np.array(
+    [(_PCG_MULT >> (32 * j)) & _U32 for j in (0, 1, 0, 2, 1, 0, 3, 2, 1, 0)],
+    dtype=np.uint64,
+)[:, None]
+_COLUMNS = (slice(0, 1), slice(1, 3), slice(3, 6), slice(6, 10))
 
 
 def _srandom_batch(
@@ -106,68 +153,61 @@ def _srandom_batch(
     Returns ``(state_hi, state_lo, inc_hi, inc_lo)`` uint64 arrays -- the
     two 64-bit halves of each seed's 128-bit LCG state and increment.
     The 128-bit arithmetic (``state = (inc + initstate) * MULT + inc``)
-    runs column-wise on 32-bit limbs held in uint64 accumulators, so no
+    runs on ``(4, seeds)`` matrices of 32-bit limbs held in uint64, so no
     limb product or column sum can overflow.
     """
-    w = words.astype(np.uint64)
     m32 = np.uint64(_U32)
     s32 = np.uint64(32)
     # Little-endian 32-bit limbs.  generate_state word pairs are
     # little-endian uint64s: (w0, w1) -> first output uint64, etc.; the
     # first two uint64s form initstate (high word first), the last two
     # the stream selector.
-    init = (w[:, 2], w[:, 3], w[:, 0], w[:, 1])  # initstate limbs 0..3
-    seq = (w[:, 6], w[:, 7], w[:, 4], w[:, 5])  # initseq limbs 0..3
+    w = words.T.astype(np.uint64)
+    init = w[[2, 3, 0, 1]]
+    seq = w[[6, 7, 4, 5]]
     # inc = (initseq << 1) | 1
-    inc = [np.uint64(0)] * 4
-    inc[0] = ((seq[0] << np.uint64(1)) & m32) | np.uint64(1)
-    for i in range(1, 4):
-        inc[i] = ((seq[i] << np.uint64(1)) | (seq[i - 1] >> np.uint64(31))) & m32
+    inc = (seq << np.uint64(1)) & m32
+    inc[1:] |= seq[:-1] >> np.uint64(31)
+    inc[0] |= np.uint64(1)
     # t = inc + initstate (mod 2**128)
-    t = []
-    carry = np.uint64(0)
-    for i in range(4):
-        acc = inc[i] + init[i] + carry
-        t.append(acc & m32)
-        carry = acc >> s32
+    t = inc + init
+    for i in range(3):
+        t[i + 1] += t[i] >> s32
+    t &= m32
     # state = t * MULT + inc (mod 2**128), schoolbook on 32-bit limbs.
-    mult = [np.uint64((_PCG_MULT >> (32 * i)) & _U32) for i in range(4)]
-    limbs = []
-    carry = np.uint64(0)
-    hi_prev: list = [np.uint64(0)] * 4
-    for k in range(4):
-        acc = carry
-        for i in range(k + 1):
-            p = t[i] * mult[k - i]
-            acc = acc + (p & m32)
-        for h in hi_prev[: k + 1]:
-            acc = acc + h
-        hi_prev = [
-            (t[i] * mult[k - i]) >> s32 for i in range(k + 1)
-        ]
-        acc = acc + inc[k]
-        limbs.append(acc & m32)
-        carry = acc >> s32
-    state_lo = limbs[0] | (limbs[1] << s32)
-    state_hi = limbs[2] | (limbs[3] << s32)
+    acc = inc.copy()
+    for c, rows in enumerate(_COLUMNS):
+        prod = t[_PRODUCT_T[rows]] * _PRODUCT_MULT[rows]
+        acc[c] += (prod & m32).sum(axis=0)
+        if c < 3:
+            acc[c + 1] += (prod >> s32).sum(axis=0)
+    for i in range(3):
+        acc[i + 1] += acc[i] >> s32
+    acc &= m32
+    state_lo = acc[0] | (acc[1] << s32)
+    state_hi = acc[2] | (acc[3] << s32)
     inc_lo = inc[0] | (inc[1] << s32)
     inc_hi = inc[2] | (inc[3] << s32)
     return state_hi, state_lo, inc_hi, inc_lo
 
 
-def pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
+def pcg64_states(
+    seeds: Sequence[int], spawn_keys: Optional[np.ndarray] = None
+) -> List[Tuple[int, int]]:
     """The ``(state, inc)`` pair of ``PCG64(SeedSequence(s))`` per seed.
 
+    With ``spawn_keys`` (a ``(seeds, words)`` matrix of key words below
+    ``2**32``), seed ``i``'s generator is
+    ``PCG64(SeedSequence(s, spawn_key=tuple(spawn_keys[i])))``.
     Bit-exact by construction (and guarded by :func:`available`): the
     first two ``generate_state`` uint64 words seed the LCG state, the
     last two its stream, through PCG's two-step ``srandom`` advance.
     """
-    arr = np.asarray(seeds, dtype=np.uint64)
-    return _widen(_srandom_batch(_generate_state8(arr)))
+    return _widen(_raw(seeds, spawn_keys))
 
 
 def pcg64_raw(
-    seeds: Sequence[int],
+    seeds: Sequence[int], spawn_keys: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Like :func:`pcg64_states`, but as uint64 half arrays.
 
@@ -175,8 +215,18 @@ def pcg64_raw(
     bulk output emulation (:func:`choice_bulk`) consumes directly,
     skipping the python-int widening of :func:`pcg64_states`.
     """
+    return _raw(seeds, spawn_keys)
+
+
+def _raw(
+    seeds: Sequence[int], spawn_keys: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one seeding pass behind :func:`pcg64_states` and
+    :func:`pcg64_raw` (neither calls the other, so perfbench's span
+    tracing counts each call once)."""
     arr = np.asarray(seeds, dtype=np.uint64)
-    return _srandom_batch(_generate_state8(arr))
+    keys = None if spawn_keys is None else np.asarray(spawn_keys, dtype=np.uint32)
+    return _srandom_batch(_generate_state8(arr, keys))
 
 
 def pairs_from_raw(
@@ -692,13 +742,28 @@ def _replayed_draws_match(seeds: Sequence[int]) -> bool:
 
 def _states_match() -> bool:
     """:func:`pcg64_states` equals real ``SeedSequence``/``PCG64`` states
-    over probe seeds spanning one- and two-word entropy."""
+    over probe seeds spanning one- and two-word entropy, without and
+    with two-word spawn keys (``Generator.spawn`` grandchildren)."""
     probe = [0, 1, 7, 2011, 2**31, 2**32 - 1, 2**32, 3 << 40, (1 << 63) - 1]
-    want = []
-    for s in probe:
-        st = np.random.PCG64(np.random.SeedSequence(s)).state["state"]
-        want.append((st["state"], st["inc"]))
-    return pcg64_states(probe) == want
+    keys = np.array(
+        [(i * 977, i % 3) for i in range(len(probe))] + [(2**32 - 1, 2)],
+        dtype=np.uint32,
+    )
+    spawn_probe = probe + [2**64 - 1]
+
+    def state(seq: np.random.SeedSequence) -> Tuple[int, int]:
+        st = np.random.PCG64(seq).state["state"]
+        return st["state"], st["inc"]
+
+    plain = [state(np.random.SeedSequence(s)) for s in probe]
+    spawned = [
+        state(np.random.SeedSequence(s, spawn_key=tuple(int(w) for w in key)))
+        for s, key in zip(spawn_probe, keys)
+    ]
+    return (
+        pcg64_states(probe) == plain
+        and pcg64_states(spawn_probe, keys) == spawned
+    )
 
 
 def available() -> bool:
@@ -708,7 +773,7 @@ def available() -> bool:
     ``Generator`` objects once per process (cached):
 
     * state reconstruction: :func:`pcg64_states` over seeds spanning
-      one- and two-word entropy;
+      one- and two-word entropy, with and without spawn keys;
     * bulk choice: :func:`choice_bulk` against ``Generator.choice``;
     * power-of-two bounds: with ``w`` a power of two no larger than
       ``2**32``, ``Generator.integers(0, w)`` consumes exactly one

@@ -242,6 +242,61 @@ class TestCoordinator:
         )
 
 
+    def test_lease_released_after_collect_is_collected_not_re_leased(
+        self, tmp_path, metrics, monkeypatch
+    ):
+        """A worker that stores its record and deletes its lease between
+        a tick's collect pass and its reclaim pass is collected on the
+        next tick: one grant, nothing expired."""
+        farm = _coordinator(tmp_path)
+        farm.start()
+        stop = threading.Event()
+
+        def keep_alive():
+            reg = leasemod.register_worker(farm.spool, "w1", 999)
+            while not stop.wait(0.05):
+                leasemod.touch(reg)
+
+        alive = threading.Thread(target=keep_alive, daemon=True)
+        alive.start()
+        real_reclaim = farm._reclaim
+        finished = []
+
+        def finish_then_reclaim(states, queue, on_quarantine):
+            # Play the worker: its store write and lease release land
+            # after the collect pass ran (and found no entry).
+            for state in states.values():
+                if state.lease_worker == "w1" and not finished:
+                    farm.spool.store.store(
+                        state.key,
+                        ShardRecord(
+                            shard_id(state.task), costs=[5.0, 5.0],
+                            worker="w1", attempt=0,
+                        ),
+                    )
+                    farm.spool.lease_path(state.key).unlink()
+                    finished.append(state.key)
+            real_reclaim(states, queue, on_quarantine)
+
+        monkeypatch.setattr(farm, "_reclaim", finish_then_reclaim)
+        try:
+            completed, quarantined = _execute(
+                farm, _echo, [_Task("a", 5, 0, 2)]
+            )
+        finally:
+            stop.set()
+            alive.join(timeout=5)
+            farm.shutdown()
+        assert finished
+        assert quarantined == {}
+        assert completed == {0: [5.0, 5.0]}
+        snap = metrics.snapshot()
+        assert snap.counter("farm.leases_granted") == 1
+        assert snap.counter("farm.leases_expired") == 0
+        assert snap.counter("farm.leases_completed") == 1
+        assert snap.counter("farm.leases_stolen") == 0
+
+
 class TestEngineFarmIntegration:
     def test_farm_curve_matches_serial(self, tmp_path):
         """The sweep engine routed through a farm produces exactly the

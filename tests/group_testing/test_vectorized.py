@@ -225,7 +225,7 @@ def _dispatch_batch(kind: str, layout: str, faulted: bool) -> QueryBatch:
             run_lo=2, run_hi=2 + RUNS, model=factory,
         )
     return QueryBatch.spawned(
-        segments=[(SEED, RUNS)], n=N, x=7, threshold=T, model=factory
+        segments=[(SEED, RUNS, 7)], n=N, threshold=T, model=factory
     )
 
 
@@ -342,7 +342,7 @@ class TestBatchFacade:
         # inside the kernel instead.
         with pytest.raises(ValueError, match="seed must be >= 0"):
             QueryBatch.spawned(
-                segments=[(3, 2), (-1, 2)], n=8, x=2, threshold=1,
+                segments=[(3, 2, 2), (-1, 2, 2)], n=8, threshold=1,
                 model=ModelSpec(kind="1+"),
             )
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -473,8 +473,8 @@ def _layout_batch(layout, *, kind, runs, n=64, x=20, threshold=8, spec=None):
         )
     cut = runs // 3
     return QueryBatch.spawned(
-        segments=[(11, cut), (12, runs - 2 * cut), (13, cut)],
-        n=n, x=x, threshold=threshold, model=spec,
+        segments=[(11, cut, x), (12, runs - 2 * cut, x), (13, cut, x)],
+        n=n, threshold=threshold, model=spec,
     )
 
 
@@ -614,3 +614,68 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert out.decisions.any()
         assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("kind", ["1+", "2+"])
+    def test_round_arrays_are_int32_sized(self, kind):
+        # A 1,024-run n = 128 group peaked at 7.0-7.6 MB with int64
+        # permutations, prefix sums and slot -> bin maps; int32 halves
+        # them (about 5.5 MB).
+        batch = QueryBatch.for_cell(
+            seed=2011, label="mem", x=16, n=128, threshold=16,
+            run_lo=0, run_hi=1024, model=ModelSpec(kind=kind),
+        )
+        decider = make_algorithm("exponential")
+        decider.decide_batch(batch)  # warm the per-thread pool and caches
+        tracemalloc.start()
+        try:
+            out = decider.decide_batch(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.decisions.all()
+        assert peak < 6.25 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+class TestMixedX:
+    """A spawned batch whose runs differ in x equals the scalar loop."""
+
+    SEGMENTS = [(31, 9, 0), (32, 20, 17), (33, 4, 48), (34, 30, 17), (35, 7, 5)]
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("name", VECTORIZED_NAMES)
+    def test_kernel_equals_scalar_across_blocks(
+        self, name, kind, monkeypatch, _pristine_registry
+    ):
+        decider = make_algorithm(name)
+        batch = QueryBatch.spawned(
+            segments=self.SEGMENTS, n=N, threshold=T, model=_model_spec(kind)
+        )
+        assert batch.x == 48 and batch.runs == 70
+        assert batch.xs(8, 10).tolist() == [0, 17]
+        one_block = _metered(_pristine_registry, decider, batch, vectorize=True)
+        # 16-row blocks cut through segments.
+        monkeypatch.setattr(vectorized, "_BLOCK_CELLS", 16 * (N + 1))
+        blocks = _metered(_pristine_registry, decider, batch, vectorize=True)
+        scalar = _metered(_pristine_registry, decider, batch, vectorize=False)
+        _assert_same(one_block, scalar)
+        _assert_same(blocks, scalar)
+
+    def test_segment_x_matches_its_solo_batch(self):
+        decider = make_algorithm("2tbins")
+        spec = _model_spec("1+")
+        whole, _ = dispatch_batch(
+            decider,
+            QueryBatch.spawned(segments=self.SEGMENTS, n=N, threshold=T, model=spec),
+            vectorize=True,
+        )
+        lo = 0
+        for segment in self.SEGMENTS:
+            alone, _ = dispatch_batch(
+                decider,
+                QueryBatch.spawned(segments=[segment], n=N, threshold=T, model=spec),
+                vectorize=True,
+            )
+            hi = lo + segment[1]
+            np.testing.assert_array_equal(whole.decisions[lo:hi], alone.decisions)
+            np.testing.assert_array_equal(whole.queries[lo:hi], alone.queries)
+            lo = hi

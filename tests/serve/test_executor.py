@@ -97,6 +97,157 @@ class TestBitIdentity:
         assert outcome.queries == tuple(int(q) for q in reference.queries)
 
 
+#: Every registry decider the service accepts.
+SERVABLE = (
+    "2tbins", "exponential", "abns", "prob-abns", "pause-and-continue",
+    "four-fold", "prob-threshold",
+)
+
+#: ``(runs, x)`` per request of a cross-x group.  ``small`` (4 runs)
+#: stays below the fused-seeding crossover (6 runs).  ``large`` (58
+#: runs) takes the fused pass, draws its 50 x = 20 rows in bulk (at
+#: least 48 rows of one x) and its other x values per run, and runs 2+
+#: on the capture lockstep (at least 32 runs).  x = 0 draws nothing;
+#: x = n (2x > n + 16) draws per run whatever its row count.
+MIXED_GROUPS = {
+    "small": [(1, 3), (2, 41), (1, 0)],
+    "large": [(30, 20), (3, 41), (20, 20), (4, 64), (1, 0)],
+}
+
+
+class TestCrossX:
+    """A group spans x: each run's x enters only its population draw."""
+
+    @pytest.mark.parametrize("shape", sorted(MIXED_GROUPS))
+    @pytest.mark.parametrize("reliable", [None, "krepeat"])
+    @pytest.mark.parametrize("collision_model", ["1+", "2+"])
+    @pytest.mark.parametrize("algorithm", SERVABLE)
+    def test_mixed_x_group_equals_solo_and_scalar(
+        self, algorithm, collision_model, reliable, shape
+    ):
+        requests = [
+            _request(
+                f"q{i}",
+                seed=500 + 17 * i,
+                runs=runs,
+                x=x,
+                algorithm=algorithm,
+                collision_model=collision_model,
+                reliable=reliable,
+            )
+            for i, (runs, x) in enumerate(MIXED_GROUPS[shape])
+        ]
+        assert len({r.coalesce_key for r in requests}) == 1
+        coalesced = execute_group(requests)
+        for request, got in zip(requests, coalesced):
+            [alone] = execute_group([request])
+            [oracle] = execute_group([request], vectorize=False)
+            assert got.decisions == alone.decisions == oracle.decisions
+            assert got.queries == alone.queries == oracle.queries
+            assert got.exact == alone.exact == oracle.exact
+
+    @pytest.mark.parametrize("collision_model", ["1+", "2+"])
+    @pytest.mark.parametrize("algorithm", ["2tbins", "exponential"])
+    def test_size_rules_take_both_sides(
+        self, algorithm, collision_model, _metrics_on
+    ):
+        """The groups above reach each size rule on both of its sides,
+        and each counter pair partitions the batches reaching it."""
+        seen = {}
+        for shape, parts in sorted(MIXED_GROUPS.items()):
+            _metrics_on.reset()
+            execute_group([
+                _request(
+                    f"q{i}", seed=9 + i, runs=runs, x=x,
+                    algorithm=algorithm, collision_model=collision_model,
+                )
+                for i, (runs, x) in enumerate(parts)
+            ])
+            counters = _metrics_on.snapshot().counters
+            seen[shape] = {
+                key: value for key, value in counters.items()
+                if key.startswith("kernel.")
+            }
+        small, large = seen["small"], seen["large"]
+        if collision_model == "2+":
+            # Below 32 runs the per-run capture loop builds its streams
+            # per run too; at 58 runs the lockstep runs fused.
+            assert small == {
+                "kernel.capture.per_run": 1, "kernel.seeding.per_run": 1,
+            }
+            expected_large = {"kernel.capture.lockstep": 1}
+        else:
+            assert small == {"kernel.seeding.per_run": 1}
+            expected_large = {}
+        # x = 20 (50 rows) in bulk; x = 41 and x = 64 per run; x = 0 no draw.
+        expected_large.update({
+            "kernel.seeding.fused": 1,
+            "kernel.draw.bulk": 1,
+            "kernel.draw.per_run": 2,
+        })
+        assert large == expected_large
+
+
+@pytest.fixture
+def _metrics_on():
+    registry = get_registry()
+    registry.reset()
+    registry.enable()
+    yield registry
+    registry.disable()
+    registry.reset()
+
+
+class TestSeedingFallback:
+    """Batches the fused pass cannot rebuild build each run's streams."""
+
+    @staticmethod
+    def _group(seed_base: int, collision_model: str):
+        # 39 runs: a 2+ group takes the capture lockstep, which then
+        # replays its model generators from their states.
+        return [
+            QueryRequest.from_wire({
+                "id": f"q{i}", "n": 64, "x": x, "threshold": 8,
+                "runs": 12 + i, "seed": seed_base + i,
+                "collision_model": collision_model,
+            })
+            for i, x in enumerate((5, 30, 12))
+        ]
+
+    @pytest.mark.parametrize("collision_model", ["1+", "2+"])
+    def test_seed_beyond_64_bits_builds_streams_per_run(
+        self, collision_model, _metrics_on
+    ):
+        requests = self._group(2**64 - 1, collision_model)
+        assert requests[1].seed == 2**64
+        got = execute_group(requests)
+        counters = _metrics_on.snapshot().counters
+        assert counters.get("kernel.seeding.per_run") == 1
+        assert "kernel.seeding.fused" not in counters
+        for request, outcome in zip(requests, got):
+            [oracle] = execute_group([request], vectorize=False)
+            assert outcome.batched
+            assert (outcome.decisions, outcome.queries) == (
+                oracle.decisions, oracle.queries,
+            )
+
+    @pytest.mark.parametrize("collision_model", ["1+", "2+"])
+    def test_failed_probe_builds_streams_per_run(
+        self, collision_model, monkeypatch, _metrics_on
+    ):
+        from repro.sim import fastseed
+
+        requests = self._group(77, collision_model)
+        want = execute_group(requests)
+        monkeypatch.setattr(fastseed, "_verified", False)
+        _metrics_on.reset()
+        got = execute_group(requests)
+        counters = _metrics_on.snapshot().counters
+        assert counters.get("kernel.seeding.per_run") == 1
+        assert "kernel.seeding.fused" not in counters
+        assert got == want
+
+
 def _spawn_tree_reference(
     request: QueryRequest,
 ) -> Tuple[Tuple[bool, ...], Tuple[int, ...]]:

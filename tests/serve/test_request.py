@@ -93,17 +93,20 @@ class TestCoalesceKey:
         assert a.coalesce_key == b.coalesce_key
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, splits",
         [
-            {"n": 65},
-            {"x": 21},
-            {"threshold": 9},
-            {"algorithm": "exponential"},
-            {"collision_model": "2+"},
-            {"reliable": "krepeat"},
+            ({"n": 65}, True),
+            # x does not split a group: the query program never reads
+            # it, and a run's x enters only its population draw.
+            ({"x": 21}, False),
+            ({"threshold": 9}, True),
+            ({"algorithm": "exponential"}, True),
+            ({"collision_model": "2+"}, True),
+            ({"reliable": "krepeat"}, True),
         ],
+        ids=[f"overrides{i}" for i in range(6)],
     )
-    def test_shape_changes_split_groups(self, overrides):
+    def test_shape_changes_split_groups(self, overrides, splits):
         base = QueryRequest.from_wire(_wire())
         other = QueryRequest.from_wire(_wire(id="q2", **overrides))
-        assert base.coalesce_key != other.coalesce_key
+        assert (base.coalesce_key != other.coalesce_key) == splits

@@ -183,3 +183,51 @@ class TestJumpTablesUnderThreads:
             a, b = (a * mult) & mask, (b * mult + 1) & mask
         limbs_a, _ = fastseed._jump_limbs(0)
         assert limbs_a.shape[0] == len(fastseed._JUMP_A) > 4000
+
+
+class TestSpawnKeyStates:
+    """The fused seeding pass rebuilds ``Generator.spawn`` grandchildren."""
+
+    def test_states_match_real_seed_sequences(self):
+        rng = np.random.default_rng(21)
+        seeds = (
+            [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+            + [int(s) for s in rng.integers(0, 2**32, 40)]
+            + [int(s) for s in rng.integers(2**32, 2**63, 40, dtype=np.int64)]
+        )
+        keys = np.stack(
+            [rng.integers(0, 2**32, len(seeds)), rng.integers(0, 3, len(seeds))],
+            axis=1,
+        ).astype(np.uint32)
+        keys[:6, 0] = [0, 1, 2**32 - 1, 5, 0, 9]
+        want = []
+        for seed, (r, j) in zip(seeds, keys.tolist()):
+            seq = np.random.SeedSequence(seed, spawn_key=(r, j))
+            state = np.random.PCG64(seq).state["state"]
+            want.append((state["state"], state["inc"]))
+        assert fastseed.pcg64_states(seeds, keys) == want
+        raw = fastseed.pcg64_raw(seeds, keys)
+        assert fastseed.pairs_from_raw(raw) == want
+
+    def test_matches_numpy_spawn_tree(self):
+        seed, runs = 2011, 5
+        keys = np.array([(r, j) for r in range(runs) for j in range(3)])
+        got = fastseed.pcg64_states([seed] * keys.shape[0], keys)
+        want = [
+            (st["state"], st["inc"])
+            for child in np.random.default_rng(seed).spawn(runs)
+            for grandchild in child.spawn(3)
+            for st in [grandchild.bit_generator.state["state"]]
+        ]
+        assert got == want
+
+    def test_probe_covers_spawn_keys(self, monkeypatch):
+        # A numpy that mixed spawn keys differently must turn off every
+        # fused rebuild, the served path's included.
+        real = fastseed._generate_state8
+        monkeypatch.setattr(fastseed, "_verified", None)
+        monkeypatch.setattr(
+            fastseed, "_generate_state8",
+            lambda seeds, keys=None: real(seeds, None if keys is None else keys[:, :1]),
+        )
+        assert not fastseed.available()
