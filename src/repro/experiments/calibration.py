@@ -5,9 +5,10 @@ so the paper's 12-mote suite lands near its reported 1.4 % false-negative
 run rate"; this module *is* that calibration, kept executable so the
 claim can be re-verified or re-fit after substrate changes:
 
-1. :func:`measure_false_negative_rate` runs the full Fig 4 suite
-   (participants, thresholds, uniform ``x``, reboots between runs) for
-   one ``(p_single, decay)`` pair.
+1. :func:`measure_false_negative_rate` runs Fig 4's own ``(t, x)``
+   cells (:func:`repro.experiments.fig04_testbed.cells`: uniform ``x``,
+   reboots between runs) for one ``(p_single, decay)`` pair and sums
+   their false-negative column.
 2. :func:`calibrate` sweeps ``p_single`` over a grid and returns the
    value whose measured rate is closest to the target.
 """
@@ -17,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.core import TwoTBins
-from repro.motes.testbed import Testbed, TestbedConfig
-from repro.radio.irregularity import HackMissModel
-from repro.sim.rng import derive_seed
+from repro.experiments import fig04_testbed
 
 #: The paper's reported rate: 102 false-negative runs out of 7200.
 PAPER_TARGET_RATE = 102 / 7200
@@ -51,30 +47,12 @@ def measure_false_negative_rate(
         ``(rate, total_runs)`` -- the measured false-negative fraction and
         the suite size it was measured over.
     """
-    miss = HackMissModel(p_single=p_single, decay=decay)
-    fn = 0
-    total = 0
-    for t in thresholds:
-        for x in range(participants + 1):
-            for r in range(runs_per_cell):
-                cell = derive_seed(seed, f"p{p_single:g}/t{t}/x{x}/r{r}")
-                tb = Testbed(
-                    TestbedConfig(
-                        num_participants=participants,
-                        seed=cell,
-                        hack_miss=miss,
-                    )
-                )
-                rng = np.random.default_rng(derive_seed(cell, "wl"))
-                positives = (
-                    rng.choice(participants, size=x, replace=False) if x else []
-                )
-                tb.configure_positives(int(p) for p in positives)
-                tb.reboot_all()
-                run = tb.run_threshold_query(TwoTBins(), t)
-                fn += run.false_negative
-                total += 1
-    return fn / total, total
+    false_negatives = fig04_testbed.cells(
+        runs=runs_per_cell, seed=seed, participants=participants,
+        thresholds=thresholds, p_single=p_single, decay=decay,
+    )[fig04_testbed.FALSE_NEGATIVES]
+    total = runs_per_cell * len(false_negatives)
+    return sum(false_negatives) / total, total
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ to serial ones.  Factories must be picklable for the parallel path (use
 :class:`repro.group_testing.model.ModelSpec` instead of closures);
 unpicklable factories degrade to serial execution with a warning.
 
-Every figure's cells run through one runner, :func:`run_shards`: the
-engine's curves, and the per-``(d, r)`` cells of fig09/fig10 (any
-:class:`ShardTask`).  Every batch runs under a
+Every Monte-Carlo figure's cells run through one runner,
+:func:`run_shards`: the engine's curves, fig09/fig10's ``(d, r)`` cells
+and the packet-level runners' cells (any :class:`ShardTask`; the last
+two kinds go through :func:`run_cells`).  Every batch runs under a
 :class:`repro.experiments.resilience.RunContext`: the one the CLI
 installs, or a journal-less one built for the call.  The parallel path
 is always the supervised pool of
@@ -271,9 +272,11 @@ class ShardTask:
 
     The identity fields are what
     :func:`repro.experiments.resilience.shard_id` keys the run journal
-    and the farm store by; ``[run_lo, run_hi)`` is always the cell's
-    whole run range.  Subclasses add :meth:`costs` and everything a
-    worker process needs to compute it from scratch.
+    and the farm store by; ``[run_lo, run_hi)`` indexes the cell's
+    values: an engine cell's whole run range, or ``[0, k)`` for a cell
+    that returns ``k`` aggregates (:func:`run_cells`).  Subclasses add
+    :meth:`costs` and everything a worker process needs to compute it
+    from scratch.
     """
 
     seed: int
@@ -292,7 +295,7 @@ class ShardTask:
     snapshot_metrics: bool = False
 
     def costs(self) -> List[float]:
-        """The cell's values, one per run in ``[run_lo, run_hi)``."""
+        """The cell's values, one per index in ``[run_lo, run_hi)``."""
         raise NotImplementedError
 
 
@@ -491,6 +494,10 @@ def run_shards(
             for t in tasks
         ]
     items = [(i, tasks[i]) for i in pending]
+    if not serial:
+        # Largest population first (a stable sort): the costliest cells
+        # start early instead of leaving one worker to finish them alone.
+        items.sort(key=lambda item: -item[1].n)
     if serial:
         for idx, task in items:
             on_complete(idx, task, _run_sweep_cell(task))
@@ -521,6 +528,20 @@ def run_shards(
             "repeated worker failures: " + "; ".join(ctx.degraded)
         )
     return results
+
+
+def run_cells(
+    tasks: Sequence[ShardTask], *, jobs: Optional[int]
+) -> List[tuple[float, ...]]:
+    """Run whole-cell shards that each return a few aggregates, and hand
+    the values back by column: column ``k`` holds every cell's ``k``-th
+    value in ``tasks`` order.  A quarantined cell's values are ``nan``
+    (its run carries a degraded report)."""
+    cells = run_shards(tasks, jobs=resolve_jobs(jobs))
+    return list(zip(*(
+        cell if cell is not None else [float("nan")] * (task.run_hi - task.run_lo)
+        for task, cell in zip(tasks, cells)
+    )))
 
 
 @dataclass(frozen=True)

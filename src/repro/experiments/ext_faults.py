@@ -25,17 +25,56 @@ the small margins keep single-bin misses consequential.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.core.reliable import ChernoffConfirm, NoRetry, ReliableThreshold
 from repro.core.two_t_bins import TwoTBins
-from repro.experiments.common import ExperimentResult, Series
+from repro.experiments.common import ExperimentResult, Series, ShardTask, run_cells
 from repro.group_testing.model import OnePlusModel
 from repro.group_testing.population import Population
 from repro.radio.irregularity import HackMissModel
 from repro.sim.rng import RngRegistry
 
 DEFAULT_P_SINGLES = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _SeverityCell(ShardTask):
+    """One ``p_single`` as a shard: ``x`` is its grid index (the value is
+    in the label); its values (run range ``[0, 5)``) are the plain and
+    reliable false-negative rates, their mean query counts and the mean
+    retry count."""
+
+    p_single: float
+    runs: int
+    decay: float
+    delta: float
+
+    def costs(self) -> List[float]:
+        p, threshold, runs = self.p_single, self.threshold, self.runs
+        miss = HackMissModel(p_single=p, decay=self.decay).miss_probability
+        policy = NoRetry() if p == 0.0 else ChernoffConfirm(p, delta=self.delta)
+        reliable = ReliableThreshold(TwoTBins(), policy)
+        root = RngRegistry(self.seed)
+        errs_plain = errs_rel = 0
+        cost_plain = cost_rel = retries = 0
+        for r in range(runs):
+            reg = root.fork(f"p{p}/r{r}")
+            x = int(reg.stream("workload").integers(threshold, 2 * threshold + 1))
+            pop = Population.from_count(self.n, x, reg.stream("pop"))
+            # Common workload, independent fault draws per arm.
+            model_a = OnePlusModel(pop, reg.stream("model.plain"), detection_failure=miss)
+            model_b = OnePlusModel(pop, reg.stream("model.rel"), detection_failure=miss)
+            res_a = TwoTBins().decide(model_a, threshold, reg.stream("bins"))
+            res_b = reliable.decide(model_b, threshold, reg.stream("bins.rel"))
+            errs_plain += res_a.decision is not True
+            errs_rel += res_b.decision is not True
+            cost_plain += res_a.queries
+            cost_rel += res_b.queries
+            assert res_b.reliability is not None
+            retries += res_b.reliability.retries
+        return [v / runs for v in (errs_plain, errs_rel, cost_plain, cost_rel, retries)]
 
 
 def run(
@@ -59,47 +98,18 @@ def run(
         p_singles: Lone-HACK miss probabilities to sweep.
         decay: Per-extra-HACK miss decay of the injected fault model.
         delta: Residual per-bin miss target of the Chernoff policy.
-        jobs: Accepted for interface uniformity; this runner is not
-            sweep-engine based and executes serially.
+        jobs: Worker processes (the severity levels are shards,
+            bit-identical to serial).
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    root = RngRegistry(seed)
-    fn_plain: list[float] = []
-    fn_reliable: list[float] = []
-    q_plain: list[float] = []
-    q_reliable: list[float] = []
-    retries_mean: list[float] = []
-    for p in p_singles:
-        miss = HackMissModel(p_single=p, decay=decay).miss_probability
-        policy = NoRetry() if p == 0.0 else ChernoffConfirm(p, delta=delta)
-        reliable = ReliableThreshold(TwoTBins(), policy)
-        errs_plain = errs_rel = 0
-        cost_plain = cost_rel = retries = 0
-        for r in range(runs):
-            reg = root.fork(f"p{p}/r{r}")
-            x = int(reg.stream("workload").integers(threshold, 2 * threshold + 1))
-            pop = Population.from_count(n, x, reg.stream("pop"))
-            # Common workload, independent fault draws per arm.
-            model_a = OnePlusModel(
-                pop, reg.stream("model.plain"), detection_failure=miss
-            )
-            model_b = OnePlusModel(
-                pop, reg.stream("model.rel"), detection_failure=miss
-            )
-            res_a = TwoTBins().decide(model_a, threshold, reg.stream("bins"))
-            res_b = reliable.decide(model_b, threshold, reg.stream("bins.rel"))
-            errs_plain += res_a.decision is not True
-            errs_rel += res_b.decision is not True
-            cost_plain += res_a.queries
-            cost_rel += res_b.queries
-            assert res_b.reliability is not None
-            retries += res_b.reliability.retries
-        fn_plain.append(errs_plain / runs)
-        fn_reliable.append(errs_rel / runs)
-        q_plain.append(cost_plain / runs)
-        q_reliable.append(cost_rel / runs)
-        retries_mean.append(retries / runs)
+    fn_plain, fn_reliable, q_plain, q_reliable, retries_mean = run_cells([
+        _SeverityCell(
+            seed=seed, label=f"p={p!r}", x=i, n=n, threshold=threshold,
+            run_lo=0, run_hi=5, p_single=p, runs=runs, decay=decay, delta=delta,
+        )
+        for i, p in enumerate(p_singles)
+    ], jobs=jobs)
     xs = tuple(float(p) for p in p_singles)
     multipliers = tuple(
         qr / qp if qp else 1.0 for qp, qr in zip(q_plain, q_reliable)
@@ -116,11 +126,11 @@ def run(
             "delta": delta,
         },
         series=(
-            Series(label="2tBins FN rate", xs=xs, ys=tuple(fn_plain)),
-            Series(label="reliable FN rate", xs=xs, ys=tuple(fn_reliable)),
-            Series(label="2tBins mean queries", xs=xs, ys=tuple(q_plain)),
-            Series(label="reliable mean queries", xs=xs, ys=tuple(q_reliable)),
-            Series(label="mean retries", xs=xs, ys=tuple(retries_mean)),
+            Series(label="2tBins FN rate", xs=xs, ys=fn_plain),
+            Series(label="reliable FN rate", xs=xs, ys=fn_reliable),
+            Series(label="2tBins mean queries", xs=xs, ys=q_plain),
+            Series(label="reliable mean queries", xs=xs, ys=q_reliable),
+            Series(label="mean retries", xs=xs, ys=retries_mean),
         ),
         xlabel="p_single (lone-HACK miss probability)",
         ylabel="rate / queries",

@@ -9,12 +9,29 @@ the interference rate and measures exactly that.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, Series
+from repro.experiments.common import ExperimentResult, Series, ShardTask, run_cells
 from repro.ext.multihop import InterferenceStudy
 
 DEFAULT_RATES = (0.0, 0.02, 0.05, 0.1, 0.25, 0.5)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _RateCell(ShardTask):
+    """One rate as a shard: ``x`` is its grid index (the rate is in the
+    label) and ``n`` the participant count; its values (run range
+    ``[0, 3)``) are the false-negative rate, the mean query count and
+    the false-positive total."""
+
+    rate: float
+    runs: int
+
+    def costs(self) -> List[float]:
+        study = InterferenceStudy(participants=self.n, threshold=self.threshold, seed=self.seed)
+        r = study.run_rate(self.rate, runs=self.runs)
+        return [r.false_negative_rate, r.mean_queries, r.false_positives]
 
 
 def run(
@@ -34,15 +51,17 @@ def run(
         participants: Neighbourhood size.
         threshold: Threshold ``t``.
         rates: Interference rates (frames per millisecond).
-        jobs: Accepted for interface uniformity; this runner is not
-            sweep-engine based and executes serially.
+        jobs: Worker processes (the rates are shards, bit-identical
+            to serial).
     """
-    study = InterferenceStudy(
-        participants=participants, threshold=threshold, seed=seed
-    )
-    results = study.sweep(list(rates), runs=runs)
-    fxs = tuple(float(r.rate_per_ms) for r in results)
-    total_fp = sum(r.false_positives for r in results)
+    fn_rates, mean_queries, false_positives = run_cells([
+        _RateCell(
+            seed=seed, label=f"rate={rate!r}", x=i, n=participants,
+            threshold=threshold, run_lo=0, run_hi=3, rate=rate, runs=runs,
+        )
+        for i, rate in enumerate(rates)
+    ], jobs=jobs)
+    fxs = tuple(float(r) for r in rates)
     return ExperimentResult(
         exp_id="ext_interference",
         title="tcast error profile under interfering traffic",
@@ -53,21 +72,13 @@ def run(
             "seed": seed,
         },
         series=(
-            Series(
-                label="false-negative rate",
-                xs=fxs,
-                ys=tuple(r.false_negative_rate for r in results),
-            ),
-            Series(
-                label="mean queries",
-                xs=fxs,
-                ys=tuple(r.mean_queries for r in results),
-            ),
+            Series(label="false-negative rate", xs=fxs, ys=fn_rates),
+            Series(label="mean queries", xs=fxs, ys=mean_queries),
         ),
         xlabel="interference rate (frames/ms)",
         ylabel="rate / queries",
         notes=(
-            f"false positives across all rates: {total_fp} "
+            f"false positives across all rates: {sum(false_positives):.0f} "
             "(backcast structurally cannot fabricate a HACK)",
         ),
     )

@@ -35,12 +35,13 @@ verdicts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.core import TwoTBins
-from repro.experiments.common import ExperimentResult, Series
+from repro.experiments.common import ExperimentResult, Series, ShardTask, run_cells
 from repro.motes.testbed import Testbed, TestbedConfig
 from repro.radio.energy import EnergyProfile
 from repro.radio.timing import DEFAULT_TIMING
@@ -60,6 +61,56 @@ def reply_slot_us() -> float:
     return t.frame_airtime_us(_REPLY_MPDU_BYTES) + t.turnaround_us
 
 
+@dataclass(frozen=True, kw_only=True)
+class _LatencyCell(ShardTask):
+    """One ``x`` as a shard (``n`` is the participant count): its values
+    (run range ``[0, 6)``) are the mean tcast, CSMA and sequential
+    session latencies (ms), then the same schemes' mean initiator
+    energies (mJ)."""
+
+    runs: int
+
+    def costs(self) -> List[float]:
+        participants, threshold, x = self.n, self.threshold, self.x
+        t_lat, c_lat, s_lat, t_en, c_en, s_en = [], [], [], [], [], []
+        for run_idx in range(self.runs):
+            cell_seed = derive_seed(self.seed, f"x{x}/r{run_idx}")
+            rng = np.random.default_rng(cell_seed)
+            positives = [
+                int(p) for p in rng.choice(participants, size=x, replace=False)
+            ] if x else []
+
+            tb = Testbed(TestbedConfig(num_participants=participants, seed=cell_seed))
+            tb.configure_positives(positives)
+            run_res = tb.run_threshold_query(TwoTBins(), threshold)
+            t_lat.append(run_res.elapsed_us / 1000.0)
+            t_en.append(run_res.initiator_energy_uj / 1000.0)
+
+            # Fresh testbed for the measured packet-level CSMA session
+            # (the collector claims the initiator's receive callback).
+            tb_csma = Testbed(
+                TestbedConfig(num_participants=participants, seed=cell_seed + 1)
+            )
+            tb_csma.configure_positives(positives)
+            csma = tb_csma.run_csma_collection(threshold, quiet_us=8_000.0)
+            c_lat.append(csma.duration_us / 1000.0)
+            tb_csma.initiator_radio.energy.finalize(tb_csma.sim.now)
+            c_en.append(tb_csma.initiator_radio.energy.total_uj / 1000.0)
+
+            tb_tdma = Testbed(
+                TestbedConfig(num_participants=participants, seed=cell_seed + 2)
+            )
+            tb_tdma.configure_positives(positives)
+            schedule = np.random.default_rng(cell_seed + 3).permutation(participants)
+            seq = tb_tdma.run_tdma_collection(
+                threshold, schedule=[int(v) for v in schedule]
+            )
+            s_lat.append(seq.duration_us / 1000.0)
+            tb_tdma.initiator_radio.energy.finalize(tb_tdma.sim.now)
+            s_en.append(tb_tdma.initiator_radio.energy.total_uj / 1000.0)
+        return [float(np.mean(v)) for v in (t_lat, c_lat, s_lat, t_en, c_en, s_en)]
+
+
 def run(
     *,
     runs: int = 60,
@@ -75,76 +126,23 @@ def run(
         seed: Root seed.
         participants: Neighbourhood size (testbed scale).
         threshold: Threshold ``t``.
-        jobs: Accepted for interface uniformity; this runner is not
-            sweep-engine based and executes serially.
+        jobs: Worker processes (the cells are shards, bit-identical
+            to serial).
     """
     xs = x_sweep(participants, points=16)
-    tcast_ms: List[float] = []
-    tcast_energy_mj: List[float] = []
-    csma_energy_mj: List[float] = []
-    tdma_energy_mj: List[float] = []
-    csma_ms: List[float] = []
-    seq_ms: List[float] = []
-
-    for x in xs:
-        t_lat, t_en, c_lat, s_lat = [], [], [], []
-        c_en, s_en = [], []
-        for run_idx in range(runs):
-            cell_seed = derive_seed(seed, f"x{x}/r{run_idx}")
-            rng = np.random.default_rng(cell_seed)
-            positives = [
-                int(p) for p in rng.choice(participants, size=x, replace=False)
-            ] if x else []
-
-            tb = Testbed(
-                TestbedConfig(num_participants=participants, seed=cell_seed)
-            )
-            tb.configure_positives(positives)
-            run_res = tb.run_threshold_query(TwoTBins(), threshold)
-            t_lat.append(run_res.elapsed_us / 1000.0)
-            t_en.append(run_res.initiator_energy_uj / 1000.0)
-
-            # Fresh testbed for the measured packet-level CSMA session
-            # (the collector claims the initiator's receive callback).
-            tb_csma = Testbed(
-                TestbedConfig(
-                    num_participants=participants, seed=cell_seed + 1
-                )
-            )
-            tb_csma.configure_positives(positives)
-            csma = tb_csma.run_csma_collection(threshold, quiet_us=8_000.0)
-            c_lat.append(csma.duration_us / 1000.0)
-            tb_csma.initiator_radio.energy.finalize(tb_csma.sim.now)
-            c_en.append(tb_csma.initiator_radio.energy.total_uj / 1000.0)
-
-            tb_tdma = Testbed(
-                TestbedConfig(
-                    num_participants=participants, seed=cell_seed + 2
-                )
-            )
-            tb_tdma.configure_positives(positives)
-            schedule = np.random.default_rng(cell_seed + 3).permutation(
-                participants
-            )
-            seq = tb_tdma.run_tdma_collection(
-                threshold, schedule=[int(v) for v in schedule]
-            )
-            s_lat.append(seq.duration_us / 1000.0)
-            tb_tdma.initiator_radio.energy.finalize(tb_tdma.sim.now)
-            s_en.append(tb_tdma.initiator_radio.energy.total_uj / 1000.0)
-        tcast_ms.append(float(np.mean(t_lat)))
-        tcast_energy_mj.append(float(np.mean(t_en)))
-        csma_energy_mj.append(float(np.mean(c_en)))
-        tdma_energy_mj.append(float(np.mean(s_en)))
-        csma_ms.append(float(np.mean(c_lat)))
-        seq_ms.append(float(np.mean(s_lat)))
-
+    tcast_ms, csma_ms, seq_ms, tcast_mj, csma_mj, seq_mj = run_cells([
+        _LatencyCell(
+            seed=seed, label="latency", x=x, n=participants,
+            threshold=threshold, run_lo=0, run_hi=6, runs=runs,
+        )
+        for x in xs
+    ], jobs=jobs)
     profile = EnergyProfile()
     notes = (
         f"initiator energy per session (CC2420 @ {profile.voltage_v:g} V): "
-        f"tcast {min(tcast_energy_mj):.2f}-{max(tcast_energy_mj):.2f} mJ, "
-        f"CSMA {min(csma_energy_mj):.2f}-{max(csma_energy_mj):.2f} mJ, "
-        f"sequential {min(tdma_energy_mj):.2f}-{max(tdma_energy_mj):.2f} mJ "
+        f"tcast {min(tcast_mj):.2f}-{max(tcast_mj):.2f} mJ, "
+        f"CSMA {min(csma_mj):.2f}-{max(csma_mj):.2f} mJ, "
+        f"sequential {min(seq_mj):.2f}-{max(seq_mj):.2f} mJ "
         "(the initiator listens for the whole session, so energy tracks "
         "latency)",
         f"sequential reply slot {reply_slot_us():.0f} us (measured "
@@ -161,9 +159,9 @@ def run(
             "seed": seed,
         },
         series=(
-            Series(label="tcast/backcast", xs=fxs, ys=tuple(tcast_ms)),
-            Series(label="CSMA", xs=fxs, ys=tuple(csma_ms)),
-            Series(label="Sequential", xs=fxs, ys=tuple(seq_ms)),
+            Series(label="tcast/backcast", xs=fxs, ys=tcast_ms),
+            Series(label="CSMA", xs=fxs, ys=csma_ms),
+            Series(label="Sequential", xs=fxs, ys=seq_ms),
         ),
         xlabel="x (positive nodes)",
         ylabel="mean session latency (ms)",

@@ -19,12 +19,13 @@ decay=0.1)`` -- calibrated so this suite lands near the paper's 1.4 %
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core import TwoTBins
-from repro.experiments.common import ExperimentResult, Series
+from repro.experiments.common import ExperimentResult, Series, ShardTask, run_cells
 from repro.motes import Testbed, TestbedConfig
 from repro.radio.irregularity import HackMissModel
 from repro.sim.rng import derive_seed
@@ -33,6 +34,62 @@ DEFAULT_PARTICIPANTS = 12
 DEFAULT_THRESHOLDS = (2, 4, 6)
 DEFAULT_P_SINGLE = 0.05
 DEFAULT_DECAY = 0.1
+
+#: The columns of :func:`cells`.
+MEAN, STDERR, FALSE_NEGATIVES, FALSE_POSITIVES, HACK_MISSES = range(5)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _TestbedCell(ShardTask):
+    """One ``(t, x)`` cell as a shard (``n`` is the participant count):
+    its values (run range ``[0, 5)``) are the mean query count and its
+    standard error, then the cell's false-negative, false-positive and
+    ground-truth HACK-miss totals."""
+
+    runs: int
+    p_single: float
+    decay: float
+    primitive: str
+
+    def costs(self) -> List[float]:
+        miss_model = HackMissModel(p_single=self.p_single, decay=self.decay)
+        costs = np.empty(self.runs, dtype=np.float64)
+        tallies = np.zeros(3)
+        for run_idx in range(self.runs):
+            cell_seed = derive_seed(self.seed, f"t{self.threshold}/x{self.x}/r{run_idx}")
+            tb = Testbed(TestbedConfig(
+                num_participants=self.n, seed=cell_seed, hack_miss=miss_model,
+                primitive=self.primitive,  # type: ignore[arg-type]
+            ))
+            rng = np.random.default_rng(derive_seed(cell_seed, "workload"))
+            positives = rng.choice(self.n, size=self.x, replace=False) if self.x else []
+            tb.configure_positives(int(p) for p in positives)
+            tb.reboot_all()
+            result = tb.run_threshold_query(TwoTBins(), self.threshold)
+            costs[run_idx] = result.result.queries
+            tallies += (result.false_negative, result.false_positive, result.hack_misses)
+        err = float(costs.std(ddof=1) / np.sqrt(self.runs)) if self.runs > 1 else 0.0
+        return [float(costs.mean()), err, *tallies.tolist()]
+
+
+def cells(
+    *, runs: int, seed: int, participants: int, thresholds: Sequence[int],
+    p_single: float, decay: float, primitive: str = "backcast",
+    jobs: Optional[int] = 1,
+) -> List[tuple[float, ...]]:
+    """Every ``(t, x)`` cell's values by column (:data:`MEAN` ..
+    :data:`HACK_MISSES`), ``t``-major, from :func:`run`'s arguments."""
+    return run_cells([
+        _TestbedCell(
+            # p_single is in the label: calibration runs these cells at
+            # several p_single values.
+            seed=seed, label=f"t={t} p_single={p_single!r}", x=x,
+            n=participants, threshold=t, run_lo=0, run_hi=5,
+            runs=runs, p_single=p_single, decay=decay, primitive=primitive,
+        )
+        for t in thresholds
+        for x in range(participants + 1)
+    ], jobs=jobs)
 
 
 def run(
@@ -58,69 +115,35 @@ def run(
         primitive: RCD primitive for bin queries (the paper's experiment
             uses backcast; pollcast/votecast variants are available for
             comparison -- the miss model only affects backcast's HACKs).
-        jobs: Accepted for interface uniformity; this runner is not
-            sweep-engine based and executes serially.
+        jobs: Worker processes (the cells are shards, bit-identical
+            to serial).
 
     Returns:
         One mean-query curve per threshold, plus error-rate notes.
     """
-    xs = list(range(participants + 1))
-    miss_model = HackMissModel(p_single=p_single, decay=decay)
-    series: List[Series] = []
-    total_runs = 0
-    false_negatives = 0
-    false_positives = 0
-    single_hack_misses = 0
-    total_hack_misses = 0
-
-    for t in thresholds:
-        means = []
-        errs = []
-        for x in xs:
-            costs = np.empty(runs, dtype=np.float64)
-            for run_idx in range(runs):
-                cell_seed = derive_seed(seed, f"t{t}/x{x}/r{run_idx}")
-                tb = Testbed(
-                    TestbedConfig(
-                        num_participants=participants,
-                        seed=cell_seed,
-                        primitive=primitive,  # type: ignore[arg-type]
-                        hack_miss=miss_model,
-                    )
-                )
-                rng = np.random.default_rng(derive_seed(cell_seed, "workload"))
-                positives = (
-                    rng.choice(participants, size=x, replace=False) if x else []
-                )
-                tb.configure_positives(int(p) for p in positives)
-                tb.reboot_all()
-                result = tb.run_threshold_query(TwoTBins(), t)
-                costs[run_idx] = result.result.queries
-                total_runs += 1
-                false_negatives += result.false_negative
-                false_positives += result.false_positive
-                total_hack_misses += result.hack_misses
-                if result.hack_misses and x == 1:
-                    single_hack_misses += result.hack_misses
-            means.append(float(costs.mean()))
-            errs.append(
-                float(costs.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
-            )
-        series.append(
-            Series(
-                label=f"t={t}",
-                xs=tuple(float(x) for x in xs),
-                ys=tuple(means),
-                stderr=tuple(errs),
-            )
+    columns = cells(
+        runs=runs, seed=seed, participants=participants,
+        thresholds=thresholds, p_single=p_single, decay=decay,
+        primitive=primitive, jobs=jobs,
+    )
+    means, errs = columns[MEAN], columns[STDERR]
+    width = participants + 1
+    xs = tuple(float(x) for x in range(width))
+    series = [
+        Series(
+            label=f"t={t}", xs=xs, ys=means[i * width : (i + 1) * width],
+            stderr=errs[i * width : (i + 1) * width],
         )
-
-    fn_rate = false_negatives / total_runs if total_runs else 0.0
+        for i, t in enumerate(thresholds)
+    ]
+    total_runs = runs * len(means)
+    fn, fp, misses = map(sum, columns[FALSE_NEGATIVES:])
+    fn_rate = fn / total_runs if total_runs else 0.0
     notes = (
-        f"false-negative runs: {false_negatives}/{total_runs} "
+        f"false-negative runs: {fn:.0f}/{total_runs} "
         f"({fn_rate:.1%}; paper: 102/7200 = 1.4%)",
-        f"false-positive runs: {false_positives} (paper: 0)",
-        f"ground-truth HACK misses: {total_hack_misses}",
+        f"false-positive runs: {fp:.0f} (paper: 0)",
+        f"ground-truth HACK misses: {misses:.0f}",
     )
     return ExperimentResult(
         exp_id="fig04",

@@ -25,13 +25,7 @@ import numpy as np
 
 from repro.analytic.bimodal import BimodalSpec
 from repro.core.probabilistic import ProbabilisticThreshold
-from repro.experiments.common import (
-    ExperimentResult,
-    Series,
-    ShardTask,
-    resolve_jobs,
-    run_shards,
-)
+from repro.experiments.common import ExperimentResult, Series, ShardTask, run_cells
 from repro.group_testing.model import OnePlusModel
 from repro.sim.rng import derive_seed
 from repro.workloads.bimodal import BimodalWorkload
@@ -119,11 +113,7 @@ def run(
         for r in repeat_counts
         for d in d_grid
     ]
-    # None = quarantined: a degraded run reports a nan cell.
-    accuracies = [
-        cell[0] if cell is not None else float("nan")
-        for cell in run_shards(tasks, jobs=resolve_jobs(jobs))
-    ]
+    [accuracies] = run_cells(tasks, jobs=jobs)
     series: List[Series] = []
     for i, r in enumerate(repeat_counts):
         ys = accuracies[i * len(d_grid) : (i + 1) * len(d_grid)]

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analytic.bimodal import BimodalSpec, analyze_separation
-from repro.experiments.common import (
-    ExperimentResult,
-    Series,
-    ShardTask,
-    resolve_jobs,
-    run_shards,
-)
+from repro.experiments.common import ExperimentResult, Series, ShardTask, run_cells
 from repro.experiments.fig09_accuracy import measure_accuracy
 from repro.sim.rng import derive_seed
 
@@ -98,7 +92,8 @@ def run(
         else float("nan")
         for d in d_grid
     ]
-    measured_ys: List[float] = []
+    xs = tuple(float(d) for d in d_grid)
+    series = [Series(label=f"Eq10 (delta={delta:g})", xs=xs, ys=tuple(analytic_ys))]
     if runs > 0:
         tasks = [
             _MinRepeatsCell(
@@ -108,27 +103,8 @@ def run(
             )
             for d in d_grid
         ]
-        # None = quarantined: a degraded run reports a nan cell.
-        measured_ys = [
-            cell[0] if cell is not None else float("nan")
-            for cell in run_shards(tasks, jobs=resolve_jobs(jobs))
-        ]
-
-    series = [
-        Series(
-            label=f"Eq10 (delta={delta:g})",
-            xs=tuple(float(d) for d in d_grid),
-            ys=tuple(analytic_ys),
-        )
-    ]
-    if runs > 0:
-        series.append(
-            Series(
-                label="measured min r",
-                xs=tuple(float(d) for d in d_grid),
-                ys=tuple(measured_ys),
-            )
-        )
+        [measured_ys] = run_cells(tasks, jobs=jobs)
+        series.append(Series(label="measured min r", xs=xs, ys=measured_ys))
     return ExperimentResult(
         exp_id="fig10",
         title=f"repeats needed for {1 - delta:.0%} success vs separation",

@@ -57,6 +57,7 @@ from typing import Any, Optional, Sequence
 from repro.experiments.resilience import ShardRecord, shard_id
 from repro.farm import lease as leasemod
 from repro.farm.spool import Spool
+from repro.sim import fastseed
 
 _LOG = logging.getLogger(__name__)
 
@@ -234,6 +235,9 @@ class FarmWorker:
 
     def run(self) -> int:
         """Register, drain leases until told (or left) to stop; exit 0."""
+        # Probe numpy before registering, as the local pool does before
+        # forking, so the probe battery stays out of the first lease.
+        fastseed.available()
         registration = leasemod.register_worker(
             self.spool, self.worker_id, os.getpid()
         )

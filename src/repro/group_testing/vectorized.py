@@ -115,6 +115,11 @@ _MAX_ROUNDS = 10_000
 #: ``runs`` and ``n`` are.
 _BLOCK_CELLS = 1 << 20
 
+#: Most rows in one block.  A thread's generator pool keeps one slot
+#: (~1.2 KB) per row of the largest block it ever ran, so this bounds
+#: what a large served request pins for the thread's life.
+_BLOCK_ROWS = 1024
+
 #: Smallest 2+ cell run on the round-major loop.  Below it the per-run
 #: capture loop is cheaper: the lockstep's fixed per-round and per-draw
 #: array costs are shared by too few runs (DESIGN.md section 14.2).
@@ -704,9 +709,9 @@ def run_lockstep(
     1+ and k+ cells, and 2+ cells of at least
     :data:`_CAPTURE_LOCKSTEP_RUNS` runs, run round-major
     (:func:`_run_rounds`) in row blocks of at most
-    ``_BLOCK_CELLS // (n + 1)`` runs, so a cell's transient memory is
-    bounded whatever ``runs`` and ``n`` are; rows are independent, so
-    blocking changes no answer.  Smaller 2+ cells, and every 2+ cell
+    ``_BLOCK_CELLS // (n + 1)`` and :data:`_BLOCK_ROWS` runs, so a
+    cell's transient memory is bounded whatever ``runs`` and ``n`` are;
+    rows are independent, so blocking changes no answer.  Smaller 2+ cells, and every 2+ cell
     when :func:`fastseed.available` fails, run per run
     (:func:`_run_one_capture`).
 
@@ -770,7 +775,7 @@ def run_lockstep(
             # is the largest) draws on the model stream.
             names.append("model")
         states = fast_states(batch, names + ["bins"], raw=("pop", "model"))
-        block = max(1, _BLOCK_CELLS // (batch.n + 1))
+        block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (batch.n + 1)))
         for lo in range(0, batch.runs, block):
             hi = min(lo + block, batch.runs)
             _run_block(

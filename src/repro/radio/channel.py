@@ -114,6 +114,9 @@ class Channel:
         self._hack_miss = hack_miss or IdealRadioModel()
         self._tracer = tracer if tracer is not None else Tracer(enabled=False, name="channel")
         self._radios: List[ChannelListener] = []
+        # Membership sets: the attached radios' addresses and identities.
+        self._addresses: set[int] = set()
+        self._members: set[int] = set()
         self._active: List[Transmission] = []
         self._cluster: List[Transmission] = []
         self._history: List[tuple[float, float]] = []
@@ -149,9 +152,11 @@ class Channel:
         Raises:
             ValueError: On duplicate hardware ids.
         """
-        if any(r.address == radio.address for r in self._radios):
+        if radio.address in self._addresses:
             raise ValueError(f"duplicate radio address {radio.address}")
         self._radios.append(radio)
+        self._addresses.add(radio.address)
+        self._members.add(id(radio))
 
     def transmit(
         self,
@@ -168,7 +173,7 @@ class Channel:
         Raises:
             ValueError: If the sender is not attached.
         """
-        if all(r is not sender for r in self._radios):
+        if id(sender) not in self._members:
             raise ValueError(f"radio {sender.address} is not attached")
         duration = self._timing.frame_airtime_us(frame.mpdu_bytes)
         tx = Transmission(

@@ -16,7 +16,13 @@ import pathlib
 
 import pytest
 
-from repro.experiments import cli, fig01_one_plus, fig09_accuracy, fig10_repeats
+from repro.experiments import (
+    cli,
+    ext_faults,
+    fig01_one_plus,
+    fig09_accuracy,
+    fig10_repeats,
+)
 from repro.experiments.common import shutdown_executors
 from repro.obs import get_registry
 from repro.workloads.scenarios import x_sweep
@@ -100,11 +106,13 @@ class TestCrossProcessMerge:
 
 class TestWholeCellFigureMerge:
     @pytest.mark.parametrize(
-        "figure", [fig09_accuracy, fig10_repeats], ids=["fig09", "fig10"]
+        "figure",
+        [fig09_accuracy, fig10_repeats, ext_faults],
+        ids=["fig09", "fig10", "ext_faults"],
     )
     def test_parallel_model_counters_equal_serial(self, figure):
-        """fig09/fig10 cells run on the supervised runner, so their
-        workers' counters merge back like an engine sweep's."""
+        """fig09/fig10/ext_faults cells run on the supervised runner, so
+        their workers' counters merge back like an engine sweep's."""
         registry = get_registry()
         registry.enable()
 

@@ -69,6 +69,16 @@ def test_unattached_sender_rejected():
         channel.transmit(stranger, DataFrame(src=9, dst=BROADCAST_ADDR, seq=0))
 
 
+def test_sender_sharing_a_member_address_rejected():
+    """Membership is by radio, not by address: a stranger that reuses an
+    attached radio's address still may not transmit."""
+    sim, channel, radios = build(2)
+    other_channel = Channel(Simulator(), np.random.default_rng(0))
+    impostor = Cc2420Radio(sim, other_channel, address=1)
+    with pytest.raises(ValueError, match="not attached"):
+        channel.transmit(impostor, DataFrame(src=1, dst=BROADCAST_ADDR, seq=0))
+
+
 def test_cca_busy_during_transmission():
     sim, channel, radios = build(2)
     assert not channel.cca_busy()

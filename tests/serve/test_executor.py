@@ -12,7 +12,7 @@ from repro.group_testing import ModelSpec, Population
 from repro.obs import enable_metrics, get_registry
 from repro.serve.errors import QueryExecutionError
 from repro.serve.executor import execute_group
-from repro.serve.request import QueryRequest
+from repro.serve.request import MAX_RUNS_PER_REQUEST, QueryRequest
 
 
 def _request(rid: str, *, seed: int, runs: int = 3, **overrides) -> QueryRequest:
@@ -246,6 +246,23 @@ class TestSeedingFallback:
         assert counters.get("kernel.seeding.per_run") == 1
         assert "kernel.seeding.fused" not in counters
         assert got == want
+
+
+class TestPoolBound:
+    def test_largest_request_keeps_the_thread_pool_bounded(self):
+        """A request at the service's run cap runs in row blocks of at
+        most ``_BLOCK_ROWS``, so the thread's generator pool stops at
+        one slot per block row plus the scratch slot."""
+        from repro.group_testing import vectorized
+
+        request = _request(
+            "big", seed=3, runs=MAX_RUNS_PER_REQUEST, n=16, x=5, threshold=4
+        )
+        [got] = execute_group([request])
+        assert got.batched
+        assert len(vectorized._pool()._gens) <= vectorized._BLOCK_ROWS + 1
+        [oracle] = execute_group([request], vectorize=False)
+        assert (got.decisions, got.queries) == (oracle.decisions, oracle.queries)
 
 
 def _spawn_tree_reference(
