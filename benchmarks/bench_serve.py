@@ -336,9 +336,7 @@ def bench_throughput(
 
 def bench_shedding(seconds: float) -> dict:
     """Load shedding against a tiny token bucket: rejections stay cheap."""
-    config = ServeConfig(
-        port=0, workers=1, tenant_rate=10.0, tenant_burst=10.0
-    )
+    config = ServeConfig(port=0, tenant_rate=10.0, tenant_burst=10.0)
     with serve_in_thread(config) as handle:
         sent = 0
         shed = 0
@@ -417,7 +415,7 @@ def main(argv=None) -> int:
         f"window={args.window} seconds={seconds}"
     )
 
-    config = ServeConfig(port=0, workers=max(2, clients // 2))
+    config = ServeConfig(port=0)
     with serve_in_thread(config) as handle:
         print(f"[bench_serve] service on port {handle.port}")
 

@@ -504,8 +504,8 @@ def _main(argv: Optional[Sequence[str]]) -> int:
                     print(f"  {path.name} ({size} bytes, unreadable header)")
                     continue
                 detail = (
-                    f"{info['shard_records']} shard record(s) covering "
-                    f"{info['runs']} run(s) over {info['cells']} cell(s), "
+                    f"{info['shard_records']} shard record(s) over "
+                    f"{info['cells']} cell(s), "
                     f"{info['quarantined_records']} quarantined"
                 )
                 if info["corrupt_records"]:

@@ -298,6 +298,12 @@ class ShardTask:
         """The cell's values, one per index in ``[run_lo, run_hi)``."""
         raise NotImplementedError
 
+    def run_count(self, values: Sequence[float]) -> int:
+        """The Monte-Carlo runs behind ``values`` (``sweep.runs``): an
+        engine cell's run range; a whole cell overrides it, since its
+        range indexes aggregates."""
+        return self.run_hi - self.run_lo
+
 
 @dataclass(frozen=True, kw_only=True)
 class _SweepCellTask(ShardTask):
@@ -386,7 +392,7 @@ def _run_sweep_cell(task: ShardTask) -> ShardRecord:
         _S_SHARD_SECONDS.observe(elapsed)
         _S_SHARD_TIMER.add_seconds(elapsed)
         _S_SHARDS.inc()
-        _S_RUNS.inc(len(costs))
+        _S_RUNS.inc(task.run_count(costs))
     return ShardRecord(
         shard_id(task),
         costs=costs,

@@ -51,6 +51,9 @@ class _SeverityCell(ShardTask):
     decay: float
     delta: float
 
+    def run_count(self, values: Sequence[float]) -> int:
+        return self.runs
+
     def costs(self) -> List[float]:
         p, threshold, runs = self.p_single, self.threshold, self.runs
         miss = HackMissModel(p_single=p, decay=self.decay).miss_probability

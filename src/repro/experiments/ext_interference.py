@@ -28,6 +28,9 @@ class _RateCell(ShardTask):
     rate: float
     runs: int
 
+    def run_count(self, values: Sequence[float]) -> int:
+        return self.runs
+
     def costs(self) -> List[float]:
         study = InterferenceStudy(participants=self.n, threshold=self.threshold, seed=self.seed)
         r = study.run_rate(self.rate, runs=self.runs)

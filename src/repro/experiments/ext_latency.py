@@ -36,7 +36,7 @@ verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class _LatencyCell(ShardTask):
     energies (mJ)."""
 
     runs: int
+
+    def run_count(self, values: Sequence[float]) -> int:
+        return self.runs
 
     def costs(self) -> List[float]:
         participants, threshold, x = self.n, self.threshold, self.x

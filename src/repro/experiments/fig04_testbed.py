@@ -51,6 +51,9 @@ class _TestbedCell(ShardTask):
     decay: float
     primitive: str
 
+    def run_count(self, values: Sequence[float]) -> int:
+        return self.runs
+
     def costs(self) -> List[float]:
         miss_model = HackMissModel(p_single=self.p_single, decay=self.decay)
         costs = np.empty(self.runs, dtype=np.float64)

@@ -77,6 +77,9 @@ class _AccuracyCell(ShardTask):
     repeats: int
     draws: int
 
+    def run_count(self, values: Sequence[float]) -> int:
+        return self.draws
+
     def costs(self) -> List[float]:
         spec = BimodalSpec.symmetric(n=self.n, d=float(self.x), sigma=self.sigma)
         return [measure_accuracy(spec, self.repeats, runs=self.draws, seed=self.seed)]

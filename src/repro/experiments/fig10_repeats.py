@@ -14,6 +14,7 @@ A second, Monte-Carlo series cross-checks the analytic sizing: for each
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -53,6 +54,14 @@ class _MinRepeatsCell(ShardTask):
     sigma: float
     draws: int
     delta: float
+
+    def run_count(self, values: Sequence[float]) -> int:
+        # The search stopped at its answer, or ran the whole grid.
+        (r,) = values
+        evaluations = (
+            len(_SEARCH_GRID) if math.isnan(r) else _SEARCH_GRID.index(int(r)) + 1
+        )
+        return evaluations * self.draws
 
     def costs(self) -> List[float]:
         spec = BimodalSpec.symmetric(n=self.n, d=float(self.x), sigma=self.sigma)

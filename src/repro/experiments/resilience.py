@@ -515,20 +515,22 @@ def journal_summary(path: os.PathLike | str) -> Optional[Dict[str, Any]]:
     file -- inspecting a crashed run must not change what ``--resume``
     will see.
 
+    A record's ``[lo, hi)`` range indexes its values, which are runs
+    for an engine cell but a few aggregates for a whole-cell figure, so
+    the summary counts records and cells and claims no run count.
+
     Returns:
         ``None`` when the file is missing or its header is unreadable;
         otherwise a dict with ``exp_id``, ``key``, ``format``,
-        ``shard_records``, ``quarantined_records``, ``corrupt_records``,
-        ``cells`` (distinct grid cells with journalled costs) and
-        ``runs`` (total individual run costs recorded).
+        ``shard_records``, ``quarantined_records``, ``corrupt_records``
+        and ``cells`` (distinct shards with journalled values; a
+        duplicate record counts once).
     """
     read = _read_journal(Path(path))
     if read is None or read[0] is None:
         return None
     header, records = read
     shards = [r for r in records if r is not None and r.costs is not None]
-    # Run count per distinct cell (a duplicate record counts once).
-    cells = {r.shard: r.shard.hi - r.shard.lo for r in shards}
     return {
         "exp_id": header.exp_id,
         "key": header.key,
@@ -538,8 +540,7 @@ def journal_summary(path: os.PathLike | str) -> Optional[Dict[str, Any]]:
             1 for r in records if r is not None and r.costs is None
         ),
         "corrupt_records": records.count(None),
-        "cells": len(cells),
-        "runs": sum(cells.values()),
+        "cells": len({r.shard for r in shards}),
     }
 
 

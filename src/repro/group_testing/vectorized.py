@@ -131,12 +131,6 @@ _CAPTURE_LOCKSTEP_RUNS = 32
 #: undercuts (DESIGN.md section 14.3).
 _FUSED_SEED_RUNS = 6
 
-#: Fewest rows of one x value whose population draw runs through
-#: :func:`fastseed.choice_bulk`.  Its lockstep Floyd and shuffle loops
-#: cost about a millisecond whatever the row count, which fewer rows
-#: drawing per run undercut (DESIGN.md section 14.3).
-_CHOICE_BULK_ROWS = 48
-
 #: The stream order of a spawned run: ``spawn_key=(r, j)`` for stream j.
 _SPAWN_STREAMS = ("pop", "model", "bins")
 
@@ -617,6 +611,19 @@ def fast_states(
     return out
 
 
+def _bulk_draw_pays(rows: int, x: int) -> bool:
+    """Whether ``rows`` population draws of size ``x`` cost less in
+    lockstep (:func:`fastseed.choice_bulk`) than one by one.
+
+    The cost model is fitted to DESIGN.md section 14.3's table (n = 128,
+    CPU time): the bulk loops cost about ``230 + 16x`` µs whatever the
+    row count, plus ``0.2x`` µs per row, against about 12 µs per row
+    drawn per run.  Bulk therefore pays from 23 rows at x = 2, 69 at
+    x = 20 and 416 at x = 48, and never from x = 60.
+    """
+    return rows * (12.0 - 0.2 * x) >= 230.0 + 16.0 * x
+
+
 def mark_positives(
     hit: np.ndarray,
     pop: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -634,12 +641,11 @@ def mark_positives(
     result-equality suffices.  The rows of each x value are drawn
     together: all their ``choice`` calls are emulated in lockstep
     (:func:`fastseed.choice_bulk`) and scattered into the flat matrix
-    when there are at least :data:`_CHOICE_BULK_ROWS` of them and
-    ``2 * x <= n + 16``, and made per run on a pooled generator
-    otherwise.  Bulk cost grows with the pull count (~2x) while the
-    per-run loop's is nearly flat, so large draws (x beyond ~n/2) stay
-    per run, as do small groups, which cannot pay the bulk loops' fixed
-    cost.
+    when :func:`_bulk_draw_pays` says their count covers the lockstep's
+    fixed cost and ``2 * x <= n + 16``, and made per run on a pooled
+    generator otherwise.  Bulk cost grows with the pull count (~2x)
+    while the per-run loop's is nearly flat, so the rows bulk needs
+    grow with x, and large draws stay per run.
     """
     rows, width = hit.shape
     xs = np.broadcast_to(np.asarray(xs, dtype=np.int64), (rows,))
@@ -658,7 +664,7 @@ def mark_positives(
         # fastseed.available().
         idx = (
             fastseed.choice_bulk(part, n, x)
-            if at.size >= _CHOICE_BULK_ROWS and 2 * x <= n + 16
+            if _bulk_draw_pays(at.size, x) and 2 * x <= n + 16
             else None
         )
         if idx is not None:

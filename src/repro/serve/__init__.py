@@ -22,6 +22,8 @@ The pipeline, front to back:
   running each request alone.
 * :mod:`repro.serve.server` -- the newline-JSON-over-TCP front end with
   graceful SIGTERM/SIGINT drain and a live ``metrics`` endpoint.
+* :mod:`repro.serve.config` -- :class:`~repro.serve.config.ServeConfig`,
+  the one source of every service default.
 * :mod:`repro.serve.errors` -- the typed failure hierarchy
   (:class:`~repro.serve.errors.ServeError`) the front end renders into
   wire frames mechanically.
@@ -45,6 +47,7 @@ from repro.serve.client import (
     RetryingServeClient,
     ServeClient,
 )
+from repro.serve.config import ServeConfig
 from repro.serve.errors import (
     CodelShed,
     DeadlineExceeded,
@@ -54,7 +57,7 @@ from repro.serve.errors import (
 from repro.serve.executor import QueryOutcome, execute_group
 from repro.serve.request import QueryRequest, RequestError
 from repro.serve.scheduler import BatchScheduler
-from repro.serve.server import ServeConfig, ServiceHandle, ThresholdQueryService, serve_in_thread
+from repro.serve.server import ServiceHandle, ThresholdQueryService, serve_in_thread
 
 __all__ = [
     "AdmissionController",

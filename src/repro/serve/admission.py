@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.obs import get_registry
+from repro.serve.config import ServeConfig
 from repro.serve.request import QueryRequest
 
 _OBS = get_registry()
@@ -84,7 +85,8 @@ class TokenBucket:
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Declarative admission configuration.
+    """Declarative admission configuration (defaults are
+    :class:`~repro.serve.config.ServeConfig`'s).
 
     Attributes:
         max_pending: Global cap on admitted-but-unfinished requests.
@@ -93,9 +95,9 @@ class AdmissionPolicy:
         tenant_burst: Per-tenant burst capacity.
     """
 
-    max_pending: int = 1024
-    tenant_rate: float = 0.0
-    tenant_burst: float = 64.0
+    max_pending: int = ServeConfig.max_pending
+    tenant_rate: float = ServeConfig.tenant_rate
+    tenant_burst: float = ServeConfig.tenant_burst
 
     def __post_init__(self) -> None:
         """Reject nonsensical configurations eagerly."""

@@ -17,13 +17,20 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import sys
 import uuid
 from typing import Optional, Sequence
 
 from repro.serve.client import ServeClient
-from repro.serve.server import ServeConfig, ThresholdQueryService
+from repro.serve.config import ServeConfig
+from repro.serve.server import ThresholdQueryService
+
+#: ``tcast-serve run``'s defaults: the library's own
+#: (:class:`~repro.serve.config.ServeConfig`), on a fixed port where
+#: the library picks a free one.
+RUN_DEFAULTS = ServeConfig(port=7421)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,60 +42,66 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="start the daemon (blocks until SIGTERM)")
-    run.add_argument("--host", default="127.0.0.1", help="bind address")
+    run.add_argument("--host", default=RUN_DEFAULTS.host, help="bind address")
     run.add_argument(
-        "--port", type=int, default=7421,
+        "--port", type=int, default=RUN_DEFAULTS.port,
         help="bind port (0 picks a free one and prints it)",
     )
     run.add_argument(
-        "--max-pending", type=int, default=1024,
+        "--max-pending", type=int, default=RUN_DEFAULTS.max_pending,
         help="global cap on admitted-but-unfinished requests",
     )
     run.add_argument(
-        "--tenant-rate", type=float, default=0.0,
+        "--tenant-rate", type=float, default=RUN_DEFAULTS.tenant_rate,
         help="per-tenant sustained requests/second (0 disables)",
     )
     run.add_argument(
-        "--tenant-burst", type=float, default=64.0,
+        "--tenant-burst", type=float, default=RUN_DEFAULTS.tenant_burst,
         help="per-tenant burst capacity",
     )
     run.add_argument(
-        "--max-batch-runs", type=int, default=4096,
+        "--max-batch-runs", type=int, default=RUN_DEFAULTS.max_batch_runs,
         help="cap on total trials per coalesced batch",
     )
     run.add_argument(
-        "--workers", type=int, default=2, help="scheduler executor lanes"
+        "--workers", type=int, default=RUN_DEFAULTS.workers,
+        help="scheduler executor lanes (more pay off only for populations "
+        "in the thousands; see DESIGN.md §16.3)",
     )
     run.add_argument(
-        "--no-vectorize", action="store_true",
+        "--no-vectorize", action="store_false", dest="vectorize",
+        default=RUN_DEFAULTS.vectorize,
         help="force the scalar path (debugging/oracle runs)",
     )
     run.add_argument(
-        "--no-metrics", action="store_true",
+        "--no-metrics", action="store_false", dest="metrics",
+        default=RUN_DEFAULTS.metrics,
         help="leave the repro.obs registry disabled",
     )
     run.add_argument(
-        "--max-connections", type=int, default=256,
+        "--max-connections", type=int, default=RUN_DEFAULTS.max_connections,
         help="cap on concurrently open client connections",
     )
     run.add_argument(
-        "--idle-timeout", type=float, default=300.0,
+        "--idle-timeout", type=float, default=RUN_DEFAULTS.idle_timeout,
         help="close a connection idle for this many seconds (0 disables)",
     )
     run.add_argument(
-        "--read-deadline", type=float, default=30.0,
+        "--read-deadline", type=float, default=RUN_DEFAULTS.read_deadline,
         help="max seconds to finish one started frame (0 disables)",
     )
     run.add_argument(
-        "--max-inflight-per-conn", type=int, default=128,
+        "--max-inflight-per-conn", type=int,
+        default=RUN_DEFAULTS.max_inflight_per_conn,
         help="per-connection cap on pipelined in-flight requests",
     )
     run.add_argument(
-        "--codel-target-ms", type=float, default=0.0,
+        "--codel-target-ms", type=float, default=RUN_DEFAULTS.codel_target_ms,
         help="CoDel queue-wait p50 target in ms (0 disables shedding)",
     )
     run.add_argument(
-        "--codel-interval-ms", type=float, default=100.0,
+        "--codel-interval-ms", type=float,
+        default=RUN_DEFAULTS.codel_interval_ms,
         help="CoDel watchdog inspection interval in ms",
     )
 
@@ -130,23 +143,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Start the daemon and block until a drained shutdown."""
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-        max_batch_runs=args.max_batch_runs,
-        workers=args.workers,
-        vectorize=not args.no_vectorize,
-        metrics=not args.no_metrics,
-        max_connections=args.max_connections,
-        idle_timeout=args.idle_timeout,
-        read_deadline=args.read_deadline,
-        max_inflight_per_conn=args.max_inflight_per_conn,
-        codel_target_ms=args.codel_target_ms,
-        codel_interval_ms=args.codel_interval_ms,
-    )
+    # Every run option's dest is a ServeConfig field.
+    config = ServeConfig(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ServeConfig)
+        if hasattr(args, f.name)
+    })
     return asyncio.run(ThresholdQueryService(config).run())
 
 

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
 from repro.obs import get_registry
+from repro.serve.config import ServeConfig
 from repro.serve.errors import CodelShed, DeadlineExceeded, QueryExecutionError
 from repro.serve.executor import QueryOutcome, execute_group
 from repro.serve.request import QueryRequest
@@ -115,10 +116,14 @@ class _GroupFailure(Exception):
 class BatchScheduler:
     """Coalesces and executes admitted requests (see module docstring).
 
+    Defaults are :class:`~repro.serve.config.ServeConfig`'s.
+
     Args:
         max_batch_runs: Cap on total trials per coalesced group.
         workers: Concurrent executor lanes (each drives one group at a
-            time); also sizes the underlying thread pool.
+            time); also sizes the underlying thread pool.  With the one
+            default lane, groups run back to back and each claim takes
+            everything that queued behind the previous group.
         vectorize: Allow the vectorized kernel (``False`` forces the
             scalar oracle everywhere -- tests, benchmarks).
         clock: Monotonic time source for deadlines and queue waits
@@ -131,12 +136,12 @@ class BatchScheduler:
     def __init__(
         self,
         *,
-        max_batch_runs: int = 4096,
-        workers: int = 2,
-        vectorize: bool = True,
+        max_batch_runs: int = ServeConfig.max_batch_runs,
+        workers: int = ServeConfig.workers,
+        vectorize: bool = ServeConfig.vectorize,
         clock: Callable[[], float] = time.monotonic,
-        codel_target_ms: float = 0.0,
-        codel_interval_ms: float = 100.0,
+        codel_target_ms: float = ServeConfig.codel_target_ms,
+        codel_interval_ms: float = ServeConfig.codel_interval_ms,
     ) -> None:
         if max_batch_runs < 1:
             raise ValueError(f"max_batch_runs must be >= 1, got {max_batch_runs}")

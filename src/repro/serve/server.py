@@ -52,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
 from repro.obs import enable_metrics, get_registry, snapshot_metrics
@@ -62,6 +61,7 @@ from repro.serve.admission import (
     AdmissionPolicy,
 )
 from repro.serve.background import BackgroundLoop
+from repro.serve.config import ServeConfig
 from repro.serve.errors import ServeError
 from repro.serve.request import QueryRequest, RequestError
 from repro.serve.scheduler import BatchScheduler
@@ -71,10 +71,6 @@ _REJ_CONN_LIMIT = _OBS.counter("serve.rejected.conn_limit")
 _REJ_OVERSIZED = _OBS.counter("serve.rejected.oversized")
 _CONN_IDLE_CLOSED = _OBS.counter("serve.conn_idle_closed")
 _CONN_THROTTLED = _OBS.counter("serve.conn_throttled")
-
-#: Default cap on one request line; longer lines get a 400 frame and are
-#: discarded up to their newline (the connection survives).
-MAX_LINE_BYTES = 1 << 20
 
 #: Statuses per admission rejection reason: deadline rejections are
 #: 504-style (the request died of old age, not of load), all other
@@ -172,57 +168,6 @@ class _FrameReader:
             if frame_start is None:
                 frame_start = loop.time()
             self._buf.extend(chunk)
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Everything the service needs, in one picklable bundle.
-
-    Attributes:
-        host: Bind address.
-        port: Bind port; ``0`` picks a free one (read it back from
-            :attr:`ThresholdQueryService.port`).
-        max_pending: Global admitted-but-unfinished cap.
-        tenant_rate: Per-tenant sustained requests/second (0 = off).
-        tenant_burst: Per-tenant burst capacity.
-        max_batch_runs: Cap on total trials per coalesced batch.
-        workers: Scheduler executor lanes.
-        vectorize: Allow the vectorized kernel.
-        metrics: Enable the :mod:`repro.obs` registry on startup so the
-            ``metrics`` endpoint reports live counters.
-        max_connections: Cap on concurrently served connections;
-            connections beyond it are refused with a 503-style frame.
-        max_line_bytes: Cap on one request line (see module docstring).
-        idle_timeout: Seconds a connection may sit between request
-            lines before the service closes it; ``0`` disables.
-        read_deadline: Seconds a *started* frame may take to reach its
-            newline before the connection is closed -- the slow-loris
-            bound (trickling bytes resets an idle timer but not this
-            one); ``0`` disables.
-        max_inflight_per_conn: Outstanding queries one connection may
-            hold before its read loop is backpressured.
-        codel_target_ms: Scheduler watchdog queue-wait p50 target;
-            ``0`` disables CoDel shedding (see
-            :class:`repro.serve.scheduler.BatchScheduler`).
-        codel_interval_ms: Scheduler watchdog sampling period.
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 0
-    max_pending: int = 1024
-    tenant_rate: float = 0.0
-    tenant_burst: float = 64.0
-    max_batch_runs: int = 4096
-    workers: int = 2
-    vectorize: bool = True
-    metrics: bool = True
-    max_connections: int = 256
-    max_line_bytes: int = MAX_LINE_BYTES
-    idle_timeout: float = 300.0
-    read_deadline: float = 30.0
-    max_inflight_per_conn: int = 128
-    codel_target_ms: float = 0.0
-    codel_interval_ms: float = 100.0
 
 
 def _error_response(

@@ -271,12 +271,16 @@ class TestJournalQuarantineRecords:
         j.close()
         info = resilience.journal_summary(path)
         assert info is not None
-        assert info["exp_id"] == "figX"
-        assert info["shard_records"] == 2
-        assert info["quarantined_records"] == 1
-        assert info["cells"] == 2
-        assert info["runs"] == 5
-        assert info["corrupt_records"] == 0
+        # A record's range may index aggregates, not runs: no run count.
+        assert info == {
+            "exp_id": "figX",
+            "key": info["key"],
+            "format": resilience.JOURNAL_FORMAT,
+            "shard_records": 2,
+            "quarantined_records": 1,
+            "corrupt_records": 0,
+            "cells": 2,
+        }
 
     def test_journal_summary_unreadable_is_none(self, tmp_path):
         assert resilience.journal_summary(tmp_path / "missing") is None
@@ -334,7 +338,7 @@ class TestGoldenJournal:
         info = resilience.journal_summary(path)
         assert info is not None
         assert (info["shard_records"], info["quarantined_records"]) == (3, 1)
-        assert (info["cells"], info["runs"], info["format"]) == (3, 7, 3)
+        assert (info["cells"], info["format"]) == (3, 3)
 
     def test_encoder_writes_the_golden_bytes(self, tmp_path):
         path = tmp_path / "j"

@@ -23,6 +23,7 @@ from repro.experiments import (
     fig04_testbed,
     resilience,
 )
+from repro.experiments import cli as experiments_cli
 from repro.experiments.calibration import measure_false_negative_rate
 from repro.experiments.common import shutdown_executors
 from repro.experiments.resilience import RunContext, ShardJournal
@@ -94,6 +95,38 @@ def test_fig04_resume_computes_no_shard(tmp_path, _pristine_registry):
     # The default grid: 3 thresholds x 13 positive counts.
     assert snapshot.counter("resilience.resume_skips") == 39
     assert resumed == first
+
+
+def test_interrupted_fig04_journal_counts_runs_not_values(
+    tmp_path, _pristine_registry, capsys
+):
+    """A fig04 cell's ``[0, 5)`` range indexes its five aggregates, so
+    ``journal info`` must not report it as 5 runs, and ``sweep.runs``
+    counts the runs each resumed cell computed."""
+    path = tmp_path / "fig04.journal"
+    kwargs = dict(runs=3, thresholds=(2,))
+
+    def journalled(resume):
+        journal = ShardJournal(
+            path, exp_id="fig04", key="k" * 64, resume=resume, fsync=False
+        )
+        with resilience.activate(RunContext(journal=journal)):
+            return fig04_testbed.run(**kwargs)
+
+    first = journalled(resume=False)
+    # Interrupted after 4 of the 13 cells: the header and 4 records.
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 14
+    path.write_text("".join(lines[:5]))
+    assert experiments_cli.main(["journal", "info", "--journal-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "4 shard record(s) over 4 cell(s), 0 quarantined" in out
+    assert "run(s)" not in out
+    _pristine_registry.enable()
+    assert journalled(resume=True) == first
+    snapshot = _pristine_registry.snapshot()
+    assert snapshot.counter("sweep.shards") == 9
+    assert snapshot.counter("sweep.runs") == 9 * 3
 
 
 def test_calibration_counts_fig04_false_negatives():

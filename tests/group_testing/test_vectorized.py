@@ -38,6 +38,7 @@ from repro.group_testing import (
     run_lockstep,
 )
 from repro.obs import get_registry
+from repro.sim import fastseed
 
 DECIDER_NAMES = sorted(key for key, spec in REGISTRY.items() if spec.decider)
 VECTORIZED_NAMES = sorted(
@@ -679,3 +680,39 @@ class TestMixedX:
             np.testing.assert_array_equal(whole.decisions[lo:hi], alone.decisions)
             np.testing.assert_array_equal(whole.queries[lo:hi], alone.queries)
             lo = hi
+
+
+class TestPopulationDraw:
+    """``mark_positives`` draws a block's rows of one x in bulk only
+    when enough of them share it, and the rows needed grow with x."""
+
+    def test_rows_needed_grow_with_x(self):
+        needed = [
+            next((r for r in range(1, 4096) if vectorized._bulk_draw_pays(r, x)), None)
+            for x in (1, 4, 12, 20, 34, 48, 54, 60, 100)
+        ]
+        assert needed[:-2] == sorted(needed[:-2])
+        assert needed[0] < 48 < needed[5]
+        assert needed[-2:] == [None, None]
+
+    @pytest.mark.parametrize(
+        "rows, x, path",
+        [(64, 12, "bulk"), (64, 34, "per_run"), (160, 34, "bulk"), (160, 54, "per_run")],
+    )
+    def test_either_path_draws_what_choice_draws(
+        self, rows, x, path, _pristine_registry
+    ):
+        n = 128
+        seeds = list(range(7000, 7000 + rows))
+        hit = np.zeros((rows, n), dtype=bool)
+        _pristine_registry.enable()
+        vectorized.mark_positives(hit, fastseed.pcg64_raw(seeds), n, x)
+        counters = _pristine_registry.snapshot().counters
+        assert {k: v for k, v in counters.items() if k.startswith("kernel.draw.")} == {
+            f"kernel.draw.{path}": 1
+        }
+        for row, seed in zip(hit, seeds):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            want = np.zeros(n, dtype=bool)
+            want[gen.choice(n, size=x, replace=False)] = True
+            np.testing.assert_array_equal(row, want)

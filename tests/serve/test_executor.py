@@ -111,7 +111,7 @@ SERVABLE = (
 #: x = n (2x > n + 16) draws per run whatever its row count.
 MIXED_GROUPS = {
     "small": [(1, 3), (2, 41), (1, 0)],
-    "large": [(30, 20), (3, 41), (20, 20), (4, 64), (1, 0)],
+    "large": [(30, 12), (3, 41), (20, 12), (4, 64), (1, 0)],
 }
 
 
@@ -179,7 +179,7 @@ class TestCrossX:
         else:
             assert small == {"kernel.seeding.per_run": 1}
             expected_large = {}
-        # x = 20 (50 rows) in bulk; x = 41 and x = 64 per run; x = 0 no draw.
+        # x = 12 (50 rows) in bulk; x = 41 and x = 64 per run; x = 0 no draw.
         expected_large.update({
             "kernel.seeding.fused": 1,
             "kernel.draw.bulk": 1,

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
 from repro.obs import enable_metrics, get_registry
+from repro.serve.client import ServeClient
 from repro.serve.request import QueryRequest
 from repro.serve.scheduler import BatchScheduler
+from repro.serve.server import ServeConfig, serve_in_thread
 
 
 def _request(rid: str, *, seed: int = 0, runs: int = 2, **overrides) -> QueryRequest:
@@ -191,3 +195,96 @@ class TestFailureDelivery:
 
         results = _run(scenario())
         assert all(isinstance(r, RuntimeError) for r in results)
+
+
+class _Lanes:
+    """Wraps ``BatchScheduler._execute``: records each group's request
+    ids and the most groups ever executing at once.  A group led by a
+    request in ``hold`` blocks until :attr:`release` is set."""
+
+    def __init__(self, monkeypatch, *, hold=(), dwell=0.02):
+        self.groups = []
+        self.peak = 0
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self._inflight = 0
+        self._lock = threading.Lock()
+        real = BatchScheduler._execute
+
+        def execute(scheduler, requests):
+            with self._lock:
+                self._inflight += 1
+                self.peak = max(self.peak, self._inflight)
+                self.groups.append([r.id for r in requests])
+            try:
+                if requests[0].id in hold:
+                    self.started.set()
+                    assert self.release.wait(10.0)
+                # Long enough for a second lane to claim a group.
+                time.sleep(dwell)
+                return real(scheduler, requests)
+            finally:
+                with self._lock:
+                    self._inflight -= 1
+
+        monkeypatch.setattr(BatchScheduler, "_execute", execute)
+
+
+class TestDefaultLane:
+    """One executor lane by default: groups run back to back, and a
+    claim takes everything that queued behind the previous group."""
+
+    def test_mixed_burst_never_overlaps(self, monkeypatch):
+        lanes = _Lanes(monkeypatch)
+
+        async def scenario():
+            scheduler = BatchScheduler()
+            scheduler.start()
+            futures = [
+                scheduler.submit(_request(f"q{i}", seed=i, threshold=8 + i % 4))
+                for i in range(12)
+            ]
+            outcomes = await asyncio.gather(*futures)
+            await scheduler.drain()
+            return outcomes
+
+        assert len(_run(scenario())) == 12
+        assert len(lanes.groups) == 4
+        assert lanes.peak == 1
+
+    def test_mixed_burst_never_overlaps_in_the_default_service(self, monkeypatch):
+        lanes = _Lanes(monkeypatch)
+        wires = [
+            {"op": "query", "id": f"q{i}", "tenant": "t", "n": 64, "x": 20,
+             "threshold": 8 + i % 4, "runs": 2, "seed": i}
+            for i in range(12)
+        ]
+        with serve_in_thread(ServeConfig()) as handle:
+            with ServeClient("127.0.0.1", handle.port) as client:
+                for wire in wires:
+                    client.send(wire)
+                replies = [client.recv() for _ in wires]
+        assert all(reply["ok"] for reply in replies)
+        assert len(lanes.groups) >= 4
+        assert lanes.peak == 1
+
+    def test_requests_queued_behind_a_busy_lane_form_one_group(self, monkeypatch):
+        lanes = _Lanes(monkeypatch, hold=("lead",), dwell=0.0)
+
+        async def scenario():
+            scheduler = BatchScheduler()
+            scheduler.start()
+            futures = [scheduler.submit(_request("lead", seed=99))]
+            assert await asyncio.to_thread(lanes.started.wait, 10.0)
+            for i in range(5):
+                futures.append(scheduler.submit(_request(f"b{i}", seed=i)))
+                # An idle lane would claim each follower on its own.
+                await asyncio.sleep(0.01)
+            lanes.release.set()
+            outcomes = await asyncio.gather(*futures)
+            await scheduler.drain()
+            return outcomes
+
+        outcomes = _run(scenario())
+        assert lanes.groups == [["lead"], [f"b{i}" for i in range(5)]]
+        assert all(o.batched for o in outcomes[1:])
