@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.api import algorithm_factory
-from repro.experiments.common import ExperimentResult, SweepEngine
+from repro.experiments.common import Curve, ExperimentResult, SweepEngine
 from repro.group_testing.model import ModelSpec
 from repro.workloads.scenarios import x_sweep
 
@@ -45,19 +45,15 @@ def run(
     engine = SweepEngine(n, threshold, runs=runs, seed=seed, jobs=jobs)
     one_plus = ModelSpec(kind="1+", max_queries=80 * n)
 
-    series = (
-        engine.query_curve("2tBins", xs, algorithm_factory("2tbins"), one_plus),
-        engine.query_curve(
-            "ABNS(p0=t)", xs, algorithm_factory("abns", p0_multiple=1.0), one_plus
-        ),
-        engine.query_curve(
-            "ABNS(p0=2t)", xs, algorithm_factory("abns", p0_multiple=2.0), one_plus
-        ),
-        engine.query_curve("Oracle", xs, algorithm_factory("oracle"), one_plus),
-    )
+    series = engine.curves([
+        Curve("2tBins", xs, algorithm_factory("2tbins"), one_plus),
+        Curve("ABNS(p0=t)", xs, algorithm_factory("abns", p0_multiple=1.0), one_plus),
+        Curve("ABNS(p0=2t)", xs, algorithm_factory("abns", p0_multiple=2.0), one_plus),
+        Curve("Oracle", xs, algorithm_factory("oracle"), one_plus),
+    ])
     return ExperimentResult(
         exp_id="fig05",
         title="ABNS vs 2tBins vs oracle",
         parameters={"n": n, "t": threshold, "runs": runs, "seed": seed},
-        series=series,
+        series=tuple(series),
     )

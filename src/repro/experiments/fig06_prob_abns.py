@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.api import algorithm_factory
-from repro.experiments.common import ExperimentResult, SweepEngine
+from repro.experiments.common import Curve, ExperimentResult, SweepEngine
 from repro.group_testing.model import ModelSpec
 from repro.workloads.scenarios import x_sweep
 
@@ -44,21 +44,15 @@ def run(
     engine = SweepEngine(n, threshold, runs=runs, seed=seed, jobs=jobs)
     one_plus = ModelSpec(kind="1+", max_queries=80 * n)
 
-    series = (
-        engine.query_curve(
-            "ProbABNS", xs, algorithm_factory("prob-abns"), one_plus
-        ),
-        engine.query_curve(
-            "ABNS(p0=t)", xs, algorithm_factory("abns", p0_multiple=1.0), one_plus
-        ),
-        engine.query_curve(
-            "ABNS(p0=2t)", xs, algorithm_factory("abns", p0_multiple=2.0), one_plus
-        ),
-        engine.query_curve("Oracle", xs, algorithm_factory("oracle"), one_plus),
-    )
+    series = engine.curves([
+        Curve("ProbABNS", xs, algorithm_factory("prob-abns"), one_plus),
+        Curve("ABNS(p0=t)", xs, algorithm_factory("abns", p0_multiple=1.0), one_plus),
+        Curve("ABNS(p0=2t)", xs, algorithm_factory("abns", p0_multiple=2.0), one_plus),
+        Curve("Oracle", xs, algorithm_factory("oracle"), one_plus),
+    ])
     return ExperimentResult(
         exp_id="fig06",
         title="probabilistic ABNS vs fixed-p0 ABNS vs oracle",
         parameters={"n": n, "t": threshold, "runs": runs, "seed": seed},
-        series=series,
+        series=tuple(series),
     )

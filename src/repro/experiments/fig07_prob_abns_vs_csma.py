@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.api import algorithm_factory
-from repro.experiments.common import ExperimentResult, SweepEngine
+from repro.experiments.common import Curve, ExperimentResult, SweepEngine
 from repro.group_testing.model import ModelSpec
 from repro.mac import CsmaBaseline
 
@@ -41,16 +41,14 @@ def run(
     engine = SweepEngine(n, threshold, runs=runs, seed=seed, jobs=jobs)
     one_plus = ModelSpec(kind="1+", max_queries=80 * n)
 
-    series = (
-        engine.query_curve(
-            "ProbABNS", xs, algorithm_factory("prob-abns"), one_plus
-        ),
-        engine.baseline_curve("CSMA", xs, CsmaBaseline),
-    )
+    series = engine.curves([
+        Curve("ProbABNS", xs, algorithm_factory("prob-abns"), one_plus),
+        Curve("CSMA", xs, CsmaBaseline),
+    ])
     return ExperimentResult(
         exp_id="fig07",
         title="probabilistic ABNS vs CSMA (N=32, t=8)",
         parameters={"n": n, "t": threshold, "runs": runs, "seed": seed},
-        series=series,
+        series=tuple(series),
         ylabel="mean queries / slots",
     )

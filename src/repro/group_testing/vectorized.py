@@ -48,6 +48,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Literal,
     Optional,
@@ -131,7 +132,8 @@ _CAPTURE_LOCKSTEP_RUNS = 32
 #: undercuts (DESIGN.md section 14.3).
 _FUSED_SEED_RUNS = 6
 
-#: The stream order of a spawned run: ``spawn_key=(r, j)`` for stream j.
+#: A model-backed run's streams in ``batch.streams`` order; a spawned
+#: run's stream j is ``spawn_key=(r, j)``.
 _SPAWN_STREAMS = ("pop", "model", "bins")
 
 #: One run's generators: ``(pop, model, bins)`` for a model-backed
@@ -611,6 +613,30 @@ def fast_states(
     return out
 
 
+def _run_streams(
+    batch: QueryBatch, states: Optional[Dict[str, Any]], names: Sequence[str]
+) -> Iterator[RunStreams]:
+    """Each run's generators for the model-batch streams ``names``.
+
+    Loaded into the thread's pooled slots from ``states`` (a
+    :func:`fast_states` result holding ``(state, inc)`` pairs for every
+    name), or picked out of ``batch.streams(run)`` when ``states`` is
+    ``None``.  Pooled slots are reloaded for the next run, so a run's
+    draws must finish before the iterator advances.
+    """
+    if states is None:
+        picks = [_SPAWN_STREAMS.index(name) for name in names]
+        for run in range(batch.run_lo, batch.run_hi):
+            gens = batch.streams(run)
+            yield tuple(gens[j] for j in picks)
+        return
+    pool = _pool()
+    pool.reserve(len(names))
+    load = pool.load
+    for pairs in zip(*(states[name] for name in names)):
+        yield tuple(load(slot, st, inc) for slot, (st, inc) in enumerate(pairs))
+
+
 def _bulk_draw_pays(rows: int, x: int) -> bool:
     """Whether ``rows`` population draws of size ``x`` cost less in
     lockstep (:func:`fastseed.choice_bulk`) than one by one.
@@ -712,14 +738,18 @@ def run_lockstep(
 ) -> BatchDecision:
     """Execute a cell of round-structured exact trials.
 
-    1+ and k+ cells, and 2+ cells of at least
-    :data:`_CAPTURE_LOCKSTEP_RUNS` runs, run round-major
+    One :func:`fast_states` call per cell rebuilds its streams.  1+ and
+    k+ cells, and 2+ cells of at least :data:`_CAPTURE_LOCKSTEP_RUNS`
+    runs whose streams it rebuilt, run round-major
     (:func:`_run_rounds`) in row blocks of at most
     ``_BLOCK_CELLS // (n + 1)`` and :data:`_BLOCK_ROWS` runs, so a
     cell's transient memory is bounded whatever ``runs`` and ``n`` are;
-    rows are independent, so blocking changes no answer.  Smaller 2+ cells, and every 2+ cell
-    when :func:`fastseed.available` fails, run per run
-    (:func:`_run_one_capture`).
+    rows are independent, so blocking changes no answer.  Every other
+    2+ cell -- fewer runs, or streams it could not rebuild (a custom
+    ``streams``, a seed of ``2**64`` or more, :func:`fastseed.available`
+    false) -- runs per run (:func:`_run_one_capture`), on pooled
+    generators loaded with the rebuilt states or on the generators of
+    ``batch.streams`` themselves.
 
     Args:
         batch: The cell description and per-run streams.
@@ -745,42 +775,39 @@ def run_lockstep(
     tally = _CellTally() if _OBS.enabled else None
     decisions = np.zeros(batch.runs, dtype=bool)
     queries = np.zeros(batch.runs, dtype=np.int64)
-    p_cap: Optional[Callable[[int], float]] = None
+    odds: Optional[_CaptureOdds] = None
     if spec.kind == "2+":
-        p_cap = (
+        odds = _CaptureOdds(
             spec.capture_probability
             if spec.capture_probability is not None
             else default_capture_probability
         )
-    if p_cap is not None and (
-        batch.runs < _CAPTURE_LOCKSTEP_RUNS or not fastseed.available()
-    ):
+    # The per-run capture loop loads every stream into a generator; the
+    # lockstep reads the pop and model streams as raw halves, and the
+    # model stream only when a run has collisions (x >= 2; batch.x is
+    # the largest).
+    per_run = odds is not None and batch.runs < _CAPTURE_LOCKSTEP_RUNS
+    if per_run:
+        names = ["pop", "model", "bins"]
+    else:
+        names = ["pop"] if batch.x else []
+        if odds is not None and batch.x >= 2:
+            names.append("model")
+        names.append("bins")
+    states = fast_states(batch, names, raw=() if per_run else ("pop", "model"))
+    if odds is not None and (per_run or states is None):
         _CAPTURE_PER_RUN.inc()
-        states = fast_states(batch, ("pop", "model", "bins"))
-        pool = _pool()
-        if states is not None:
-            pool.reserve(3)
         xs = batch.xs(0, batch.runs).tolist()
-        for i in range(batch.runs):
-            if states is not None:
-                pop_rng = pool.load(0, *states["pop"][i])
-                model_rng = pool.load(1, *states["model"][i])
-                bins_rng = pool.load(2, *states["bins"][i])
-            else:
-                pop_rng, model_rng, bins_rng = batch.streams(batch.run_lo + i)
+        runs = _run_streams(batch, states, ("pop", "model", "bins"))
+        for i, (pop_rng, model_rng, bins_rng) in enumerate(runs):
             mask = _draw_population(batch.n, xs[i], pop_rng)
             decisions[i], queries[i] = _run_one_capture(
                 batch.n, batch.threshold, mask, model_rng, bins_rng,
-                schedule, p_cap, spec.max_queries, algorithm, tally,
+                schedule, odds.p_cap, spec.max_queries, algorithm, tally,
             )
     else:
-        odds = _CaptureOdds(p_cap) if p_cap is not None else None
-        names = ["pop"] if batch.x else []
-        if odds is not None and batch.x >= 2:
-            # Only a 2+ cell with collisions (a run with x >= 2; batch.x
-            # is the largest) draws on the model stream.
-            names.append("model")
-        states = fast_states(batch, names + ["bins"], raw=("pop", "model"))
+        if odds is not None:
+            _CAPTURE_LOCKSTEP.inc()
         block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (batch.n + 1)))
         for lo in range(0, batch.runs, block):
             hi = min(lo + block, batch.runs)
@@ -873,15 +900,10 @@ def _run_block(
     Draws each row's population into the round-0 hit flags, positions
     its bins stream and -- for a 2+ cell (``odds`` set) -- its model
     stream replay, then hands the block to :func:`_run_rounds`.
-    ``states`` is the whole cell's :func:`fast_states` (``None`` for
-    generator-backed batches); ``decisions``/``queries`` are this
-    block's views.
-
-    A generator-backed 2+ block replays each model generator from its
-    state and afterwards leaves it where the scalar draws would
-    (:meth:`fastseed.DrawReplay.restore`).  A block whose model
-    generators cannot be replayed (not PCG64, or a half waiting) runs
-    per run on those same generators instead.
+    ``states`` is the whole cell's :func:`fast_states`; only a 1+ or k+
+    cell comes here without them (``None``), and then draws on the
+    generators of ``batch.streams``.  ``decisions``/``queries`` are
+    this block's views.
     """
     n, runs = batch.n, hi - lo
     xs = batch.xs(lo, hi)
@@ -891,7 +913,6 @@ def _run_block(
     # slots gather False without any validity masking.
     hit = np.zeros((runs, n + 1), dtype=bool)
     replay: Optional[fastseed.DrawReplay] = None
-    model_gens: List[np.random.Generator] = []
     bins_gens: List[np.random.Generator]
     if states is not None:
         pool = _pool()
@@ -905,35 +926,16 @@ def _run_block(
         if "model" in states:
             replay = fastseed.DrawReplay(tuple(a[lo:hi] for a in states["model"]))
     else:
-        # Model generators are kept only when the block draws on them.
-        draws = odds is not None and batch.x >= 2
         bins_gens = []
         for i, x in enumerate(xs.tolist()):
-            pop_rng, model_rng, bins_rng = batch.streams(batch.run_lo + lo + i)
+            pop_rng, _model_rng, bins_rng = batch.streams(batch.run_lo + lo + i)
             if x:
                 hit[i, pop_rng.choice(n, size=x, replace=False)] = True
-            if draws:
-                model_gens.append(model_rng)
             bins_gens.append(bins_rng)
-        if odds is not None and draws:
-            replay = fastseed.DrawReplay.from_generators(model_gens)
-            if replay is None:
-                _CAPTURE_PER_RUN.inc()
-                for i in range(runs):
-                    decisions[i], queries[i] = _run_one_capture(
-                        n, batch.threshold, hit[i, :n], model_gens[i],
-                        bins_gens[i], schedule, odds.p_cap, max_queries,
-                        algorithm, tally,
-                    )
-                return
-    if odds is not None:
-        _CAPTURE_LOCKSTEP.inc()
     _run_rounds(
         n, batch.threshold, hit, bins_gens, replay, schedule, k, odds,
         max_queries, algorithm, tally, decisions, queries,
     )
-    if replay is not None and model_gens:
-        replay.restore(model_gens)
 
 
 def _run_rounds(
@@ -1367,17 +1369,10 @@ def run_probes(
     tally = _CellTally() if _OBS.enabled else None
     decisions = np.zeros(batch.runs, dtype=bool)
     queries = np.full(batch.runs, repeats, dtype=np.int64)
-    states = fast_states(batch, ("pop", "bins"))
-    pool = _pool()
-    if states is not None:
-        pool.reserve(2)
+    names = ("pop", "bins")
+    runs = _run_streams(batch, fast_states(batch, names), names)
     xs = batch.xs(0, batch.runs).tolist()
-    for i in range(batch.runs):
-        if states is not None:
-            pop_rng = pool.load(0, *states["pop"][i])
-            bins_rng = pool.load(1, *states["bins"][i])
-        else:
-            pop_rng, _model_rng, bins_rng = batch.streams(batch.run_lo + i)
+    for i, (pop_rng, bins_rng) in enumerate(runs):
         mask = _draw_population(batch.n, xs[i], pop_rng)
         if batch.n == 0 or inclusion == 0.0:
             # sample_bins short-circuits without a draw: all probes empty.

@@ -4,15 +4,44 @@
 :func:`~repro.serve.chaos.chaos_in_thread` both run a listener on a
 background thread's event loop so that blocking callers (the tests, the
 benchmarks) can dial it; their handles share :class:`BackgroundLoop`.
+Both listeners also share how they close the connections still open
+when they stop (:func:`track_handler`, :func:`close_connections`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import List, Optional, TypeVar
+from typing import Any, List, Optional, Set, TypeVar
 
 _Handle = TypeVar("_Handle", bound="BackgroundLoop")
+
+
+def track_handler(handlers: Set["asyncio.Task[Any]"]) -> None:
+    """Keep the running connection-handler task in ``handlers`` until
+    it finishes."""
+    task = asyncio.current_task()
+    if task is not None:
+        handlers.add(task)
+        task.add_done_callback(handlers.discard)
+
+
+async def close_connections(
+    writers: Set[asyncio.StreamWriter], handlers: Set["asyncio.Task[Any]"]
+) -> None:
+    """Close a listener's open connections and wait for their handlers.
+
+    Closing a writer ends its connection's reads with EOF, so each
+    handler returns on its own.  A handler left running is cancelled
+    when ``asyncio.run`` ends, and the stream protocol's callback then
+    logs its ``CancelledError`` traceback.  The wait is bounded: a
+    handler whose connection cannot flush (a peer that stopped reading)
+    is still running after a second and is left to that cancellation.
+    """
+    for writer in tuple(writers):
+        writer.close()
+    if handlers:
+        await asyncio.wait(tuple(handlers), timeout=1.0)
 
 
 class BackgroundLoop:

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.serve.background import BackgroundLoop
+from repro.serve.background import BackgroundLoop, close_connections, track_handler
 
 #: Forwarding chunk size; small enough that multi-frame pipelines span
 #: several chunks (giving per-chunk faults several chances to fire).
@@ -123,6 +123,8 @@ class ChaosProxy:
         self._host = host
         self.port = port
         self._server: Optional[asyncio.Server] = None
+        self._writers: Set[asyncio.StreamWriter] = set()
+        self._handlers: Set["asyncio.Task[None]"] = set()
         self._conn_index = 0
         self._counts: Dict[str, int] = {
             "connections": 0,
@@ -147,9 +149,10 @@ class ChaosProxy:
             break
 
     async def stop(self) -> None:
-        """Close the listener (live connections die with the loop)."""
+        """Close the listener, then every proxied connection."""
         if self._server is not None:
             self._server.close()
+            await close_connections(self._writers, self._handlers)
             await self._server.wait_closed()
             self._server = None
 
@@ -157,6 +160,7 @@ class ChaosProxy:
         self, client_reader: asyncio.StreamReader, client_writer: asyncio.StreamWriter
     ) -> None:
         """Proxy one client connection through the fault mix."""
+        track_handler(self._handlers)
         index = self._conn_index
         self._conn_index += 1
         self._counts["connections"] += 1
@@ -171,6 +175,8 @@ class ChaosProxy:
         except (ConnectionError, OSError):
             client_writer.close()
             return
+        writers = (client_writer, up_writer)
+        self._writers.update(writers)
         pumps = [
             asyncio.ensure_future(
                 self._pump(
@@ -188,14 +194,15 @@ class ChaosProxy:
         except (_Cut, ConnectionError, OSError):
             for pump in pumps:
                 pump.cancel()
-            for writer in (client_writer, up_writer):
+            for writer in writers:
                 transport = writer.transport
                 if transport is not None:
                     transport.abort()
         finally:
             await asyncio.gather(*pumps, return_exceptions=True)
-            for writer in (client_writer, up_writer):
+            for writer in writers:
                 writer.close()
+            self._writers.difference_update(writers)
 
     async def _pump(
         self,

@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--codel-interval-ms", type=float,
         default=RUN_DEFAULTS.codel_interval_ms,
-        help="CoDel watchdog inspection interval in ms",
+        help="watchdog interval in ms (expired-request purge and CoDel)",
     )
 
     query = sub.add_parser("query", help="send one threshold query")

@@ -53,7 +53,9 @@ class ServeConfig:
         codel_target_ms: Scheduler watchdog queue-wait p50 target;
             ``0`` disables CoDel shedding (see
             :class:`repro.serve.scheduler.BatchScheduler`).
-        codel_interval_ms: Scheduler watchdog sampling period.
+        codel_interval_ms: Scheduler watchdog period: each tick fails
+            the queued requests past their deadline, then sheds by CoDel
+            when it is on.
     """
 
     host: str = "127.0.0.1"

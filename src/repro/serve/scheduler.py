@@ -14,12 +14,13 @@ affects throughput, never answers (see :mod:`repro.serve.executor`).
 Resilience (DESIGN.md section 17) is layered on the same loop:
 
 * **Deadlines.**  A request carrying ``deadline_ms`` gets an absolute
-  expiry stamped at :meth:`BatchScheduler.submit`.  Queue sweeps purge
-  expired entries before they can join a group
-  (``serve.expired.queued``), and every claimed member is re-checked
-  immediately before the thread-pool hop (``serve.expired.executing``);
-  either way the request's future fails with
-  :class:`~repro.serve.errors.DeadlineExceeded` and the front end
+  expiry stamped at :meth:`BatchScheduler.submit`.  Expired entries are
+  purged from the queue (``serve.expired.queued``) on every claim and
+  on every watchdog tick, so a request queued behind a long group still
+  fails within one ``codel_interval_ms`` of its deadline; every claimed
+  member is re-checked immediately before the thread-pool hop
+  (``serve.expired.executing``).  Either way the request's future fails
+  with :class:`~repro.serve.errors.DeadlineExceeded` and the front end
   renders a 504-style frame.
 * **Supervision.**  Worker coroutines are supervised: an unexpected
   exception escaping a worker fails only the group it had claimed
@@ -28,14 +29,16 @@ Resilience (DESIGN.md section 17) is layered on the same loop:
   request, counted per member on ``serve.failed``), increments
   ``serve.worker_restarts``, and the worker is respawned.  A wedged or
   crashing executor therefore costs one group, never the daemon.
-* **CoDel watchdog.**  A periodic coroutine samples the queue-wait
-  distribution; when the p50 wait exceeds ``codel_target_ms`` the
-  scheduler is falling behind (slow executor, wedged pool thread) and
-  the watchdog sheds from the *front* of the queue -- the requests that
-  have already waited longest and are most likely to miss their
-  deadlines anyway -- failing each with
-  :class:`~repro.serve.errors.CodelShed` (a 429 on the wire, counted on
-  ``serve.rejected.codel``) until the median wait is back under target.
+* **Watchdog.**  A periodic coroutine wakes every
+  ``codel_interval_ms``, purges expired entries and, with CoDel on
+  (``codel_target_ms > 0``), samples the queue-wait distribution: when
+  the p50 wait exceeds ``codel_target_ms`` the scheduler is falling
+  behind (slow executor, wedged pool thread) and the watchdog sheds
+  from the *front* of the queue -- the requests that have already
+  waited longest and are most likely to miss their deadlines anyway --
+  failing each with :class:`~repro.serve.errors.CodelShed` (a 429 on
+  the wire, counted on ``serve.rejected.codel``) until the median wait
+  is back under target.
 
 Lifecycle: :meth:`BatchScheduler.start` spawns the workers (tests may
 enqueue first and start later to force specific coalescing),
@@ -129,8 +132,9 @@ class BatchScheduler:
         clock: Monotonic time source for deadlines and queue waits
             (injected by tests; the default is the host clock).
         codel_target_ms: Queue-wait p50 above which the watchdog sheds
-            from the front of the queue.  ``0`` disables the watchdog.
-        codel_interval_ms: Watchdog sampling period.
+            from the front of the queue.  ``0`` disables the shedding
+            (the watchdog still purges expired requests).
+        codel_interval_ms: Watchdog period.
     """
 
     def __init__(
@@ -182,10 +186,9 @@ class BatchScheduler:
         )
         for _ in range(self._worker_count):
             self._spawn_worker()
-        if self.codel_target_ms > 0:
-            self._watchdog = asyncio.get_running_loop().create_task(
-                self._watch(), name="serve-watchdog"
-            )
+        self._watchdog = asyncio.get_running_loop().create_task(
+            self._watch(), name="serve-watchdog"
+        )
 
     async def drain(self) -> None:
         """Finish all queued work, then stop the workers.
@@ -272,36 +275,36 @@ class BatchScheduler:
 
     # -- workers -----------------------------------------------------------
 
+    def _purge_expired(self, now: float) -> None:
+        """Fail every queued item whose deadline has passed by ``now``
+        (``serve.expired.queued``); the rest keep their order."""
+        for _ in range(len(self._queue)):
+            item = self._queue.popleft()
+            if item.expires is not None and item.expires <= now:
+                self._expire(item, stage="queued")
+            else:
+                self._queue.append(item)
+
     def _claim_group(self) -> List[_Item]:
         """Pop the oldest live item plus every coalescable follower.
 
-        A single linear sweep of the queue: expired entries are purged
-        (failed with ``serve.expired.queued``) instead of claimed,
-        followers sharing the leader's coalesce key are claimed
-        (preserving order) until the group's total runs would exceed
+        Expired entries are purged first; then one linear sweep claims
+        the followers sharing the leader's coalesce key (preserving
+        order) until the group's total runs would exceed
         ``max_batch_runs``, and everything else keeps its queue
         position.
         """
         now = self._clock()
-        lead: Optional[_Item] = None
-        while self._queue:
-            candidate = self._queue.popleft()
-            if candidate.expires is not None and candidate.expires <= now:
-                self._expire(candidate, stage="queued")
-                continue
-            lead = candidate
-            break
-        if lead is None:
+        self._purge_expired(now)
+        if not self._queue:
             return []
+        lead = self._queue.popleft()
         _QUEUE_WAIT_MS.observe((now - lead.submitted) * 1e3)
         group = [lead]
         budget = self.max_batch_runs - lead.request.runs
         keep: List[_Item] = []
         while self._queue:
             item = self._queue.popleft()
-            if item.expires is not None and item.expires <= now:
-                self._expire(item, stage="queued")
-                continue
             if (
                 item.request.coalesce_key == lead.request.coalesce_key
                 and item.request.runs <= budget
@@ -402,10 +405,8 @@ class BatchScheduler:
             group = self._claim_group()
             if not group:
                 continue
-            # Deadline re-check at the thread-pool hop: queue purging
-            # only sees a request when a sweep touches it, so a group
-            # claimed after a long executor stall may already hold
-            # corpses.
+            # Deadline re-check at the thread-pool hop, the last point
+            # at which shedding is still cheap.
             now = self._clock()
             live: List[_Item] = []
             for item in group:
@@ -464,8 +465,12 @@ class BatchScheduler:
         return shed
 
     async def _watch(self) -> None:
-        """The CoDel watchdog loop (see module docstring)."""
+        """The watchdog loop (see module docstring): each tick purges
+        expired requests, then sheds by CoDel when it is on."""
         interval = self.codel_interval_ms / 1e3
         while not self._stopping:
             await asyncio.sleep(interval)
-            self._codel_tick()
+            if self._queue:
+                self._purge_expired(self._clock())
+            if self.codel_target_ms > 0:
+                self._codel_tick()

@@ -60,7 +60,7 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
 )
-from repro.serve.background import BackgroundLoop
+from repro.serve.background import BackgroundLoop, close_connections, track_handler
 from repro.serve.config import ServeConfig
 from repro.serve.errors import ServeError
 from repro.serve.request import QueryRequest, RequestError
@@ -213,6 +213,7 @@ class ThresholdQueryService:
         self._stop_event: Optional[asyncio.Event] = None
         self._inflight: Set["asyncio.Task[None]"] = set()
         self._connections: Set[asyncio.StreamWriter] = set()
+        self._handlers: Set["asyncio.Task[None]"] = set()
         self.port: int = config.port
 
     # -- lifecycle ---------------------------------------------------------
@@ -249,7 +250,8 @@ class ThresholdQueryService:
 
         The drain order is the correctness argument: shed new work
         first, let every admitted query finish and write its response,
-        only then tear down connections and the listener.
+        only then tear down connections (waiting for their handlers)
+        and the listener.
         """
         self.admission.begin_drain()
         if self._server is not None:
@@ -257,8 +259,7 @@ class ThresholdQueryService:
         while self._inflight:
             await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
         await self.scheduler.drain()
-        for writer in tuple(self._connections):
-            writer.close()
+        await close_connections(self._connections, self._handlers)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -284,6 +285,7 @@ class ThresholdQueryService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One client connection: read lines, dispatch, write responses."""
+        track_handler(self._handlers)
         write_lock = asyncio.Lock()
         if len(self._connections) >= self.config.max_connections:
             _REJ_CONN_LIMIT.inc()

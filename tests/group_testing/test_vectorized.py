@@ -151,8 +151,9 @@ class TestEngineParity:
 class TestStreamConsumption:
     """The kernel leaves every RNG stream exactly where the scalar path would."""
 
-    # 40 runs take the 2+ lockstep, which replays the model streams and
-    # must then advance each generator as the scalar draws would.
+    # fast_states cannot rebuild custom streams, so even 40 runs take
+    # the 2+ per-run capture loop, which draws on these generators
+    # exactly as the scalar run does.
     @pytest.mark.parametrize("runs", [6, 40])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_post_run_generator_states_match_scalar(self, kind, runs):
@@ -455,6 +456,14 @@ def _metered(registry, decider, batch, *, vectorize):
     return out, path, counters, snapshot.histograms.get("model.bin_size")
 
 
+def _kernel_counters(registry):
+    """The ``kernel.*`` counters recorded so far."""
+    return {
+        key: value for key, value in registry.snapshot().counters.items()
+        if key.startswith("kernel.")
+    }
+
+
 def _assert_same(a, b):
     out_a, _, counters_a, hist_a = a
     out_b, _, counters_b, hist_b = b
@@ -547,9 +556,9 @@ class TestCaptureLockstep:
             ):
                 dispatch_batch(decider, batch, vectorize=vectorize)
 
-    def test_unreplayable_model_generators_run_per_run(self):
-        # Custom streams whose model generator is not a PCG64: the
-        # lockstep cannot replay it, so the block runs per run instead.
+    def test_unreplayable_model_generators_run_per_run(self, _pristine_registry):
+        # Custom streams (here with an MT19937 model generator) have no
+        # states for the lockstep to replay, so the cell runs per run.
         def streams(run):
             seq = np.random.SeedSequence([77, run])
             pop, model, bins = seq.spawn(3)
@@ -564,11 +573,37 @@ class TestCaptureLockstep:
             model=ModelSpec(kind="2+"), streams=streams,
         )
         decider = make_algorithm("2tbins")
+        _pristine_registry.enable()
         kernel, path = dispatch_batch(decider, batch, vectorize=True)
+        assert _kernel_counters(_pristine_registry) == {
+            "kernel.seeding.per_run": 1, "kernel.capture.per_run": 1,
+        }
         scalar, _ = dispatch_batch(decider, batch, vectorize=False)
         assert path == "kernel"
         np.testing.assert_array_equal(kernel.decisions, scalar.decisions)
         np.testing.assert_array_equal(kernel.queries, scalar.queries)
+
+    @pytest.mark.parametrize("name", ["2tbins", "exponential"])
+    def test_seed_beyond_64_bits_runs_per_run(self, name, _pristine_registry):
+        # Spawned seeds of 2**64 or more are outside the fused pass, so
+        # a 40-run cell builds its streams and draws its captures per
+        # run, with the scalar run's answers and model.* counters.
+        batch = QueryBatch.spawned(
+            segments=[(2**64, 25, 12), (2**64 + 7, 15, 30)],
+            n=64, threshold=8, model=ModelSpec(kind="2+"),
+        )
+        assert batch.spawn_seeds is None and batch.runs == 40
+        decider = make_algorithm(name)
+        _pristine_registry.enable()
+        decider.decide_batch(batch)
+        assert _kernel_counters(_pristine_registry) == {
+            "kernel.seeding.per_run": 1, "kernel.capture.per_run": 1,
+        }
+        kernel = _metered(_pristine_registry, decider, batch, vectorize=True)
+        scalar = _metered(_pristine_registry, decider, batch, vectorize=False)
+        assert kernel[1] == "kernel"
+        _assert_same(kernel, scalar)
+        assert kernel[2]["model.verdict.capture"] > 0
 
 
 class TestRowBlocks:

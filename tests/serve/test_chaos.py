@@ -18,7 +18,10 @@ a loud failure, not a stuck CI job.
 
 from __future__ import annotations
 
+import json
+import logging
 import signal
+import socket
 
 import pytest
 
@@ -263,3 +266,16 @@ class TestDrainUnderChaos:
             reply = client.query(_query("q1", seed=1), deadline_ms=30_000)
             assert reply["ok"]
             client.close()
+
+    def test_stop_with_a_client_still_connected_logs_nothing(
+        self, service, caplog
+    ):
+        with caplog.at_level(logging.WARNING):
+            with chaos_in_thread("127.0.0.1", service.port) as chaos:
+                sock = socket.create_connection(("127.0.0.1", chaos.port))
+                sock.sendall(b'{"op": "ping", "id": "p"}\n')
+                assert json.loads(sock.makefile("rb").readline())["ok"]
+            # The proxy closed the idle connection before stopping.
+            assert sock.recv(1) == b""
+            sock.close()
+        assert not caplog.records, [r.getMessage() for r in caplog.records]

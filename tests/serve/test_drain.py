@@ -137,3 +137,22 @@ class TestSigtermDrain:
                 proc.kill()
                 proc.wait()
         assert rc == 0
+
+    def test_open_idle_connection_exits_without_traceback(self):
+        """A client still connected at SIGTERM: its handler returns on
+        the closed connection instead of being cancelled at loop exit,
+        which logged a CancelledError traceback."""
+        proc, port = _spawn_server()
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+            sock.sendall(b'{"op": "ping", "id": "p"}\n')
+            assert json.loads(sock.makefile("rb").readline())["ok"]
+            proc.send_signal(signal.SIGTERM)
+            output, _ = proc.communicate(timeout=60)
+            sock.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert "Traceback" not in output, output

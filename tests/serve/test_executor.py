@@ -203,8 +203,8 @@ class TestSeedingFallback:
 
     @staticmethod
     def _group(seed_base: int, collision_model: str):
-        # 39 runs: a 2+ group takes the capture lockstep, which then
-        # replays its model generators from their states.
+        # 39 runs: enough for the 2+ capture lockstep, which needs the
+        # fused pass's states, so without them the group runs per run.
         return [
             QueryRequest.from_wire({
                 "id": f"q{i}", "n": 64, "x": x, "threshold": 8,
@@ -224,6 +224,9 @@ class TestSeedingFallback:
         counters = _metrics_on.snapshot().counters
         assert counters.get("kernel.seeding.per_run") == 1
         assert "kernel.seeding.fused" not in counters
+        if collision_model == "2+":
+            assert counters.get("kernel.capture.per_run") == 1
+            assert "kernel.capture.lockstep" not in counters
         for request, outcome in zip(requests, got):
             [oracle] = execute_group([request], vectorize=False)
             assert outcome.batched

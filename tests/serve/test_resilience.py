@@ -162,6 +162,51 @@ class TestDeadlineScheduler:
         assert exc.stage == "executing"
         assert reg.snapshot().counter("serve.expired.executing") == 1
 
+    def test_queued_request_expires_while_the_lane_is_busy(self, monkeypatch):
+        # The one lane holds a group inside _execute; a request queued
+        # behind it gets its 504 on the next watchdog tick, not when the
+        # lane next claims.
+        enable_metrics()
+        reg = get_registry()
+        clock = _FakeClock()
+        entered = threading.Event()
+        release = threading.Event()
+        real = BatchScheduler._execute
+
+        def held(self, requests):
+            entered.set()
+            release.wait(timeout=60)
+            return real(self, requests)
+
+        monkeypatch.setattr(BatchScheduler, "_execute", held)
+
+        async def scenario():
+            scheduler = BatchScheduler(workers=1, clock=clock, codel_interval_ms=10.0)
+            scheduler.start()
+            busy = scheduler.submit(_request("busy"))
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            late = scheduler.submit(
+                _request("late", seed=1, threshold=9, deadline_ms=50)
+            )
+            clock.now = 1.0  # the 50ms budget is long gone
+            try:
+                with pytest.raises(DeadlineExceeded) as err:
+                    await asyncio.wait_for(late, timeout=5.0)
+                held_throughout = not busy.done()
+            finally:
+                release.set()
+            outcome = await busy
+            await scheduler.drain()
+            return err.value, held_throughout, outcome
+
+        exc, held_throughout, outcome = asyncio.run(scenario())
+        assert exc.stage == "queued"
+        assert held_throughout
+        assert reg.snapshot().counter("serve.expired.queued") == 1
+        [expected] = execute_group([_request("busy")], vectorize=False)
+        assert outcome.decisions == expected.decisions
+
     def test_expired_entry_does_not_poison_siblings(self):
         enable_metrics()
         clock = _FakeClock()

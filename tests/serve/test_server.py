@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import socket
 
 import pytest
@@ -161,6 +162,17 @@ class TestShutdownOp:
             assert reply["ok"]
         handle._thread.join(timeout=10.0)
         assert not handle._thread.is_alive()
+
+    def test_stop_with_a_client_still_connected_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            with serve_in_thread(ServeConfig(port=0, workers=1)) as handle:
+                sock = socket.create_connection(("127.0.0.1", handle.port))
+                sock.sendall(b'{"op": "ping", "id": "p"}\n')
+                assert json.loads(sock.makefile("rb").readline())["ok"]
+            # The service closed the idle connection before stopping.
+            assert sock.recv(1) == b""
+            sock.close()
+        assert not caplog.records, [r.getMessage() for r in caplog.records]
 
     def test_bind_failure_is_raised_to_the_caller(self):
         with socket.socket() as taken:

@@ -1,10 +1,10 @@
 """The 2+ capture draws replayed from PCG64 outputs (``DrawReplay``).
 
 The lockstep kernel never calls a model generator: it reads each run's
-``random()`` and ``integers(c)`` draws off the stream's outputs and, for
-generator-backed batches, leaves every generator where numpy's own
-draws would.  These tests hold the replay to real generators draw for
-draw and in the full ``bit_generator.state`` it leaves behind.
+``random()`` and ``integers(c)`` draws off the stream's outputs.  These
+tests hold the replay to real generators draw for draw, and its cursor
+(outputs consumed, high half buffered) to the state the generators'
+own draws leave.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ def _generators() -> List[np.random.Generator]:
     ]
 
 
-def _replay_and_compare(script, replay_gens):
+def _replay_and_compare(script):
     """Run ``script`` (None = random(), int c = integers(c)) on real
-    generators and on a replay of ``replay_gens``; compare every draw."""
+    generators and on a replay of the same streams; compare every draw."""
     real = _generators()
-    replay = fastseed.DrawReplay.from_generators(replay_gens)
-    assert replay is not None
+    replay = fastseed.DrawReplay(fastseed.pcg64_raw(SEEDS))
     rows = np.arange(len(SEEDS), dtype=np.int64)
     for bound in script:
         if bound is None:
@@ -48,6 +47,20 @@ def _replay_and_compare(script, replay_gens):
     return replay, real
 
 
+def _assert_cursors_match(replay, real):
+    """Each replay row stands where its generator's draws left it: the
+    LCG advanced by the outputs the row consumed, and the same high
+    half waiting."""
+    for i, (seed, gen) in enumerate(zip(SEEDS, real)):
+        advanced = np.random.PCG64(np.random.SeedSequence(seed))
+        advanced.advance(int(replay.used[i]))
+        state = gen.bit_generator.state
+        assert state["state"] == advanced.state["state"], f"row {i}"
+        assert state["has_uint32"] == int(replay.waiting[i]), f"row {i}"
+        if replay.waiting[i]:
+            assert state["uinteger"] == int(replay.uinteger[i]), f"row {i}"
+
+
 class TestDrawReplay:
     def test_probe_passes_on_this_numpy(self):
         assert fastseed.available()
@@ -55,36 +68,25 @@ class TestDrawReplay:
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_interleaved_draws_and_states_match(self, bound):
         # Odd pull counts between random() calls keep a high half waiting
-        # across them; 2**31 + 1 rejects about half its pulls.  Without
-        # rejections a script ends on a consumed half, which numpy keeps
-        # in ``uinteger``.
+        # across them; 2**31 + 1 rejects about half its pulls.
         script = [bound, None, None, None, bound, bound, None, bound] * 6
-        gens = _generators()
-        replay, real = _replay_and_compare(script, gens)
-        replay.restore(gens)
-        for replayed, scalar in zip(gens, real):
-            assert replayed.bit_generator.state == scalar.bit_generator.state
+        replay, real = _replay_and_compare(script)
+        _assert_cursors_match(replay, real)
 
     def test_waiting_half_survives_random_calls(self):
-        gens = _generators()
-        replay, real = _replay_and_compare([3, None, None, None, None], gens)
+        replay, real = _replay_and_compare([3, None, None, None, None])
         assert replay.waiting.all()
-        replay.restore(gens)
-        for replayed, scalar in zip(gens, real):
-            state = replayed.bit_generator.state
-            assert state == scalar.bit_generator.state
-            assert state["has_uint32"] == 1
+        _assert_cursors_match(replay, real)
+        for scalar in real:
+            assert scalar.bit_generator.state["has_uint32"] == 1
 
     def test_growth_past_the_first_block(self):
         # Rows consume different amounts (rejections), so they outgrow
         # their first block at different draws and grow apart.
         script = [None, 2**31 + 1] * 40 + [7, None] * 30
-        gens = _generators()
-        replay, real = _replay_and_compare(script, gens)
+        replay, real = _replay_and_compare(script)
         assert int(replay.used.min()) > 8 * fastseed._REPLAY_BLOCK
-        replay.restore(gens)
-        for replayed, scalar in zip(gens, real):
-            assert replayed.bit_generator.state == scalar.bit_generator.state
+        _assert_cursors_match(replay, real)
 
     def test_rows_draw_independently(self):
         # Each call draws on the listed rows only, in any subset.
@@ -103,13 +105,6 @@ class TestDrawReplay:
                 got = replay.integers(rows, bounds)
                 want = [real[r].integers(b) for r, b in zip(rows, bounds)]
             np.testing.assert_array_equal(got, want)
-
-    def test_unreplayable_generators_decline(self):
-        waiting = _generators()
-        waiting[2].integers(5)  # leaves a high half buffered
-        assert fastseed.DrawReplay.from_generators(waiting) is None
-        other = [np.random.Generator(np.random.MT19937(1))]
-        assert fastseed.DrawReplay.from_generators(other) is None
 
     def test_failed_probe_reports_unavailable(self, monkeypatch):
         real = fastseed.DrawReplay.integers
