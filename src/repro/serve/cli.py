@@ -65,8 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--workers", type=int, default=RUN_DEFAULTS.workers,
-        help="scheduler executor lanes (more pay off only for populations "
-        "in the thousands; see DESIGN.md §16.3)",
+        help="scheduler executor lanes for groups above the inline bound "
+        "(smaller groups run on the event loop; more lanes pay off only "
+        "for populations in the thousands; see DESIGN.md §16.3)",
     )
     run.add_argument(
         "--no-vectorize", action="store_false", dest="vectorize",

@@ -34,7 +34,9 @@ class ServeConfig:
             of a group, so a second lane contends for it instead of
             running in parallel, and splits the backlog into smaller
             groups (DESIGN.md section 16.3).  Populations in the
-            thousands are where more lanes pay off.
+            thousands are where more lanes pay off.  A group within
+            the inline bound runs on the event-loop thread whatever
+            this is; only bigger groups run on a lane's thread.
         vectorize: Allow the vectorized kernel.
         metrics: Enable the :mod:`repro.obs` registry on startup so the
             ``metrics`` endpoint reports live counters.

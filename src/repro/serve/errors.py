@@ -47,7 +47,7 @@ class DeadlineExceeded(ServeError):
         message: Human-readable detail.
         stage: Where the deadline fired: ``"queued"`` (still in the
             scheduler queue) or ``"executing"`` (claimed into a group
-            but expired before the thread-pool hop).
+            but expired before it ran).
     """
 
     status = 504

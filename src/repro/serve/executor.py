@@ -22,8 +22,11 @@ not x).  :func:`execute_group` answers all of them at once:
   :func:`repro.api.make_algorithm` applying any reliability layer as
   server-side degradation.
 
-The module is synchronous and thread-safe (no shared mutable state):
-the scheduler calls it from worker threads via an executor.
+The module is synchronous and thread-safe (no shared mutable state).
+:func:`runs_inline` tells the scheduler where to call it: a group within
+the inline bound runs on the event-loop thread, a bigger one on the
+executor thread (DESIGN.md section 16.3).  Both routes call the same
+:func:`execute_group`, so the route never changes an answer.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from repro.api import make_algorithm
+from repro.core.probabilistic import ProbabilisticThreshold
 from repro.group_testing.model import ModelSpec
 from repro.group_testing.vectorized import (
     BatchDecision,
@@ -51,6 +55,13 @@ _SCALAR_FALLBACKS = _OBS.counter("serve.scalar_fallbacks")
 _BATCH_RUNS = _OBS.histogram(
     "serve.batch.runs", edges=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 )
+
+#: Largest group, in cells (total runs x n), that :func:`runs_inline`
+#: keeps on the event-loop thread, per path.  At the bound the slowest
+#: measured algorithm x model x x finishes within a quarter of the
+#: default 100 ms watchdog interval (DESIGN.md section 16.3).
+INLINE_KERNEL_CELLS = 1 << 12
+INLINE_SCALAR_CELLS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,31 @@ def _split(
         )
         for lo, hi in zip(offsets, offsets[1:])
     ]
+
+
+def runs_inline(requests: Sequence[QueryRequest], *, vectorize: bool) -> bool:
+    """Whether a group is small enough to run on the event-loop thread.
+
+    Compares the group's cells (total runs x n) with the bound of the
+    path :func:`execute_group` would take: the kernel's when
+    ``vectorize`` is set and the built decider has ``decide_batch``, the
+    scalar loop's otherwise.  A group the kernel declines -- the probe
+    kernel has no capture step, so prob-threshold on the 2+ model falls
+    back -- counts as scalar, as does one whose decider cannot be built.
+    """
+    lead = requests[0]
+    cells = sum(r.runs for r in requests) * lead.n
+    kernel = False
+    if vectorize:
+        try:
+            decider = make_algorithm(lead.algorithm, reliable=lead.reliable)
+        except Exception:
+            decider = None
+        kernel = hasattr(decider, "decide_batch") and not (
+            isinstance(decider, ProbabilisticThreshold)
+            and lead.collision_model == "2+"
+        )
+    return cells <= (INLINE_KERNEL_CELLS if kernel else INLINE_SCALAR_CELLS)
 
 
 def execute_group(

@@ -4,8 +4,15 @@ Admitted requests land in a single FIFO queue.  Worker coroutines pull
 the oldest request, then sweep the rest of the queue for every other
 request with the same :attr:`~repro.serve.request.QueryRequest.coalesce_key`
 (up to ``max_batch_runs`` total trials) and execute the whole group in
-one :func:`repro.serve.executor.execute_group` call on a thread-pool
-executor -- the event loop stays responsive while numpy crunches.
+one :func:`repro.serve.executor.execute_group` call.  A group within
+:func:`~repro.serve.executor.runs_inline`'s bound (measured to finish
+within a quarter of the default watchdog interval) runs on the
+event-loop thread, which then yields once so its
+answers go out and the sockets are read before the next claim; a
+bigger group runs on the executor's thread, so the loop and its
+watchdog stay responsive while numpy crunches.  Each route counts its
+groups (``serve.executor.inline`` / ``serve.executor.offloaded``; the
+two sum to ``serve.batches``).
 
 Because every request owns a private seed-rooted stream tree, this
 opportunistic coalescing is pure mechanical sympathy: batch composition
@@ -17,8 +24,9 @@ Resilience (DESIGN.md section 17) is layered on the same loop:
   expiry stamped at :meth:`BatchScheduler.submit`.  Expired entries are
   purged from the queue (``serve.expired.queued``) on every claim and
   on every watchdog tick, so a request queued behind a long group still
-  fails within one ``codel_interval_ms`` of its deadline; every claimed
-  member is re-checked immediately before the thread-pool hop
+  fails within one ``codel_interval_ms`` (plus at most one inline
+  group) of its deadline; every claimed member is re-checked
+  immediately before execution, on either route
   (``serve.expired.executing``).  Either way the request's future fails
   with :class:`~repro.serve.errors.DeadlineExceeded` and the front end
   renders a 504-style frame.
@@ -65,7 +73,7 @@ from typing import Callable, Deque, List, Optional
 from repro.obs import get_registry
 from repro.serve.config import ServeConfig
 from repro.serve.errors import CodelShed, DeadlineExceeded, QueryExecutionError
-from repro.serve.executor import QueryOutcome, execute_group
+from repro.serve.executor import QueryOutcome, execute_group, runs_inline
 from repro.serve.request import QueryRequest
 
 _OBS = get_registry()
@@ -75,6 +83,8 @@ _EXPIRED_QUEUED = _OBS.counter("serve.expired.queued")
 _EXPIRED_EXECUTING = _OBS.counter("serve.expired.executing")
 _WORKER_RESTARTS = _OBS.counter("serve.worker_restarts")
 _REJ_CODEL = _OBS.counter("serve.rejected.codel")
+_INLINE = _OBS.counter("serve.executor.inline")
+_OFFLOADED = _OBS.counter("serve.executor.offloaded")
 _LATENCY_MS = _OBS.histogram(
     "serve.latency_ms",
     edges=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0),
@@ -123,10 +133,13 @@ class BatchScheduler:
 
     Args:
         max_batch_runs: Cap on total trials per coalesced group.
-        workers: Concurrent executor lanes (each drives one group at a
-            time); also sizes the underlying thread pool.  With the one
-            default lane, groups run back to back and each claim takes
-            everything that queued behind the previous group.
+        workers: Executor lanes (each drives one group at a time);
+            also sizes the underlying thread pool.  With the one default
+            lane, groups run back to back and each claim takes
+            everything that queued behind the previous group.  Groups
+            within the inline bound run on the event-loop thread, one at
+            a time whatever ``workers`` is; only bigger groups run
+            concurrently, on the pool's threads.
         vectorize: Allow the vectorized kernel (``False`` forces the
             scalar oracle everywhere -- tests, benchmarks).
         clock: Monotonic time source for deadlines and queue waits
@@ -405,8 +418,8 @@ class BatchScheduler:
             group = self._claim_group()
             if not group:
                 continue
-            # Deadline re-check at the thread-pool hop, the last point
-            # at which shedding is still cheap.
+            # Deadline re-check just before execution, the last point at
+            # which shedding is still cheap.
             now = self._clock()
             live: List[_Item] = []
             for item in group:
@@ -417,13 +430,18 @@ class BatchScheduler:
             if not live:
                 continue
             requests = [item.request for item in live]
-            assert self._pool is not None
             try:
-                outcomes = await loop.run_in_executor(
-                    self._pool,
-                    self._execute,
-                    requests,
-                )
+                if runs_inline(requests, vectorize=self.vectorize):
+                    _INLINE.inc()
+                    outcomes = self._execute(requests)
+                else:
+                    _OFFLOADED.inc()
+                    assert self._pool is not None
+                    outcomes = await loop.run_in_executor(
+                        self._pool,
+                        self._execute,
+                        requests,
+                    )
             except Exception as exc:
                 raise _GroupFailure(live, exc) from exc
             now = self._clock()
@@ -432,9 +450,13 @@ class BatchScheduler:
                 _LATENCY_MS.observe((now - item.submitted) * 1e3)
                 if not item.future.done():
                     item.future.set_result(outcome)
+            # An inline group held the loop: let the answers be written
+            # and the sockets read before the next claim.
+            await asyncio.sleep(0)
 
     def _execute(self, requests: List[QueryRequest]) -> List[QueryOutcome]:
-        """Thread-pool entry: run one coalesced group to completion."""
+        """Run one coalesced group to completion (on the loop's thread or
+        the pool's, as :meth:`_work` routes it)."""
         return execute_group(requests, vectorize=self.vectorize)
 
     # -- watchdog ----------------------------------------------------------

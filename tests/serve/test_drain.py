@@ -103,6 +103,7 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
         assert rc == 0
         answered = [r for rid, r in replies.items() if rid != "fence"]
         assert len(answered) == WINDOW
@@ -136,6 +137,7 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
         assert rc == 0
 
     def test_open_idle_connection_exits_without_traceback(self):

@@ -11,7 +11,12 @@ from repro.api import make_algorithm, threshold_query_batch
 from repro.group_testing import ModelSpec, Population
 from repro.obs import enable_metrics, get_registry
 from repro.serve.errors import QueryExecutionError
-from repro.serve.executor import execute_group
+from repro.serve.executor import (
+    INLINE_KERNEL_CELLS,
+    INLINE_SCALAR_CELLS,
+    execute_group,
+    runs_inline,
+)
 from repro.serve.request import MAX_RUNS_PER_REQUEST, QueryRequest
 
 
@@ -365,6 +370,68 @@ class TestPathCounters:
     def test_scalar_group_moves_only_batches(self, overrides):
         requests = [_request(f"q{i}", seed=i, **overrides) for i in range(3)]
         assert self._counters(requests) == (1, 0, 0)
+
+
+def _group_of(cells, *, n=64, **overrides):
+    """Requests of at most 16 runs each, ``cells // n`` runs in total."""
+    runs, requests = cells // n, []
+    while runs > 0:
+        take = min(16, runs)
+        requests.append(
+            _request(f"q{len(requests)}", seed=len(requests), runs=take, n=n,
+                     **overrides)
+        )
+        runs -= take
+    return requests
+
+
+class TestInlineBound:
+    """``runs_inline`` compares a group's cells with its path's bound."""
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_kernel_bound(self, n):
+        assert runs_inline(_group_of(INLINE_KERNEL_CELLS, n=n), vectorize=True)
+        over = _group_of(INLINE_KERNEL_CELLS + n, n=n)
+        assert not runs_inline(over, vectorize=True)
+
+    @pytest.mark.parametrize(
+        "overrides, vectorize",
+        [({}, False), ({"algorithm": "abns"}, True), ({"reliable": "krepeat"}, True)],
+        ids=["kernel-off", "abns", "2tbins+krepeat"],
+    )
+    def test_scalar_bound(self, overrides, vectorize):
+        at = _group_of(INLINE_SCALAR_CELLS, **overrides)
+        over = _group_of(INLINE_SCALAR_CELLS + 64, **overrides)
+        assert runs_inline(at, vectorize=vectorize)
+        assert not runs_inline(over, vectorize=vectorize)
+
+    def test_declined_prob_threshold_counts_as_scalar(self):
+        fields = {"n": 128, "x": 100, "threshold": 64, "algorithm": "prob-threshold"}
+        probes = _group_of(INLINE_KERNEL_CELLS, **fields)
+        assert runs_inline(probes, vectorize=True)
+        capture = _group_of(INLINE_SCALAR_CELLS + 128, collision_model="2+", **fields)
+        assert not runs_inline(capture, vectorize=True)
+        at = _group_of(INLINE_SCALAR_CELLS, collision_model="2+", **fields)
+        assert runs_inline(at, vectorize=True)
+
+    def test_unbuildable_decider_counts_as_scalar(self):
+        over = _group_of(INLINE_SCALAR_CELLS + 64, algorithm="nope")
+        assert not runs_inline(over, vectorize=True)
+
+    @pytest.mark.parametrize(
+        "algorithm", SERVABLE + ("2tbins+krepeat", "2tbins+chernoff")
+    )
+    @pytest.mark.parametrize("collision_model", ["1+", "2+"])
+    def test_path_matches_execute_group(self, algorithm, collision_model):
+        """Between the two bounds only a kernel group runs inline, so the
+        predicate's path is the one execute_group takes."""
+        name, _, reliable = algorithm.partition("+")
+        requests = _group_of(
+            INLINE_SCALAR_CELLS + 64, n=64, algorithm=name,
+            collision_model=collision_model, reliable=reliable or None,
+        )
+        outcomes = execute_group(requests)
+        assert runs_inline(requests, vectorize=True) == outcomes[0].batched
 
 
 class TestScalarDegradation:

@@ -19,7 +19,7 @@ from repro.serve.client import (
     ServeClient,
 )
 from repro.serve.errors import CodelShed, DeadlineExceeded, QueryExecutionError
-from repro.serve.executor import execute_group
+from repro.serve.executor import INLINE_KERNEL_CELLS, execute_group
 from repro.serve.request import QueryRequest, RequestError
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.server import ServeConfig, serve_in_thread
@@ -52,6 +52,11 @@ def _query(rid: str, *, seed: int = 0, runs: int = 2, **overrides) -> dict:
     }
     payload.update(overrides)
     return payload
+
+
+#: Runs that put one n = 64 kernel request above the inline bound, so
+#: its group runs on the executor thread and leaves the loop free.
+_OFFLOADED_RUNS = INLINE_KERNEL_CELLS // 64 + 1
 
 
 class _FakeClock:
@@ -163,9 +168,9 @@ class TestDeadlineScheduler:
         assert reg.snapshot().counter("serve.expired.executing") == 1
 
     def test_queued_request_expires_while_the_lane_is_busy(self, monkeypatch):
-        # The one lane holds a group inside _execute; a request queued
-        # behind it gets its 504 on the next watchdog tick, not when the
-        # lane next claims.
+        # The one lane holds a group above the inline bound inside
+        # _execute; a request queued behind it gets its 504 on the next
+        # watchdog tick, not when the lane next claims.
         enable_metrics()
         reg = get_registry()
         clock = _FakeClock()
@@ -183,7 +188,7 @@ class TestDeadlineScheduler:
         async def scenario():
             scheduler = BatchScheduler(workers=1, clock=clock, codel_interval_ms=10.0)
             scheduler.start()
-            busy = scheduler.submit(_request("busy"))
+            busy = scheduler.submit(_request("busy", runs=_OFFLOADED_RUNS))
             while not entered.is_set():
                 await asyncio.sleep(0.001)
             late = scheduler.submit(
@@ -204,7 +209,9 @@ class TestDeadlineScheduler:
         assert exc.stage == "queued"
         assert held_throughout
         assert reg.snapshot().counter("serve.expired.queued") == 1
-        [expected] = execute_group([_request("busy")], vectorize=False)
+        [expected] = execute_group(
+            [_request("busy", runs=_OFFLOADED_RUNS)], vectorize=False
+        )
         assert outcome.decisions == expected.decisions
 
     def test_expired_entry_does_not_poison_siblings(self):

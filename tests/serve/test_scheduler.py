@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 import time
 
@@ -10,6 +12,11 @@ import pytest
 
 from repro.obs import enable_metrics, get_registry
 from repro.serve.client import ServeClient
+from repro.serve.executor import (
+    INLINE_KERNEL_CELLS,
+    INLINE_SCALAR_CELLS,
+    execute_group,
+)
 from repro.serve.request import QueryRequest
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.server import ServeConfig, serve_in_thread
@@ -27,6 +34,11 @@ def _request(rid: str, *, seed: int = 0, runs: int = 2, **overrides) -> QueryReq
     }
     fields.update(overrides)
     return QueryRequest(**fields)
+
+
+#: Runs that put one n = 64 kernel request above the inline bound, so
+#: its group runs on the executor thread and leaves the loop free.
+_OFFLOADED_RUNS = INLINE_KERNEL_CELLS // 64 + 1
 
 
 def _run(coro):
@@ -274,7 +286,9 @@ class TestDefaultLane:
         async def scenario():
             scheduler = BatchScheduler()
             scheduler.start()
-            futures = [scheduler.submit(_request("lead", seed=99))]
+            futures = [
+                scheduler.submit(_request("lead", seed=99, runs=_OFFLOADED_RUNS))
+            ]
             assert await asyncio.to_thread(lanes.started.wait, 10.0)
             for i in range(5):
                 futures.append(scheduler.submit(_request(f"b{i}", seed=i)))
@@ -288,3 +302,109 @@ class TestDefaultLane:
         outcomes = _run(scenario())
         assert lanes.groups == [["lead"], [f"b{i}" for i in range(5)]]
         assert all(o.batched for o in outcomes[1:])
+
+
+class TestInlineRoute:
+    """A group within the inline bound runs on the event-loop thread, a
+    bigger one on the executor thread; both give the oracle's answers."""
+
+    @pytest.mark.parametrize(
+        "cells, overrides, vectorize",
+        [
+            (INLINE_KERNEL_CELLS, {}, True),
+            (INLINE_SCALAR_CELLS, {"algorithm": "abns"}, True),
+            (INLINE_SCALAR_CELLS, {}, False),
+        ],
+        ids=["kernel", "abns", "kernel-off"],
+    )
+    def test_route_follows_the_bound(self, monkeypatch, cells, overrides, vectorize):
+        enable_metrics()
+        threads = {}
+        real = BatchScheduler._execute
+
+        def execute(scheduler, requests):
+            threads[requests[0].id] = threading.current_thread()
+            return real(scheduler, requests)
+
+        monkeypatch.setattr(BatchScheduler, "_execute", execute)
+
+        async def scenario():
+            scheduler = BatchScheduler(vectorize=vectorize)
+            scheduler.start()
+            await scheduler.submit(_request("at", runs=cells // 64, **overrides))
+            await scheduler.submit(
+                _request("over", seed=1, runs=cells // 64 + 1, **overrides)
+            )
+            await scheduler.drain()
+            return threading.current_thread()
+
+        loop_thread = _run(scenario())
+        assert threads["at"] is loop_thread
+        assert threads["over"].name.startswith("serve-exec")
+        snap = get_registry().snapshot()
+        assert snap.counter("serve.executor.inline") == 1
+        assert snap.counter("serve.executor.offloaded") == 1
+        assert snap.counter("serve.batches") == 2
+
+    def test_inline_and_offloaded_answers_equal_the_scalar_oracle(self):
+        enable_metrics()
+        kernel_over = INLINE_KERNEL_CELLS // 64 // 2 + 1
+        scalar_over = INLINE_SCALAR_CELLS // 64 // 2 + 1
+        # One group per coalesce key: kernel and scalar, each within and
+        # above its bound.
+        requests = (
+            [_request(f"k{i}", seed=i, runs=4) for i in range(4)]
+            + [_request(f"K{i}", seed=10 + i, runs=kernel_over, threshold=9)
+               for i in range(2)]
+            + [_request(f"s{i}", seed=20 + i, runs=3, algorithm="abns")
+               for i in range(3)]
+            + [_request(f"S{i}", seed=30 + i, runs=scalar_over, threshold=9,
+                        algorithm="abns") for i in range(2)]
+        )
+
+        async def scenario():
+            scheduler = BatchScheduler()
+            futures = [scheduler.submit(r) for r in requests]
+            scheduler.start()
+            outcomes = await asyncio.gather(*futures)
+            await scheduler.drain()
+            return outcomes
+
+        outcomes = _run(scenario())
+        snap = get_registry().snapshot()
+        assert snap.counter("serve.executor.inline") == 2
+        assert snap.counter("serve.executor.offloaded") == 2
+        assert snap.counter("serve.batches") == 4
+        for request, outcome in zip(requests, outcomes):
+            [expected] = execute_group([request], vectorize=False)
+            assert outcome.decisions == expected.decisions
+            assert outcome.queries == expected.queries
+
+    def test_ping_is_answered_between_queued_inline_groups(self):
+        # 60 single-request groups (one threshold each) arrive in one
+        # write, so all of them queue before the first runs.  The loop
+        # yields after every inline group, so a ping sent once the first
+        # answer is back is read and answered before the last.
+        lines = b"".join(
+            json.dumps(
+                {"op": "query", "id": f"q{i}", "tenant": "t", "n": 64, "x": 20,
+                 "threshold": 1 + i, "runs": 16, "seed": i}
+            ).encode() + b"\n"
+            for i in range(60)
+        )
+        with serve_in_thread(ServeConfig()) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(lines)
+                order = [json.loads(replies.readline())["id"]]
+                sock.sendall(b'{"op": "ping", "id": "ping"}\n')
+                while len(order) <= 60:
+                    order.append(json.loads(replies.readline())["id"])
+                sock.sendall(b'{"op": "metrics", "id": "m"}\n')
+                counters = json.loads(replies.readline())["metrics"]["counters"]
+                replies.close()
+        assert sorted(order) == sorted([f"q{i}" for i in range(60)] + ["ping"])
+        assert order[-1] != "ping"
+        assert counters["serve.batches"] == 60
+        assert counters["serve.executor.inline"] == 60
+        assert counters.get("serve.executor.offloaded", 0) == 0
