@@ -23,7 +23,7 @@ The pipeline, front to back:
 * :mod:`repro.serve.server` -- the newline-JSON-over-TCP front end with
   graceful SIGTERM/SIGINT drain and a live ``metrics`` endpoint.
 * :mod:`repro.serve.config` -- :class:`~repro.serve.config.ServeConfig`,
-  the one source of every service default.
+  the one source of every service setting, range-checked once.
 * :mod:`repro.serve.errors` -- the typed failure hierarchy
   (:class:`~repro.serve.errors.ServeError`) the front end renders into
   wire frames mechanically.
@@ -38,7 +38,7 @@ See DESIGN.md sections 16 (service) and 17 (resilience) for the
 design rationale.
 """
 
-from repro.serve.admission import AdmissionController, AdmissionPolicy, TokenBucket
+from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.chaos import ChaosHandle, ChaosProxy, ChaosSpec, chaos_in_thread
 from repro.serve.client import (
     CircuitOpenError,
@@ -61,7 +61,6 @@ from repro.serve.server import ServiceHandle, ThresholdQueryService, serve_in_th
 
 __all__ = [
     "AdmissionController",
-    "AdmissionPolicy",
     "BatchScheduler",
     "ChaosHandle",
     "ChaosProxy",

@@ -24,7 +24,6 @@ are safe.  The clock is injectable for deterministic tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.obs import get_registry
@@ -83,49 +82,22 @@ class TokenBucket:
         return False
 
 
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Declarative admission configuration (defaults are
-    :class:`~repro.serve.config.ServeConfig`'s).
-
-    Attributes:
-        max_pending: Global cap on admitted-but-unfinished requests.
-        tenant_rate: Sustained per-tenant requests/second; ``0`` disables
-            rate limiting entirely.
-        tenant_burst: Per-tenant burst capacity.
-    """
-
-    max_pending: int = ServeConfig.max_pending
-    tenant_rate: float = ServeConfig.tenant_rate
-    tenant_burst: float = ServeConfig.tenant_burst
-
-    def __post_init__(self) -> None:
-        """Reject nonsensical configurations eagerly."""
-        if self.max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.tenant_rate < 0:
-            raise ValueError(f"tenant_rate must be >= 0, got {self.tenant_rate}")
-        if self.tenant_rate > 0 and self.tenant_burst < 1:
-            raise ValueError(
-                f"tenant_burst must be >= 1, got {self.tenant_burst}"
-            )
-
-
 class AdmissionController:
-    """Applies an :class:`AdmissionPolicy` to incoming requests.
+    """Applies a config's admission settings to incoming requests.
 
     Args:
-        policy: The admission configuration.
+        config: The service configuration; admission reads its
+            ``max_pending``, ``tenant_rate`` and ``tenant_burst``.
         clock: Monotonic time source shared by all tenant buckets.
     """
 
     def __init__(
         self,
-        policy: AdmissionPolicy,
+        config: ServeConfig,
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.policy = policy
+        self.config = config
         self._clock = clock
         self._buckets: Dict[str, TokenBucket] = {}
         self._pending = 0
@@ -149,8 +121,8 @@ class AdmissionController:
         bucket = self._buckets.get(tenant)
         if bucket is None:
             bucket = TokenBucket(
-                self.policy.tenant_rate,
-                self.policy.tenant_burst,
+                self.config.tenant_rate,
+                self.config.tenant_burst,
                 clock=self._clock,
             )
             self._buckets[tenant] = bucket
@@ -174,12 +146,12 @@ class AdmissionController:
         if request.deadline_ms is not None and request.deadline_ms <= 0:
             _REJ_DEADLINE.inc()
             return REASON_DEADLINE
-        if self.policy.tenant_rate > 0 and not self._bucket(
+        if self.config.tenant_rate > 0 and not self._bucket(
             request.tenant
         ).try_acquire():
             _REJ_RATE.inc()
             return REASON_RATE_LIMITED
-        if self._pending >= self.policy.max_pending:
+        if self._pending >= self.config.max_pending:
             _REJ_FULL.inc()
             return REASON_QUEUE_FULL
         self._pending += 1

@@ -8,7 +8,9 @@ Three subcommands::
 
 ``run`` starts the daemon and blocks until SIGTERM/SIGINT, then drains
 gracefully (in-flight queries finish, responses flush) and exits 0; a
-Ctrl-C during startup exits 130.  ``query`` and ``metrics`` are thin
+Ctrl-C during startup exits 130, and a flag out of
+:class:`~repro.serve.config.ServeConfig`'s range exits 2 with a one-line
+usage error.  ``query`` and ``metrics`` are thin
 :class:`~repro.serve.client.ServeClient` one-shots for smoke tests and
 operations.
 """
@@ -142,14 +144,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    """Start the daemon and block until a drained shutdown."""
+def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Start the daemon and block until a drained shutdown.
+
+    A flag out of the config's range is a usage error: ``parser.error``
+    prints it on one line and exits 2.
+    """
     # Every run option's dest is a ServeConfig field.
-    config = ServeConfig(**{
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(ServeConfig)
-        if hasattr(args, f.name)
-    })
+    try:
+        config = ServeConfig(**{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(ServeConfig)
+            if hasattr(args, f.name)
+        })
+    except ValueError as exc:
+        parser.error(str(exc))
     return asyncio.run(ThresholdQueryService(config).run())
 
 
@@ -187,9 +196,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _main(argv: Optional[Sequence[str]]) -> int:
     """Dispatch one parsed command."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     if args.command == "query":
         return _cmd_query(args)
     return _cmd_metrics(args)

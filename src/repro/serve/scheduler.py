@@ -1,16 +1,16 @@
 """The batching scheduler: coalesce compatible queries into shared rounds.
 
-Admitted requests land in a single FIFO queue.  Worker coroutines pull
+Admitted requests land in a single FIFO queue.  Lane coroutines pull
 the oldest request, then sweep the rest of the queue for every other
 request with the same :attr:`~repro.serve.request.QueryRequest.coalesce_key`
-(up to ``max_batch_runs`` total trials) and execute the whole group in
-one :func:`repro.serve.executor.execute_group` call.  A group within
-:func:`~repro.serve.executor.runs_inline`'s bound (measured to finish
-within a quarter of the default watchdog interval) runs on the
-event-loop thread, which then yields once so its
-answers go out and the sockets are read before the next claim; a
-bigger group runs on the executor's thread, so the loop and its
-watchdog stay responsive while numpy crunches.  Each route counts its
+(up to the config's ``max_batch_runs`` total trials) and execute the
+whole group in one :func:`repro.serve.executor.execute_group` call.  A
+group within :func:`~repro.serve.executor.runs_inline`'s bound
+(measured to finish within a quarter of the default watchdog interval)
+runs on the event-loop thread, which then yields once so its answers
+go out and the sockets are read before the next claim; a bigger group
+runs on the executor's thread, so the loop and its watchdog stay
+responsive while numpy crunches.  Each route counts its
 groups (``serve.executor.inline`` / ``serve.executor.offloaded``; the
 two sum to ``serve.batches``).
 
@@ -30,13 +30,11 @@ Resilience (DESIGN.md section 17) is layered on the same loop:
   (``serve.expired.executing``).  Either way the request's future fails
   with :class:`~repro.serve.errors.DeadlineExceeded` and the front end
   renders a 504-style frame.
-* **Supervision.**  Worker coroutines are supervised: an unexpected
-  exception escaping a worker fails only the group it had claimed
-  (each member's future gets a
+* **Failed groups.**  A lane whose group raises fails that group's
+  members itself and keeps claiming: each member's future gets a
   :class:`~repro.serve.errors.QueryExecutionError` naming the failing
-  request, counted per member on ``serve.failed``), increments
-  ``serve.worker_restarts``, and the worker is respawned.  A wedged or
-  crashing executor therefore costs one group, never the daemon.
+  request, counted per member on ``serve.failed``.  A crashing
+  executor therefore costs one group, never a lane or the daemon.
 * **Watchdog.**  A periodic coroutine wakes every
   ``codel_interval_ms``, purges expired entries and, with CoDel on
   (``codel_target_ms > 0``), samples the queue-wait distribution: when
@@ -48,10 +46,10 @@ Resilience (DESIGN.md section 17) is layered on the same loop:
   the wire, counted on ``serve.rejected.codel``) until the median wait
   is back under target.
 
-Lifecycle: :meth:`BatchScheduler.start` spawns the workers (tests may
+Lifecycle: :meth:`BatchScheduler.start` creates the lanes (tests may
 enqueue first and start later to force specific coalescing),
 :meth:`BatchScheduler.submit` returns a future per request, and
-:meth:`BatchScheduler.drain` finishes queued work and stops the workers.
+:meth:`BatchScheduler.drain` finishes queued work and stops the lanes.
 Latency from submit to completion is observed per request in the
 ``serve.latency_ms`` histogram; queue waits land in
 ``serve.queue_wait_ms``; batch sizes land in ``serve.batch.runs``.
@@ -81,7 +79,6 @@ _COMPLETED = _OBS.counter("serve.completed")
 _FAILED = _OBS.counter("serve.failed")
 _EXPIRED_QUEUED = _OBS.counter("serve.expired.queued")
 _EXPIRED_EXECUTING = _OBS.counter("serve.expired.executing")
-_WORKER_RESTARTS = _OBS.counter("serve.worker_restarts")
 _REJ_CODEL = _OBS.counter("serve.rejected.codel")
 _INLINE = _OBS.counter("serve.executor.inline")
 _OFFLOADED = _OBS.counter("serve.executor.offloaded")
@@ -113,109 +110,75 @@ class _Item:
     expires: Optional[float]
 
 
-class _GroupFailure(Exception):
-    """Internal: a claimed group's execution raised ``cause``.
-
-    Carries the group so the supervisor can fail exactly its members;
-    never escapes the scheduler.
-    """
-
-    def __init__(self, group: List[_Item], cause: BaseException) -> None:
-        super().__init__(repr(cause))
-        self.group = group
-        self.cause = cause
-
-
 class BatchScheduler:
     """Coalesces and executes admitted requests (see module docstring).
 
-    Defaults are :class:`~repro.serve.config.ServeConfig`'s.
+    It reads these :class:`~repro.serve.config.ServeConfig` fields:
+
+    * ``workers`` -- executor lanes, each driving one group at a time;
+      also the size of the lanes' thread pool.  With the one default
+      lane, groups run back to back and each claim takes everything
+      that queued behind the previous group.  Groups within the inline
+      bound run on the event-loop thread, one at a time whatever
+      ``workers`` is; only bigger groups run concurrently, on the
+      pool's threads.
+    * ``max_batch_runs`` -- cap on total trials per coalesced group.
+    * ``vectorize`` -- allow the vectorized kernel (``False`` forces the
+      scalar oracle everywhere -- tests, benchmarks).
+    * ``codel_target_ms`` -- queue-wait p50 above which the watchdog
+      sheds from the front of the queue; ``0`` disables the shedding
+      (the watchdog still purges expired requests).
+    * ``codel_interval_ms`` -- the watchdog period.
 
     Args:
-        max_batch_runs: Cap on total trials per coalesced group.
-        workers: Executor lanes (each drives one group at a time);
-            also sizes the underlying thread pool.  With the one default
-            lane, groups run back to back and each claim takes
-            everything that queued behind the previous group.  Groups
-            within the inline bound run on the event-loop thread, one at
-            a time whatever ``workers`` is; only bigger groups run
-            concurrently, on the pool's threads.
-        vectorize: Allow the vectorized kernel (``False`` forces the
-            scalar oracle everywhere -- tests, benchmarks).
+        config: The service configuration.
         clock: Monotonic time source for deadlines and queue waits
             (injected by tests; the default is the host clock).
-        codel_target_ms: Queue-wait p50 above which the watchdog sheds
-            from the front of the queue.  ``0`` disables the shedding
-            (the watchdog still purges expired requests).
-        codel_interval_ms: Watchdog period.
     """
 
     def __init__(
         self,
+        config: ServeConfig,
         *,
-        max_batch_runs: int = ServeConfig.max_batch_runs,
-        workers: int = ServeConfig.workers,
-        vectorize: bool = ServeConfig.vectorize,
         clock: Callable[[], float] = time.monotonic,
-        codel_target_ms: float = ServeConfig.codel_target_ms,
-        codel_interval_ms: float = ServeConfig.codel_interval_ms,
     ) -> None:
-        if max_batch_runs < 1:
-            raise ValueError(f"max_batch_runs must be >= 1, got {max_batch_runs}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if codel_target_ms < 0:
-            raise ValueError(
-                f"codel_target_ms must be >= 0, got {codel_target_ms}"
-            )
-        if codel_interval_ms <= 0:
-            raise ValueError(
-                f"codel_interval_ms must be > 0, got {codel_interval_ms}"
-            )
-        self.max_batch_runs = max_batch_runs
-        self.vectorize = vectorize
-        self.codel_target_ms = codel_target_ms
-        self.codel_interval_ms = codel_interval_ms
+        self.config = config
         self._clock = clock
         self._queue: Deque[_Item] = deque()
         self._wakeup = asyncio.Event()
-        self._workers: List["asyncio.Task[None]"] = []
+        self._lanes: List["asyncio.Task[None]"] = []
         self._watchdog: Optional["asyncio.Task[None]"] = None
-        self._worker_count = workers
-        self._worker_serial = 0
         self._pool: Optional[ThreadPoolExecutor] = None
         self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the (supervised) workers on the running event loop."""
-        if self._workers:
+        """Create the lanes and the watchdog on the running event loop."""
+        if self._lanes:
             raise RuntimeError("scheduler already started")
         self._stopping = False
         self._pool = ThreadPoolExecutor(
-            max_workers=self._worker_count,
+            max_workers=self.config.workers,
             thread_name_prefix="serve-exec",
         )
-        for _ in range(self._worker_count):
-            self._spawn_worker()
-        self._watchdog = asyncio.get_running_loop().create_task(
-            self._watch(), name="serve-watchdog"
-        )
+        loop = asyncio.get_running_loop()
+        self._lanes = [
+            loop.create_task(self._work(), name=f"serve-lane-{i}")
+            for i in range(self.config.workers)
+        ]
+        self._watchdog = loop.create_task(self._watch(), name="serve-watchdog")
 
     async def drain(self) -> None:
-        """Finish all queued work, then stop the workers.
+        """Finish all queued work, then stop the lanes.
 
         Safe to call more than once.  New :meth:`submit` calls after the
         drain began fail fast (admission should already shed them).
         """
         self._stopping = True
         self._wakeup.set()
-        # Workers may respawn while failing groups mid-drain; gather
-        # until the supervised set is empty (respawns stop once
-        # _stopping is set).
-        while self._workers:
-            await asyncio.gather(*tuple(self._workers), return_exceptions=True)
+        await asyncio.gather(*self._lanes, return_exceptions=True)
+        self._lanes = []
         if self._watchdog is not None:
             self._watchdog.cancel()
             try:
@@ -252,7 +215,7 @@ class BatchScheduler:
 
     @property
     def backlog(self) -> int:
-        """Requests enqueued but not yet claimed by a worker."""
+        """Requests enqueued but not yet claimed by a lane."""
         return len(self._queue)
 
     # -- deadline / shed plumbing ------------------------------------------
@@ -282,11 +245,12 @@ class BatchScheduler:
                 CodelShed(
                     f"request {item.request.id!r} shed after "
                     f"{(self._clock() - item.submitted) * 1e3:.0f}ms queued "
-                    f"(queue-wait p50 over {self.codel_target_ms:.0f}ms target)"
+                    f"(queue-wait p50 over {self.config.codel_target_ms:.0f}ms "
+                    "target)"
                 )
             )
 
-    # -- workers -----------------------------------------------------------
+    # -- lanes -------------------------------------------------------------
 
     def _purge_expired(self, now: float) -> None:
         """Fail every queued item whose deadline has passed by ``now``
@@ -314,7 +278,7 @@ class BatchScheduler:
         lead = self._queue.popleft()
         _QUEUE_WAIT_MS.observe((now - lead.submitted) * 1e3)
         group = [lead]
-        budget = self.max_batch_runs - lead.request.runs
+        budget = self.config.max_batch_runs - lead.request.runs
         keep: List[_Item] = []
         while self._queue:
             item = self._queue.popleft()
@@ -330,80 +294,42 @@ class BatchScheduler:
         self._queue.extend(keep)
         return group
 
-    def _spawn_worker(self) -> None:
-        """Create one supervised worker task."""
-        serial = self._worker_serial
-        self._worker_serial += 1
-        task = asyncio.get_running_loop().create_task(
-            self._work(), name=f"serve-worker-{serial}"
-        )
-        self._workers.append(task)
-        task.add_done_callback(self._on_worker_done)
+    def _fail_group(self, group: List[_Item], cause: Exception) -> None:
+        """Fail every member of a group whose execution raised ``cause``.
 
-    def _on_worker_done(self, task: "asyncio.Task[None]") -> None:
-        """Supervisor: fail the dead worker's group, respawn the lane.
-
-        A clean return (drain) or cancellation removes the lane.  Any
-        exception means the lane died mid-work: if it carried a claimed
-        group (:class:`_GroupFailure`) every member's future is failed
-        with a :class:`QueryExecutionError` naming the failing request,
-        ``serve.failed`` counts each member, ``serve.worker_restarts``
-        counts the lane, and -- unless the scheduler is draining -- a
-        fresh worker takes its place.
+        A :class:`QueryExecutionError` names its culprit, which gets
+        that error itself; every other member gets a
+        :class:`QueryExecutionError` of its own naming the culprit (or
+        "a coalesced sibling" when the cause names none).
+        ``serve.failed`` counts each member.
         """
-        try:
-            self._workers.remove(task)
-        except ValueError:  # pragma: no cover - defensive; never spawned twice
-            pass
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is None:
-            return
-        if isinstance(exc, _GroupFailure):
-            cause = exc.cause
-            failing_id = (
-                cause.request_id
-                if isinstance(cause, QueryExecutionError)
-                else None
-            )
-            for item in exc.group:
-                _FAILED.inc()
-                if item.future.done():
-                    continue
-                if (
-                    isinstance(cause, QueryExecutionError)
-                    and failing_id == item.request.id
-                ):
-                    item.future.set_exception(cause)
-                else:
-                    blame = (
-                        f"request {failing_id!r}"
-                        if failing_id is not None
-                        else "a coalesced sibling"
+        culprit = (
+            cause.request_id if isinstance(cause, QueryExecutionError) else None
+        )
+        blame = (
+            f"request {culprit!r}" if culprit is not None else "a coalesced sibling"
+        )
+        for item in group:
+            _FAILED.inc()
+            if item.future.done():
+                continue
+            if culprit is not None and culprit == item.request.id:
+                item.future.set_exception(cause)
+            else:
+                item.future.set_exception(
+                    QueryExecutionError(
+                        f"request {item.request.id!r} failed because "
+                        f"{blame} raised in its group of {len(group)}: "
+                        f"{cause!r}",
+                        request_id=item.request.id,
                     )
-                    item.future.set_exception(
-                        QueryExecutionError(
-                            f"request {item.request.id!r} failed because "
-                            f"{blame} raised in its group of "
-                            f"{len(exc.group)}: {cause!r}",
-                            request_id=item.request.id,
-                        )
-                    )
-        _WORKER_RESTARTS.inc()
-        if not self._stopping:
-            self._spawn_worker()
-        else:
-            # Keep the drain loop honest: a lane dying mid-drain still
-            # wakes any gatherer waiting on the old task set.
-            self._wakeup.set()
+                )
 
     async def _work(self) -> None:
-        """One worker lane: claim a group, execute it, deliver answers.
+        """One lane: claim a group, execute it, deliver its answers.
 
-        Exceptions escaping this coroutine are the supervisor's problem
-        (:meth:`_on_worker_done`): execution failures are wrapped in
-        :class:`_GroupFailure` so only the claimed group pays for them.
+        A group whose execution raises is failed here
+        (:meth:`_fail_group`) and the lane goes on claiming.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -431,7 +357,7 @@ class BatchScheduler:
                 continue
             requests = [item.request for item in live]
             try:
-                if runs_inline(requests, vectorize=self.vectorize):
+                if runs_inline(requests, vectorize=self.config.vectorize):
                     _INLINE.inc()
                     outcomes = self._execute(requests)
                 else:
@@ -443,13 +369,14 @@ class BatchScheduler:
                         requests,
                     )
             except Exception as exc:
-                raise _GroupFailure(live, exc) from exc
-            now = self._clock()
-            for item, outcome in zip(live, outcomes):
-                _COMPLETED.inc()
-                _LATENCY_MS.observe((now - item.submitted) * 1e3)
-                if not item.future.done():
-                    item.future.set_result(outcome)
+                self._fail_group(live, exc)
+            else:
+                now = self._clock()
+                for item, outcome in zip(live, outcomes):
+                    _COMPLETED.inc()
+                    _LATENCY_MS.observe((now - item.submitted) * 1e3)
+                    if not item.future.done():
+                        item.future.set_result(outcome)
             # An inline group held the loop: let the answers be written
             # and the sockets read before the next claim.
             await asyncio.sleep(0)
@@ -457,42 +384,41 @@ class BatchScheduler:
     def _execute(self, requests: List[QueryRequest]) -> List[QueryOutcome]:
         """Run one coalesced group to completion (on the loop's thread or
         the pool's, as :meth:`_work` routes it)."""
-        return execute_group(requests, vectorize=self.vectorize)
+        return execute_group(requests, vectorize=self.config.vectorize)
 
     # -- watchdog ----------------------------------------------------------
 
     def _codel_tick(self) -> int:
         """One watchdog sample: shed from the front while p50 is over target.
 
+        The queue is in submit order (stamps come from a monotonic
+        clock; claims and purges keep the order), so waits fall from
+        front to back and the median wait -- the upper one of an even
+        count -- is the entry ``(len - 1) // 2`` from the front.
+        Dropping from the front sheds the oldest entries, the ones most
+        likely to miss their deadlines anyway, and moves that median.
+
         Returns:
             The number of requests shed this tick.
         """
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return 0
         now = self._clock()
-        waits = sorted((now - item.submitted) * 1e3 for item in self._queue)
-        if waits[len(waits) // 2] <= self.codel_target_ms:
-            return 0
+        target = self.config.codel_target_ms
         shed = 0
-        # Drop-from-front: the oldest entries carry the largest waits;
-        # shedding them is what actually moves the median.
-        while self._queue:
-            waits = sorted(
-                (now - item.submitted) * 1e3 for item in self._queue
-            )
-            if waits[len(waits) // 2] <= self.codel_target_ms:
-                break
-            self._shed_codel(self._queue.popleft())
+        while queue and (now - queue[(len(queue) - 1) // 2].submitted) * 1e3 > target:
+            self._shed_codel(queue.popleft())
             shed += 1
         return shed
 
     async def _watch(self) -> None:
         """The watchdog loop (see module docstring): each tick purges
         expired requests, then sheds by CoDel when it is on."""
-        interval = self.codel_interval_ms / 1e3
+        interval = self.config.codel_interval_ms / 1e3
         while not self._stopping:
             await asyncio.sleep(interval)
             if self._queue:
                 self._purge_expired(self._clock())
-            if self.codel_target_ms > 0:
+            if self.config.codel_target_ms > 0:
                 self._codel_tick()

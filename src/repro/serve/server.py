@@ -55,11 +55,7 @@ import signal
 from typing import Any, Dict, Optional, Set
 
 from repro.obs import enable_metrics, get_registry, snapshot_metrics
-from repro.serve.admission import (
-    REASON_DEADLINE,
-    AdmissionController,
-    AdmissionPolicy,
-)
+from repro.serve.admission import REASON_DEADLINE, AdmissionController
 from repro.serve.background import BackgroundLoop, close_connections, track_handler
 from repro.serve.config import ServeConfig
 from repro.serve.errors import ServeError
@@ -195,20 +191,8 @@ class ThresholdQueryService:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.admission = AdmissionController(
-            AdmissionPolicy(
-                max_pending=config.max_pending,
-                tenant_rate=config.tenant_rate,
-                tenant_burst=config.tenant_burst,
-            )
-        )
-        self.scheduler = BatchScheduler(
-            max_batch_runs=config.max_batch_runs,
-            workers=config.workers,
-            vectorize=config.vectorize,
-            codel_target_ms=config.codel_target_ms,
-            codel_interval_ms=config.codel_interval_ms,
-        )
+        self.admission = AdmissionController(config)
+        self.scheduler = BatchScheduler(config)
         self._server: Optional[asyncio.Server] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._inflight: Set["asyncio.Task[None]"] = set()
@@ -219,7 +203,7 @@ class ThresholdQueryService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the scheduler workers."""
+        """Bind the listener and start the scheduler's lanes."""
         if self.config.metrics:
             enable_metrics()
         self._stop_event = asyncio.Event()

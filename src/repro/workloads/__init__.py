@@ -5,12 +5,9 @@
 * :mod:`repro.workloads.scenarios` -- intrusion-detection scenario
   generation (sensing-disc detections plus false-positive noise) and the
   parameter sweeps the figure harness iterates over.
-* :mod:`repro.workloads.temporal` -- day-long deployment traces (Poisson
-  event arrivals over the bimodal model) for stream-processing tests.
 """
 
 from repro.workloads.bimodal import BimodalDraw, BimodalWorkload
-from repro.workloads.temporal import DeploymentTrace, TraceSample
 from repro.workloads.scenarios import (
     IntrusionScenario,
     IntrusionField,
@@ -20,8 +17,6 @@ from repro.workloads.scenarios import (
 __all__ = [
     "BimodalDraw",
     "BimodalWorkload",
-    "DeploymentTrace",
-    "TraceSample",
     "IntrusionField",
     "IntrusionScenario",
     "x_sweep",

@@ -10,9 +10,9 @@ from repro.serve.admission import (
     REASON_QUEUE_FULL,
     REASON_RATE_LIMITED,
     AdmissionController,
-    AdmissionPolicy,
     TokenBucket,
 )
+from repro.serve.config import ServeConfig
 from repro.serve.request import QueryRequest
 
 
@@ -58,7 +58,7 @@ class TestTokenBucket:
 
 class TestAdmissionController:
     def test_pending_cap_sheds_queue_full(self):
-        ctl = AdmissionController(AdmissionPolicy(max_pending=2))
+        ctl = AdmissionController(ServeConfig(max_pending=2))
         assert ctl.admit(_request()) is None
         assert ctl.admit(_request(rid="q2")) is None
         assert ctl.admit(_request(rid="q3")) == REASON_QUEUE_FULL
@@ -69,7 +69,7 @@ class TestAdmissionController:
     def test_per_tenant_rate_limit_is_isolated(self):
         clock = _Clock()
         ctl = AdmissionController(
-            AdmissionPolicy(max_pending=100, tenant_rate=1.0, tenant_burst=2.0),
+            ServeConfig(max_pending=100, tenant_rate=1.0, tenant_burst=2.0),
             clock=clock,
         )
         assert ctl.admit(_request("a")) is None
@@ -81,19 +81,19 @@ class TestAdmissionController:
         assert ctl.admit(_request("a")) is None
 
     def test_zero_rate_disables_rate_limiting(self):
-        ctl = AdmissionController(AdmissionPolicy(max_pending=1000))
+        ctl = AdmissionController(ServeConfig(max_pending=1000))
         assert all(
             ctl.admit(_request(rid=f"q{i}")) is None for i in range(500)
         )
 
     def test_draining_sheds_everything(self):
-        ctl = AdmissionController(AdmissionPolicy())
+        ctl = AdmissionController(ServeConfig())
         ctl.begin_drain()
         assert ctl.admit(_request()) == REASON_DRAINING
         assert ctl.pending == 0
 
     def test_release_without_admit_is_a_bug(self):
-        ctl = AdmissionController(AdmissionPolicy())
+        ctl = AdmissionController(ServeConfig())
         with pytest.raises(RuntimeError):
             ctl.release()
 
@@ -103,7 +103,7 @@ class TestAdmissionController:
         before_admitted = reg.snapshot().counter("serve.admitted")
         clock = _Clock()
         ctl = AdmissionController(
-            AdmissionPolicy(max_pending=1, tenant_rate=1.0, tenant_burst=1.0),
+            ServeConfig(max_pending=1, tenant_rate=1.0, tenant_burst=1.0),
             clock=clock,
         )
         assert ctl.admit(_request()) is None

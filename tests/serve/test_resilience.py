@@ -7,6 +7,7 @@ import threading
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.obs import enable_metrics, get_registry
@@ -131,7 +132,7 @@ class TestDeadlineScheduler:
         clock = _FakeClock()
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1, clock=clock)
+            scheduler = BatchScheduler(ServeConfig(workers=1), clock=clock)
             future = scheduler.submit(_request("q1", deadline_ms=10))
             clock.now = 1.0  # the 10ms budget is long gone
             scheduler.start()
@@ -155,7 +156,7 @@ class TestDeadlineScheduler:
         clock = _FakeClock(step=1.0)
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1, clock=clock)
+            scheduler = BatchScheduler(ServeConfig(workers=1), clock=clock)
             future = scheduler.submit(_request("q1", deadline_ms=1500))
             scheduler.start()
             with pytest.raises(DeadlineExceeded) as err:
@@ -186,7 +187,9 @@ class TestDeadlineScheduler:
         monkeypatch.setattr(BatchScheduler, "_execute", held)
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1, clock=clock, codel_interval_ms=10.0)
+            scheduler = BatchScheduler(
+                ServeConfig(workers=1, codel_interval_ms=10.0), clock=clock
+            )
             scheduler.start()
             busy = scheduler.submit(_request("busy", runs=_OFFLOADED_RUNS))
             while not entered.is_set():
@@ -219,7 +222,7 @@ class TestDeadlineScheduler:
         clock = _FakeClock()
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1, clock=clock)
+            scheduler = BatchScheduler(ServeConfig(workers=1), clock=clock)
             doomed = scheduler.submit(_request("dead", deadline_ms=10))
             alive = scheduler.submit(_request("live", seed=3))
             clock.now = 1.0
@@ -251,11 +254,11 @@ class TestSupervision:
         monkeypatch.setattr(scheduler_mod, "execute_group", flaky)
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1)
+            scheduler = BatchScheduler(ServeConfig(workers=1))
             scheduler.start()
             with pytest.raises(QueryExecutionError):
                 await scheduler.submit(_request("q1"))
-            # The lane died; its replacement must serve the next query.
+            # The lane that failed the group must serve the next query.
             outcome = await scheduler.submit(_request("q2", seed=5))
             await scheduler.drain()
             return outcome
@@ -263,7 +266,42 @@ class TestSupervision:
         outcome = asyncio.run(scenario())
         [expected] = execute_group([_request("q2", seed=5)], vectorize=False)
         assert outcome.decisions == expected.decisions
-        assert reg.snapshot().counter("serve.worker_restarts") == 1
+        assert reg.snapshot().counter("serve.failed") == 1
+
+    def test_the_lane_that_failed_a_group_answers_the_next(self, monkeypatch):
+        # The failed group is failed inside the lane's own task: no lane
+        # task ends and none is created, and that same task runs the
+        # next group.
+        ran_on = []
+        real = BatchScheduler._execute
+
+        def flaky(self, requests):
+            ran_on.append(asyncio.current_task())
+            if len(ran_on) == 1:
+                raise RuntimeError("executor crashed")
+            return real(self, requests)
+
+        monkeypatch.setattr(BatchScheduler, "_execute", flaky)
+
+        async def scenario():
+            scheduler = BatchScheduler(ServeConfig(workers=1))
+            scheduler.start()
+            tasks_before = asyncio.all_tasks()
+            with pytest.raises(QueryExecutionError):
+                await asyncio.wait_for(scheduler.submit(_request("q1")), 10.0)
+            outcome = await asyncio.wait_for(
+                scheduler.submit(_request("q2", seed=5)), 10.0
+            )
+            tasks_after = asyncio.all_tasks()
+            await scheduler.drain()
+            return tasks_before, tasks_after, outcome
+
+        tasks_before, tasks_after, outcome = asyncio.run(scenario())
+        assert tasks_after == tasks_before
+        assert len(ran_on) == 2 and ran_on[0] is ran_on[1]
+        assert ran_on[0] in tasks_before
+        [expected] = execute_group([_request("q2", seed=5)], vectorize=False)
+        assert outcome.decisions == expected.decisions
 
     def test_group_failure_blames_failing_request(self):
         # Three coalesced members; the scalar path fails on the first
@@ -273,7 +311,7 @@ class TestSupervision:
         reg = get_registry()
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1, vectorize=False)
+            scheduler = BatchScheduler(ServeConfig(workers=1, vectorize=False))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i, algorithm="nope"))
                 for i in range(3)
@@ -292,7 +330,6 @@ class TestSupervision:
             assert "q0" in str(result)
         snap = reg.snapshot()
         assert snap.counter("serve.failed") == 3
-        assert snap.counter("serve.worker_restarts") == 1
 
     def test_crash_mid_drain_still_terminates(self, monkeypatch):
         def exploding(requests, *, vectorize):
@@ -301,7 +338,7 @@ class TestSupervision:
         monkeypatch.setattr(scheduler_mod, "execute_group", exploding)
 
         async def scenario():
-            scheduler = BatchScheduler(workers=2)
+            scheduler = BatchScheduler(ServeConfig(workers=2))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i, threshold=8 + i))
                 for i in range(4)
@@ -343,7 +380,7 @@ class TestCodel:
 
         async def scenario():
             scheduler = BatchScheduler(
-                workers=1, codel_target_ms=100.0, clock=clock
+                ServeConfig(workers=1, codel_target_ms=100.0), clock=clock
             )
             old = [scheduler.submit(_request(f"old{i}", seed=i)) for i in range(2)]
             clock.now = 0.09
@@ -375,7 +412,7 @@ class TestCodel:
 
         async def scenario():
             scheduler = BatchScheduler(
-                workers=1, codel_target_ms=100.0, clock=clock
+                ServeConfig(workers=1, codel_target_ms=100.0), clock=clock
             )
             futures = [scheduler.submit(_request(f"q{i}")) for i in range(3)]
             clock.now = 0.05  # everyone waited 50ms: under target
@@ -387,11 +424,63 @@ class TestCodel:
 
         assert asyncio.run(scenario()) == 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sheds_exactly_what_resorting_every_wait_sheds(self, seed):
+        # Random deep queues (equal stamps included), each ticked at a
+        # target that sheds none of it, part of it and all of it: the
+        # one-index median must lose exactly the requests the rule that
+        # re-sorts every wait after each shed removes.
+        rng = np.random.default_rng(seed)
+        depth = 1024 if seed == 0 else int(rng.integers(64, 1025))
+        stamps = [0.0]
+        while len(stamps) < depth:
+            stamps.append(stamps[-1] + float(rng.choice((0.0, 0.001, 0.002))))
+        now = stamps[-1] + 0.005
+        waits = [(now - stamp) * 1e3 for stamp in stamps]
+
+        def resorting_rule(target):
+            queue = list(waits)
+            shed = 0
+            while queue:
+                ordered = sorted(queue)
+                if ordered[len(ordered) // 2] <= target:
+                    break
+                queue.pop(0)
+                shed += 1
+            return shed
+
+        async def tick(target):
+            clock = _FakeClock()
+            scheduler = BatchScheduler(
+                ServeConfig(codel_target_ms=target), clock=clock
+            )
+            futures = []
+            for i, stamp in enumerate(stamps):
+                clock.now = stamp
+                futures.append(scheduler.submit(_request(f"q{i}", seed=i)))
+            clock.now = now
+            shed = scheduler._codel_tick()
+            for future in futures:
+                if future.done():
+                    assert isinstance(future.exception(), CodelShed)
+            return shed, [future.done() for future in futures]
+
+        # Between the newest wait and the median one: a partial shed.
+        between = (waits[(depth - 1) // 2] + waits[-1]) / 2
+        counts = []
+        for target in (waits[0] + 1.0, between, float(rng.choice(waits)), 0.0):
+            expected = resorting_rule(target)
+            shed, done = asyncio.run(tick(target))
+            assert shed == expected
+            assert done == [i < expected for i in range(depth)]
+            counts.append(shed)
+        assert counts[0] == 0 and 0 < counts[1] < depth and counts[3] == depth
+
     def test_watchdog_config_validation(self):
         with pytest.raises(ValueError):
-            BatchScheduler(codel_target_ms=-1.0)
+            BatchScheduler(ServeConfig(codel_target_ms=-1.0))
         with pytest.raises(ValueError):
-            BatchScheduler(codel_interval_ms=0.0)
+            BatchScheduler(ServeConfig(codel_interval_ms=0.0))
 
 
 class _ScriptedConn:

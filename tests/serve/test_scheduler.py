@@ -54,7 +54,7 @@ class TestCoalescing:
         batches_before = reg.snapshot().counter("serve.batches")
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1)
+            scheduler = BatchScheduler(ServeConfig(workers=1))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i)) for i in range(5)
             ]
@@ -73,7 +73,7 @@ class TestCoalescing:
         batches_before = reg.snapshot().counter("serve.batches")
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1)
+            scheduler = BatchScheduler(ServeConfig(workers=1))
             futures = [
                 scheduler.submit(_request("a1", seed=1)),
                 scheduler.submit(_request("b1", seed=2, threshold=9)),
@@ -96,7 +96,7 @@ class TestCoalescing:
         batches_before = reg.snapshot().counter("serve.batches")
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1, max_batch_runs=5)
+            scheduler = BatchScheduler(ServeConfig(workers=1, max_batch_runs=5))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i, runs=3))
                 for i in range(3)
@@ -113,7 +113,7 @@ class TestCoalescing:
 
     def test_coalesced_answers_match_scalar_oracle(self):
         async def scenario(vectorize):
-            scheduler = BatchScheduler(workers=1, vectorize=vectorize)
+            scheduler = BatchScheduler(ServeConfig(workers=1, vectorize=vectorize))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=10 + i, runs=3))
                 for i in range(4)
@@ -133,7 +133,7 @@ class TestCoalescing:
 class TestLifecycle:
     def test_drain_finishes_queued_work(self):
         async def scenario():
-            scheduler = BatchScheduler(workers=2)
+            scheduler = BatchScheduler(ServeConfig(workers=2))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i)) for i in range(6)
             ]
@@ -146,7 +146,7 @@ class TestLifecycle:
 
     def test_submit_after_drain_fails_fast(self):
         async def scenario():
-            scheduler = BatchScheduler(workers=1)
+            scheduler = BatchScheduler(ServeConfig(workers=1))
             scheduler.start()
             await scheduler.drain()
             with pytest.raises(RuntimeError, match="draining"):
@@ -156,7 +156,7 @@ class TestLifecycle:
 
     def test_double_start_rejected(self):
         async def scenario():
-            scheduler = BatchScheduler(workers=1)
+            scheduler = BatchScheduler(ServeConfig(workers=1))
             scheduler.start()
             try:
                 with pytest.raises(RuntimeError, match="already started"):
@@ -171,7 +171,7 @@ class TestLifecycle:
         reg = get_registry()
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1)
+            scheduler = BatchScheduler(ServeConfig(workers=1))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i)) for i in range(3)
             ]
@@ -196,7 +196,7 @@ class TestFailureDelivery:
         monkeypatch.setattr(scheduler_mod, "execute_group", _boom)
 
         async def scenario():
-            scheduler = BatchScheduler(workers=1)
+            scheduler = BatchScheduler(ServeConfig(workers=1))
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i)) for i in range(3)
             ]
@@ -250,7 +250,7 @@ class TestDefaultLane:
         lanes = _Lanes(monkeypatch)
 
         async def scenario():
-            scheduler = BatchScheduler()
+            scheduler = BatchScheduler(ServeConfig())
             scheduler.start()
             futures = [
                 scheduler.submit(_request(f"q{i}", seed=i, threshold=8 + i % 4))
@@ -284,7 +284,7 @@ class TestDefaultLane:
         lanes = _Lanes(monkeypatch, hold=("lead",), dwell=0.0)
 
         async def scenario():
-            scheduler = BatchScheduler()
+            scheduler = BatchScheduler(ServeConfig())
             scheduler.start()
             futures = [
                 scheduler.submit(_request("lead", seed=99, runs=_OFFLOADED_RUNS))
@@ -329,7 +329,7 @@ class TestInlineRoute:
         monkeypatch.setattr(BatchScheduler, "_execute", execute)
 
         async def scenario():
-            scheduler = BatchScheduler(vectorize=vectorize)
+            scheduler = BatchScheduler(ServeConfig(vectorize=vectorize))
             scheduler.start()
             await scheduler.submit(_request("at", runs=cells // 64, **overrides))
             await scheduler.submit(
@@ -363,7 +363,7 @@ class TestInlineRoute:
         )
 
         async def scenario():
-            scheduler = BatchScheduler()
+            scheduler = BatchScheduler(ServeConfig())
             futures = [scheduler.submit(r) for r in requests]
             scheduler.start()
             outcomes = await asyncio.gather(*futures)

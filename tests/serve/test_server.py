@@ -88,7 +88,7 @@ class TestBadSeedOverTheWire:
     def test_negative_seed_fails_alone_at_the_edge(self):
         """A negative seed is a 400, never a member of a coalesced group:
         the well-formed request pipelined behind it is answered and no
-        worker lane dies."""
+        executed group fails."""
         with serve_in_thread(ServeConfig(port=0, workers=1)) as handle:
             with ServeClient("127.0.0.1", handle.port) as client:
                 client.send(_query("bad", seed=-1))
@@ -100,7 +100,7 @@ class TestBadSeedOverTheWire:
         assert replies["bad"]["status"] == 400
         assert replies["bad"]["error"]["code"] == "bad_field"
         assert replies["good"]["ok"] and replies["good"]["status"] == 200
-        assert counters.get("serve.worker_restarts", 0) == 0
+        assert counters.get("serve.failed", 0) == 0
 
 
 class TestRateLimitOverTheWire:
